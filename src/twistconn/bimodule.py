@@ -32,7 +32,7 @@ from .connections import ModuleConnection
 from .forms import Caps, Form, Word, render_word, word_degree, \
     word_differential, word_letters, word_mul
 from .reports import CheckResult, failed, inadmissible, passed
-from .tdga import ProductForm, enumerate_monomials
+from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from .product import ProductConnection, ProductVector, act_right, \
     act_right_form, f_free_to_naive, f_naive_to_free, iter_naive_basis
@@ -99,6 +99,7 @@ def check_swap_pair_compatible(conn: ModuleConnection, swap: FormSwap,
     every bounded basis vector.
     """
     gen = conn.gen
+    name = f"swap-pair-compatible-{gen}"
     E = caps.max_exponent
     cases = 0
     for k in range(conn.rank):
@@ -121,10 +122,9 @@ def check_swap_pair_compatible(conn: ModuleConnection, swap: FormSwap,
                 for p, res in enumerate(swap.apply(left[l], basis)):
                     swapped[p] = swapped[p] + res
             if swapped != conn.nabla(vec):
-                return failed("swap-pair-compatible",
-                              f"left candidate differs at e_{k + 1} "
+                return failed(name, f"left candidate differs at e_{k + 1} "
                               f"{gen}^{i}", cases, generator=gen)
-    return passed(f"swap-pair-compatible-{gen}", cases)
+    return passed(name, cases)
 
 
 def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
@@ -133,6 +133,7 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
     if swap.gen != conn.gen or swap.rank != conn.rank:
         raise ValueError("swap and connection must share module data")
     gen = conn.gen
+    name = f"bimodule-connection-{gen}"
     E = caps.max_exponent
     cases = 0
     for c_exp in range(E + 1):
@@ -150,10 +151,9 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
                 for l, extra in enumerate(swap.apply(da, vec)):
                     rhs[l] = rhs[l] + extra
                 if lhs != rhs:
-                    return failed("bimodule-connection",
-                                  f"gen^{c_exp} . e_{k + 1} gen^{i}", cases,
-                                  generator=gen)
-    return passed(f"bimodule-connection-{gen}", cases)
+                    return failed(name, f"gen^{c_exp} . e_{k + 1} gen^{i}",
+                                  cases, generator=gen)
+    return passed(name, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +274,86 @@ class ProductSwap:
     def n(self) -> int:
         return self.swap_f.rank
 
-    def apply(self, one_form: ProductForm, pv: ProductVector) -> ProductVector:
-        """Evaluate the swap on (1-form) ⊗ (degree-0 module element)."""
+    def apply(self, one_form: ProductForm, pv: ProductVector,
+              columns: dict | None = None) -> ProductVector:
+        """Evaluate the swap on (1-form) ⊗ (degree-0 module element).
+
+        The swap is bilinear, so the value is a sum of columns, the images
+        of the basis tensors in the input, scaled by their coefficients.
+        A column is computed once per ``columns`` table; a check that
+        evaluates the same basis tensors many times passes one table to
+        all its calls.
+        """
         if not one_form.is_zero and not one_form.is_homogeneous(1):
             raise ValueError("swap needs a homogeneous 1-form")
         if not pv.is_degree(0):
             raise ValueError("swap needs a degree-0 module element")
-        out = ProductVector.zero(self.m, self.n)
-        for (wx, wy), c in one_form.terms.items():
-            if word_degree(wx) == 1:
-                j = wy[0]
-                for cc, tail, co in _right_normal(wx[0], wx[1]):
-                    moved = act_left(self.twist, self.rmt, self.lmt,
-                                     ProductForm.monomial(tail, j, c * co), pv)
-                    out = out + self._generator_x(cc, moved)
-            else:
-                i = wx[0]
-                for cc, tail, co in _right_normal(wy[0], wy[1]):
-                    moved = act_left(self.twist, self.rmt, self.lmt,
-                                     ProductForm.monomial(0, tail, c * co), pv)
-                    out = out + self._generator_y(i, cc, moved)
-        return out
+        if columns is None:
+            columns = {}
+        out = [{} for _ in range(self.m + self.n)]
+        for pair, c in one_form.terms.items():
+            self._add_images(out, c, pv, columns, pair,
+                             lambda basis: self._column(pair, basis, columns))
+        return self._vector(out, pv.flags)
+
+    def _vector(self, coords: list[dict[PairWord, Fraction]],
+                flags: frozenset[str] = frozenset()) -> ProductVector:
+        forms = [ProductForm(t) for t in coords]
+        return ProductVector(forms[:self.m], forms[self.m:], flags)
+
+    def _add_images(self, out: list[dict[PairWord, Fraction]], scale,
+                    pv: ProductVector, table: dict, tag, image) -> None:
+        """Add scale · image(pv) to ``out``, for a map ``image`` linear in pv.
+
+        The image of each basis coordinate of pv is kept in ``table`` under
+        (tag, slot, word); slots count the e-block first, then the f-block.
+        The table also maps each pair-word of a stored image to itself, so
+        that equal pair-words in different images share one tuple.
+        """
+        for slot, coord in enumerate(pv.e + pv.f):
+            for word, cw in coord.terms.items():
+                key = (tag, slot, word)
+                column = table.get(key)
+                if column is None:
+                    basis = [{}] * (self.m + self.n)
+                    basis[slot] = {word: Fraction(1)}
+                    res = image(self._vector(basis))
+                    column = table[key] = tuple(
+                        (s, table.setdefault(w, w), v)
+                        for s, form in enumerate(res.e + res.f)
+                        for w, v in form.terms.items())
+                c = scale * cw
+                for s, w, v in column:
+                    acc = out[s]
+                    total = acc.get(w, 0) + c * v
+                    if total:
+                        acc[w] = total
+                    else:
+                        del acc[w]
+
+    def _column(self, pair: PairWord, pv: ProductVector,
+                table: dict) -> ProductVector:
+        """Swap of one basis tensor: normalize the 1-form to generators.
+
+        Trailing scalars move across the balanced tensor onto the module
+        argument; the generator images go into ``table`` as well.
+        """
+        out = [{} for _ in range(self.m + self.n)]
+        wx, wy = pair
+        if word_degree(wx) == 1:
+            for cc, tail, co in _right_normal(wx[0], wx[1]):
+                moved = act_left(self.twist, self.rmt, self.lmt,
+                                 ProductForm.monomial(tail, wy[0]), pv)
+                self._add_images(out, co, moved, table, ("x", cc),
+                                 lambda basis: self._generator_x(cc, basis))
+        else:
+            for cc, tail, co in _right_normal(wy[0], wy[1]):
+                moved = act_left(self.twist, self.rmt, self.lmt,
+                                 ProductForm.monomial(0, tail), pv)
+                self._add_images(
+                    out, co, moved, table, ("y", wx[0], cc),
+                    lambda basis: self._generator_y(wx[0], cc, basis))
+        return self._vector(out)
 
     # -- generator inputs -------------------------------------------------
     def _generator_x(self, cc: int, pv: ProductVector) -> ProductVector:
@@ -591,18 +650,19 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
 
     left_witness = right_witness = None
     cases = 0
+    columns: dict = {}
     for flabel, oneform in one_forms:
         for plabel, pv in basis:
-            base = ps.apply(oneform, pv)
+            base = ps.apply(oneform, pv, columns)
             for w in monos:
                 cases += 2
                 if left_witness is None:
-                    lhs = ps.apply(twist.mul(w, oneform), pv)
+                    lhs = ps.apply(twist.mul(w, oneform), pv, columns)
                     rhs = act_left(twist, rmt, lmt, w, base)
                     if lhs != rhs:
                         left_witness = (f"left: {w} . ({flabel}) ⊗ {plabel}")
                 if right_witness is None:
-                    lhs = ps.apply(oneform, act_right(twist, pv, w))
+                    lhs = ps.apply(oneform, act_right(twist, pv, w), columns)
                     rhs = act_right_form(twist, base, w)
                     if lhs != rhs:
                         right_witness = (f"right: ({flabel}) ⊗ {plabel} . {w}")
@@ -638,12 +698,13 @@ def check_bimodule_leibniz(pc: ProductConnection, ps: ProductSwap,
     E = caps.max_exponent
     monos = [ProductForm.pair(wx, wy) for wx, wy in enumerate_monomials(E)]
     cases = 0
+    columns: dict = {}
     for label, pv in iter_naive_basis(pc, caps):
         for w in monos:
             cases += 1
             lhs = pc.nabla(act_left(twist, rmt, lmt, w, pv))
             rhs = act_left(twist, rmt, lmt, w, pc.nabla(pv)) + \
-                ps.apply(w.d(), pv)
+                ps.apply(w.d(), pv, columns)
             if lhs != rhs:
                 return failed("bimodule-leibniz",
                               f"{w} . ({label})", cases)

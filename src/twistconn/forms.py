@@ -126,7 +126,7 @@ class Form:
         if terms:
             for w, c in terms.items():
                 if c:
-                    self.terms[w] = Fraction(c)
+                    self.terms[w] = c if type(c) is Fraction else Fraction(c)
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -162,10 +162,6 @@ class Form:
         if degree is None:
             return len(degs) <= 1
         return degs <= {degree}
-
-    def homogeneous_part(self, degree: int) -> "Form":
-        return Form(self.gen, {w: c for w, c in self.terms.items()
-                               if word_degree(w) == degree})
 
     def _require_same_gen(self, other: "Form") -> None:
         if self.gen != other.gen:
@@ -320,7 +316,10 @@ def parse_form(gen: str, text: str) -> Form:
         elif _RATIONAL_RE.match(tok):
             if word is not None or coeff is not None:
                 raise ValueError(f"unexpected coefficient {tok!r} in {text!r}")
-            coeff = Fraction(tok)
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {tok!r}") from None
         else:
             if word is None:
                 word = [0]
@@ -331,7 +330,10 @@ def parse_form(gen: str, text: str) -> Form:
             elif tok == gen:
                 word[-1] += 1
             elif tok.startswith(f"{gen}^"):
-                word[-1] += int(tok[len(gen) + 1:])
+                exponent = int(tok[len(gen) + 1:])
+                if exponent < 0:
+                    raise ValueError(f"negative exponent in {tok!r}")
+                word[-1] += exponent
             else:
                 raise ValueError(f"bad factor {tok!r} for generator {gen!r}")
     flush()

@@ -152,28 +152,6 @@ def act_right_form(twist: AlgebraTwist, pv: ProductVector,
                          [twist.mul(c, w) for c in pv.f], pv.flags)
 
 
-def left_mult_x(twist: AlgebraTwist, rmt: RightModuleTwist, a: Form,
-                pv: ProductVector) -> ProductVector:
-    """Left multiplication by a ⊗ 1 for a degree-0 x-polynomial a."""
-    if a.gen != "x" or (not a.is_zero and not a.is_homogeneous(0)):
-        raise ValueError("left x-multiplication needs a degree-0 x-polynomial")
-    m, n = pv.ranks
-    e_out = [ProductForm.zero() for _ in range(m)]
-    f_out = [ProductForm.zero() for _ in range(n)]
-    for wa, ca in a.terms.items():
-        mono = ProductForm.pair(wa, UNIT_WORD, ca)
-        for k in range(m):
-            e_out[k] = e_out[k] + twist.mul(mono, pv.e[k])
-        row_cache = rmt.matrix_power(-wa[0])
-        for k in range(n):
-            shifted = twist.mul(mono, pv.f[k])
-            row = row_cache[k]
-            for l in range(n):
-                if row[l]:
-                    f_out[l] = f_out[l] + shifted.scale(row[l])
-    return ProductVector(e_out, f_out, pv.flags)
-
-
 # ---------------------------------------------------------------------------
 # the product connection
 # ---------------------------------------------------------------------------

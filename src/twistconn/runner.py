@@ -203,13 +203,9 @@ def _run_one(name: str, s: Scenario, objs: BuiltObjects, caps: Caps,
                            witness="symbolic display did not match the "
                                    "computed connection")
     if name == "bimodule-connection-x":
-        res = check_bimodule_connection(objs.conn_e, objs.swap_e, caps)
-        res.name = "bimodule-connection-x"
-        return res
+        return check_bimodule_connection(objs.conn_e, objs.swap_e, caps)
     if name == "bimodule-connection-y":
-        res = check_bimodule_connection(objs.conn_f, objs.swap_f, caps)
-        res.name = "bimodule-connection-y"
-        return res
+        return check_bimodule_connection(objs.conn_f, objs.swap_f, caps)
     if name == "swap-compat-e":
         return check_swap_compat_e(objs.product_swap, caps)
     if name == "swap-compat-f":

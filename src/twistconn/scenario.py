@@ -211,6 +211,8 @@ def load_scenario(text: str) -> Scenario:
         except ValueError:
             raise ScenarioError(f"line {lineno}: f_exponents must be integers") \
                 from None
+        if any(v < 0 for v in scenario.f_exponents):
+            raise ScenarioError(f"line {lineno}: f_exponents must be >= 0")
     unknown = set(top) - {"q", "m", "n", "max_exponent", "max_degree", "seed",
                           "checks", "f_exponents", "remark_power"}
     if unknown:
@@ -258,7 +260,12 @@ def load_scenario(text: str) -> Scenario:
 
 def load_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return load_scenario(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at "
+                                f"byte {exc.start})") from None
+    return load_scenario(text)
 
 
 def default_matrix(mat: Matrix | None, rank: int) -> Matrix:

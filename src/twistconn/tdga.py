@@ -25,10 +25,6 @@ PairWord = tuple[Word, Word]
 UNIT_PAIR: PairWord = (UNIT_WORD, UNIT_WORD)
 
 
-def pair_bidegree(pair: PairWord) -> tuple[int, int]:
-    return word_degree(pair[0]), word_degree(pair[1])
-
-
 def pair_degree(pair: PairWord) -> int:
     return word_degree(pair[0]) + word_degree(pair[1])
 
@@ -43,7 +39,7 @@ class ProductForm:
         if terms:
             for p, c in terms.items():
                 if c:
-                    self.terms[p] = Fraction(c)
+                    self.terms[p] = c if type(c) is Fraction else Fraction(c)
 
     @classmethod
     def zero(cls) -> "ProductForm":
@@ -79,12 +75,6 @@ class ProductForm:
     def degree_part(self, degree: int) -> "ProductForm":
         return ProductForm({p: c for p, c in self.terms.items()
                             if pair_degree(p) == degree})
-
-    def split_degrees(self) -> dict[int, "ProductForm"]:
-        parts: dict[int, ProductForm] = {}
-        for p, c in self.terms.items():
-            parts.setdefault(pair_degree(p), ProductForm()).terms[p] = c
-        return parts
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other: "ProductForm") -> "ProductForm":
@@ -168,14 +158,6 @@ def embed_y(form: Form) -> ProductForm:
     if form.gen != "y":
         raise ValueError("embed_y expects a y-form")
     return ProductForm({(UNIT_WORD, w): c for w, c in form.terms.items()})
-
-
-def x_part_form(pair: PairWord) -> Form:
-    return Form.word("x", pair[0])
-
-
-def y_part_form(pair: PairWord) -> Form:
-    return Form.word("y", pair[1])
 
 
 def enumerate_pairs(caps: Caps, total_degree: int | None = None) -> list[PairWord]:

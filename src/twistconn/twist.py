@@ -116,12 +116,6 @@ class AlgebraTwist:
                     del terms[key]
         return ProductForm(terms)
 
-    def mul_many(self, *factors: ProductForm) -> ProductForm:
-        out = ProductForm.unit()
-        for f in factors:
-            out = self.mul(out, f)
-        return out
-
 
 class RightModuleTwist:
     """Carries the free y-module factor across the x-algebra.

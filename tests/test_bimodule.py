@@ -201,3 +201,87 @@ class TestBimoduleTheorem:
         gated = check_bimodule_theorem(pc, ps, SMALL, [good, bad])
         assert gated.verdict == "inadmissible"
         assert "swap-compat-e" in gated.witness
+
+
+def dense(q):
+    """Rank 2 on both sides with dense unimodular S and T, flip swaps."""
+    twist = AlgebraTwist(q)
+    rmt = RightModuleTwist(twist, [[2, 1], [1, 1]])
+    lmt = LeftModuleTwist(twist, [[1, 2], [1, 3]])
+    ps = ProductSwap(twist, rmt, lmt, FormSwap.flip("x", 2),
+                     FormSwap.flip("y", 2))
+    pc = ProductConnection(twist, rmt, ModuleConnection.grassmann("x", 2),
+                           ModuleConnection.grassmann("y", 2), "pass")
+    return pc, ps
+
+
+class DroppedQ(ProductSwap):
+    """The y-form/e-block piece without its q^{cc·i2} factor.
+
+    That piece reads the algebra twist only through that factor, so it is
+    evaluated at q = 1; the y-form/f-block piece is left intact.
+    """
+
+    def _generator_y(self, i, cc, pv):
+        flat = ProductSwap(AlgebraTwist(1), self.rmt, self.lmt, self.swap_e,
+                           self.swap_f)
+        return ProductVector(flat._generator_y(i, cc, pv).e,
+                             super()._generator_y(i, cc, pv).f)
+
+
+class TestDenseSwap:
+    TINY = Caps(1, 1)
+
+    @pytest.mark.parametrize("q", [2, -3])
+    def test_swap_checks_pass(self, q):
+        pc, ps = dense(q)
+        results = [check_swap_compat_e(ps, self.TINY),
+                   check_swap_compat_f(ps, self.TINY),
+                   check_swap_cross_morphisms(ps, self.TINY),
+                   check_bimodule_leibniz(pc, ps, self.TINY)]
+        assert all(r.passed for r in results)
+        assert [r.cases for r in results] == [528, 528, 1024, 64]
+
+    def test_dropped_q_factor_fails_cross_morphisms(self):
+        _, ps = dense(2)
+        bad = DroppedQ(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
+        result = check_swap_cross_morphisms(bad, self.TINY)
+        assert result.failed
+        assert result.detail["yform_eblock_left"] == "fail"
+        assert result.detail["yform_eblock_right"] == "fail"
+        assert result.detail["xform_fblock_left"] == "pass"
+
+    def test_no_columns_leak_between_swaps(self):
+        _, ps = dense(2)
+        bad = DroppedQ(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
+        assert check_swap_cross_morphisms(ps, self.TINY).passed
+        assert check_swap_cross_morphisms(bad, self.TINY).failed
+        assert check_swap_cross_morphisms(ps, self.TINY).passed
+
+    def test_columns_match_per_call_evaluation(self):
+        pc, ps = dense(2)
+        pv = pc.f_naive_basis(1, 1, 0) + pc.e_naive_basis(0, 0, 1)
+        w = ProductForm.pair((1, 0), (1,), 3) + ProductForm.pair((1,), (0, 1))
+        columns: dict = {}
+        first = ps.apply(w, pv, columns)
+        assert columns
+        assert ps.apply(w, pv, columns) == first == ps.apply(w, pv)
+        assert first == ps.apply(ProductForm.pair((1, 0), (1,), 3), pv) + \
+            ps.apply(ProductForm.pair((1,), (0, 1)), pv)
+
+
+class TestCheckNames:
+    def test_bimodule_connection_name_on_pass_and_fail(self):
+        good = ModuleConnection.grassmann("x", 1)
+        bad = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
+        flip = FormSwap.flip("x", 1)
+        names = {check_bimodule_connection(conn, flip, CAPS).name
+                 for conn in (good, bad)}
+        assert names == {"bimodule-connection-x"}
+
+    def test_swap_pair_name_on_pass_and_fail(self):
+        conn = ModuleConnection.grassmann("y", 1)
+        flip = FormSwap.flip("y", 1)
+        names = {check_swap_pair_compatible(conn, flip, cand, CAPS).name
+                 for cand in ([[Form.zero("y")]], [[Form.d_gen("y")]])}
+        assert names == {"swap-pair-compatible-y"}

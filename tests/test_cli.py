@@ -64,6 +64,25 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     assert "not invertible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("q: 2\n[potential_E]\n(1,1): 3/0 dx\n", "line 3: zero denominator"),
+    ("q: 2\nf_exponents: -1\n", "line 2: f_exponents must be >= 0"),
+    ("q: 2\n[potential_E]\n(1,1): x^-1 dx\n", "line 3: negative exponent"),
+], ids=["zero-denominator", "negative-f-exponent", "negative-exponent"])
+def test_malformed_value_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["report", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"q: 2\n\xff\n")
+    assert main(["check-axioms", "--scenario", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["check-axioms", "--scenario", "/nonexistent.cfg"]) == 2
 
