@@ -31,11 +31,11 @@ from functools import lru_cache
 from .connections import ModuleConnection
 from .forms import Caps, Form, Word, render_word, word_degree, \
     word_differential, word_letters, word_mul
-from .reports import CheckResult, failed, inadmissible, passed
+from .reports import CheckResult, failed, passed
 from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from .product import ProductConnection, ProductVector, act_right, \
-    act_right_form, f_free_to_naive, f_naive_to_free, iter_naive_basis
+    act_right_form, add_row, f_free_to_naive, iter_naive_basis
 
 
 class FormSwap:
@@ -175,45 +175,22 @@ def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
         for k in range(m):
             if pv.e[k].is_zero:
                 continue
-            shifted = twist.mul(mono, pv.e[k])
-            row = t_pow[k]
-            for l in range(m):
-                if row[l]:
-                    e_out[l] = e_out[l] + shifted.scale(row[l])
+            add_row(e_out, t_pow[k], twist.mul(mono, pv.e[k]))
         s_back = rmt.matrix_power(-i)
         for k in range(n):
             if pv.f[k].is_zero:
                 continue
-            shifted = twist.mul(mono, pv.f[k])
-            row = s_back[k]
-            for l in range(n):
-                if row[l]:
-                    f_out[l] = f_out[l] + shifted.scale(row[l])
-    return ProductVector(e_out, f_out, pv.flags)
+            add_row(f_out, s_back[k], twist.mul(mono, pv.f[k]))
+    return ProductVector(e_out, f_out)
 
 
 def check_bimodule_axiom(twist: AlgebraTwist, rmt: RightModuleTwist,
                          lmt: LeftModuleTwist, m: int, caps: Caps) -> CheckResult:
     """Left and right actions commute on bounded monomial bases."""
-    n = rmt.rank
     E = caps.max_exponent
     monos = [ProductForm.pair(wx, wy) for wx, wy in enumerate_monomials(E)]
-    basis: list[tuple[str, ProductVector]] = []
-    for k in range(m):
-        for i in range(E + 1):
-            for j in range(E + 1):
-                pv = ProductVector.e_basis(m, n, k, ProductForm.monomial(i, j))
-                basis.append((f"e_{k + 1} x^{i} ⊗ y^{j}", pv))
-    for k in range(n):
-        for i in range(E + 1):
-            for j in range(E + 1):
-                naive = [ProductForm.zero()] * n
-                naive[k] = ProductForm.monomial(i, j)
-                pv = ProductVector([ProductForm.zero()] * m,
-                                   f_naive_to_free(rmt, naive))
-                basis.append((f"x^{i} ⊗ f_{k + 1} y^{j}", pv))
     cases = 0
-    for label, pv in basis:
+    for label, pv in iter_naive_basis(m, rmt, caps):
         for wl in monos:
             for wr in monos:
                 cases += 1
@@ -294,12 +271,11 @@ class ProductSwap:
         for pair, c in one_form.terms.items():
             self._add_images(out, c, pv, columns, pair,
                              lambda basis: self._column(pair, basis, columns))
-        return self._vector(out, pv.flags)
+        return self._vector(out)
 
-    def _vector(self, coords: list[dict[PairWord, Fraction]],
-                flags: frozenset[str] = frozenset()) -> ProductVector:
+    def _vector(self, coords: list[dict[PairWord, Fraction]]) -> ProductVector:
         forms = [ProductForm(t) for t in coords]
-        return ProductVector(forms[:self.m], forms[self.m:], flags)
+        return ProductVector(forms[:self.m], forms[self.m:])
 
     def _add_images(self, out: list[dict[PairWord, Fraction]], scale,
                     pv: ProductVector, table: dict, tag, image) -> None:
@@ -380,11 +356,8 @@ class ProductSwap:
                 piece = ProductForm(
                     {(word_mul(w, (i2,)), wyk): Fraction(s)
                      for w, s in word_differential((cc,)).items()})
-                row = self.rmt.matrix_power(-(i2 + cc))[k]
-                for p in range(self.n):
-                    if row[p]:
-                        f_out[p] = f_out[p] + piece.scale(c * row[p])
-        return ProductVector(e_out, f_out, pv.flags)
+                add_row(f_out, self.rmt.matrix_power(-(i2 + cc))[k], piece, c)
+        return ProductVector(e_out, f_out)
 
     def _generator_y(self, i: int, cc: int, pv: ProductVector) -> ProductVector:
         """Swap of x^i ⊗ d(y^cc) past pv."""
@@ -402,10 +375,7 @@ class ProductSwap:
                 piece = ProductForm(
                     {((i + i2,), word_mul(w, (j2,))): Fraction(s)
                      for w, s in d_words.items()})
-                row = self.lmt.matrix_power(cc)[k]
-                for l in range(self.m):
-                    if row[l]:
-                        e_out[l] = e_out[l] + piece.scale(scale * row[l])
+                add_row(e_out, self.lmt.matrix_power(cc)[k], piece, scale)
         # f-block: algebra twist past the scalar, then the f-factor swap
         naive = f_free_to_naive(self.rmt, pv.f)
         d_form = Form.gen_power("y", cc).d()
@@ -422,11 +392,8 @@ class ProductSwap:
                         continue
                     piece = ProductForm({((i + i2,), w): cw
                                          for w, cw in res[p].terms.items()})
-                    row = [row_cache[p][qq] for qq in range(self.n)]
-                    for qq in range(self.n):
-                        if row[qq]:
-                            f_out[qq] = f_out[qq] + piece.scale(scale * row[qq])
-        return ProductVector(e_out, f_out, pv.flags)
+                    add_row(f_out, row_cache[p], piece, scale)
+        return ProductVector(e_out, f_out)
 
 
 # ---------------------------------------------------------------------------
@@ -492,100 +459,57 @@ def check_swap_compat_e(ps: ProductSwap, caps: Caps) -> CheckResult:
     the left and right module-morphism property of the piece; and checks
     that the equation verdict and the left-morphism verdict agree.
     """
-    twist, lmt, swap_e = ps.twist, ps.lmt, ps.swap_e
-    m = ps.m
-    E = caps.max_exponent
-    eq_cases = 0
-    eq_witness = None
-    for j in range(E + 1):
-        for w in _one_form_words_x(caps):
-            omega = Form.word("x", w)
-            lam = word_letters(w)
-            for k in range(m):
-                eq_cases += 1
-                basis = [Form.unit("x") if l == k else Form.zero("x")
-                         for l in range(m)]
-                lhs: dict[tuple[int, Word], Fraction] = {}
-                row = lmt.matrix_power(j)[k]
-                for l in range(m):
-                    if not row[l]:
-                        continue
-                    vec = [Form.unit("x") if p == l else Form.zero("x")
-                           for p in range(m)]
-                    for p, res in enumerate(swap_e.apply(omega, vec)):
-                        for wres, cres in res.terms.items():
-                            key = (p, wres)
-                            lhs[key] = lhs.get(key, Fraction(0)) + \
-                                twist.qpow(j * lam) * row[l] * cres
-                rhs: dict[tuple[int, Word], Fraction] = {}
-                for p, res in enumerate(swap_e.apply(omega, basis)):
-                    for wres, cres in res.terms.items():
-                        scale = twist.qpow(j * word_letters(wres))
-                        rowp = lmt.matrix_power(j)[p]
-                        for l in range(m):
-                            if rowp[l]:
-                                key = (l, wres)
-                                rhs[key] = rhs.get(key, Fraction(0)) + \
-                                    rowp[l] * scale * cres
-                lhs = {key: v for key, v in lhs.items() if v}
-                rhs = {key: v for key, v in rhs.items() if v}
-                if lhs != rhs and eq_witness is None:
-                    eq_witness = (f"y^{j} ⊗ {render_word('x', w)} ⊗ "
-                                  f"e_{k + 1}")
-
-    left_witness, right_witness, mor_cases = _piece_morphism(
-        ps, caps, block="e", form_side="x")
-
-    agree = (eq_witness is None) == (left_witness is None)
-    detail = {
-        "equation": "pass" if eq_witness is None else "fail",
-        "left_morphism": "pass" if left_witness is None else "fail",
-        "right_morphism": "pass" if right_witness is None else "fail",
-        "equivalence_agrees": agree,
-    }
-    name = "swap-compat-e"
-    cases = eq_cases + mor_cases
-    if not agree:
-        return failed(name, "equation and left-morphism verdicts disagree: "
-                      f"{eq_witness or left_witness}", cases, **detail)
-    if eq_witness or right_witness:
-        return failed(name, eq_witness or right_witness, cases, **detail)
-    return passed(name, cases, **detail)
+    return _swap_compat(ps, caps, "e")
 
 
 def check_swap_compat_f(ps: ProductSwap, caps: Caps) -> CheckResult:
     """Mirror of :func:`check_swap_compat_e` for the y-form/f-block piece."""
-    twist, rmt, swap_f = ps.twist, ps.rmt, ps.swap_f
-    n = ps.n
-    E = caps.max_exponent
+    return _swap_compat(ps, caps, "f")
+
+
+def _swap_compat(ps: ProductSwap, caps: Caps, block: str) -> CheckResult:
+    """Shared body of :func:`check_swap_compat_e` and ``_f``.
+
+    The factor swap on ``block`` is exchanged with the module twist that
+    carries the scalar of the other generator past that block: the left
+    module twist (powers y^j) for the e-block, the right module twist
+    (powers x^i) for the f-block.
+    """
+    twist = ps.twist
+    if block == "e":
+        gen, swap, mt, iff = "x", ps.swap_e, ps.lmt, "left"
+        where = "y^{s} ⊗ {w} ⊗ e_{k}"
+    else:
+        gen, swap, mt, iff = "y", ps.swap_f, ps.rmt, "right"
+        where = "{w} ⊗ f_{k} ⊗ x^{s}"
+    rank = swap.rank
+    units = [[Form.unit(gen) if p == l else Form.zero(gen) for p in range(rank)]
+             for l in range(rank)]
     eq_cases = 0
     eq_witness = None
-    for i in range(E + 1):
+    for s_exp in range(caps.max_exponent + 1):
+        power = mt.matrix_power(s_exp)
         for w in _one_form_words_x(caps):
-            eta = Form.word("y", w)
+            omega = Form.word(gen, w)
             lam = word_letters(w)
-            for k in range(n):
+            for k in range(rank):
                 eq_cases += 1
                 lhs: dict[tuple[int, Word], Fraction] = {}
-                row = rmt.matrix_power(i)[k]
-                for l in range(n):
+                row = power[k]
+                for l in range(rank):
                     if not row[l]:
                         continue
-                    vec = [Form.unit("y") if p == l else Form.zero("y")
-                           for p in range(n)]
-                    for p, res in enumerate(swap_f.apply(eta, vec)):
+                    for p, res in enumerate(swap.apply(omega, units[l])):
                         for wres, cres in res.terms.items():
                             key = (p, wres)
                             lhs[key] = lhs.get(key, Fraction(0)) + \
-                                twist.qpow(i * lam) * row[l] * cres
-                basis = [Form.unit("y") if l == k else Form.zero("y")
-                         for l in range(n)]
+                                twist.qpow(s_exp * lam) * row[l] * cres
                 rhs: dict[tuple[int, Word], Fraction] = {}
-                for p, res in enumerate(swap_f.apply(eta, basis)):
+                for p, res in enumerate(swap.apply(omega, units[k])):
                     for wres, cres in res.terms.items():
-                        scale = twist.qpow(i * word_letters(wres))
-                        rowp = rmt.matrix_power(i)[p]
-                        for l in range(n):
+                        scale = twist.qpow(s_exp * word_letters(wres))
+                        rowp = power[p]
+                        for l in range(rank):
                             if rowp[l]:
                                 key = (l, wres)
                                 rhs[key] = rhs.get(key, Fraction(0)) + \
@@ -593,26 +517,28 @@ def check_swap_compat_f(ps: ProductSwap, caps: Caps) -> CheckResult:
                 lhs = {key: v for key, v in lhs.items() if v}
                 rhs = {key: v for key, v in rhs.items() if v}
                 if lhs != rhs and eq_witness is None:
-                    eq_witness = (f"{render_word('y', w)} ⊗ f_{k + 1} "
-                                  f"⊗ x^{i}")
+                    eq_witness = where.format(s=s_exp, w=render_word(gen, w),
+                                              k=k + 1)
 
     left_witness, right_witness, mor_cases = _piece_morphism(
-        ps, caps, block="f", form_side="y")
-
-    agree = (eq_witness is None) == (right_witness is None)
+        ps, caps, block=block, form_side=gen)
+    # the equation is equivalent to one morphism property; the other must hold
+    tied, other = (left_witness, right_witness) if iff == "left" \
+        else (right_witness, left_witness)
+    agree = (eq_witness is None) == (tied is None)
     detail = {
         "equation": "pass" if eq_witness is None else "fail",
         "left_morphism": "pass" if left_witness is None else "fail",
         "right_morphism": "pass" if right_witness is None else "fail",
         "equivalence_agrees": agree,
     }
-    name = "swap-compat-f"
+    name = f"swap-compat-{block}"
     cases = eq_cases + mor_cases
     if not agree:
-        return failed(name, "equation and right-morphism verdicts disagree: "
-                      f"{eq_witness or right_witness}", cases, **detail)
-    if eq_witness or left_witness:
-        return failed(name, eq_witness or left_witness, cases, **detail)
+        return failed(name, f"equation and {iff}-morphism verdicts disagree: "
+                      f"{eq_witness or tied}", cases, **detail)
+    if eq_witness or other:
+        return failed(name, eq_witness or other, cases, **detail)
     return passed(name, cases, **detail)
 
 
@@ -620,7 +546,6 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
                     form_side: str) -> tuple[str | None, str | None, int]:
     """Left/right module-morphism witnesses for one swap piece."""
     twist, rmt, lmt = ps.twist, ps.rmt, ps.lmt
-    m, n = ps.m, ps.n
     E = caps.max_exponent
     monos = [ProductForm.pair(wx, wy) for wx, wy in enumerate_monomials(E)]
 
@@ -634,19 +559,7 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
                 one_forms.append((f"x^{t} ⊗ {render_word('y', w)}",
                                   ProductForm({((t,), w): Fraction(1)})))
 
-    basis: list[tuple[str, ProductVector]] = []
-    for k in range(m if block == "e" else n):
-        for i in range(E + 1):
-            for j in range(E + 1):
-                if block == "e":
-                    pv = ProductVector.e_basis(m, n, k, ProductForm.monomial(i, j))
-                    basis.append((f"e_{k + 1} x^{i} ⊗ y^{j}", pv))
-                else:
-                    naive = [ProductForm.zero()] * n
-                    naive[k] = ProductForm.monomial(i, j)
-                    pv = ProductVector([ProductForm.zero()] * m,
-                                       f_naive_to_free(rmt, naive))
-                    basis.append((f"x^{i} ⊗ f_{k + 1} y^{j}", pv))
+    basis = list(iter_naive_basis(ps.m, rmt, caps, blocks=block))
 
     left_witness = right_witness = None
     cases = 0
@@ -691,38 +604,24 @@ def check_swap_cross_morphisms(ps: ProductSwap, caps: Caps) -> CheckResult:
     return passed(name, cases, **detail)
 
 
-def check_bimodule_leibniz(pc: ProductConnection, ps: ProductSwap,
+def check_bimodule_theorem(pc: ProductConnection, ps: ProductSwap,
                            caps: Caps) -> CheckResult:
-    """Left Leibniz identity of the product connection via the swap."""
+    """The bimodule theorem: left Leibniz identity of the connection via the swap.
+
+    The theorem's hypotheses are separate checks; the runner's registry
+    reports this one inadmissible when any of them failed in the same run.
+    """
     twist, rmt, lmt = ps.twist, ps.rmt, ps.lmt
     E = caps.max_exponent
     monos = [ProductForm.pair(wx, wy) for wx, wy in enumerate_monomials(E)]
     cases = 0
     columns: dict = {}
-    for label, pv in iter_naive_basis(pc, caps):
+    for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
         for w in monos:
             cases += 1
             lhs = pc.nabla(act_left(twist, rmt, lmt, w, pv))
             rhs = act_left(twist, rmt, lmt, w, pc.nabla(pv)) + \
                 ps.apply(w.d(), pv, columns)
             if lhs != rhs:
-                return failed("bimodule-leibniz",
-                              f"{w} . ({label})", cases)
-    return passed("bimodule-leibniz", cases)
-
-
-def check_bimodule_theorem(pc: ProductConnection, ps: ProductSwap, caps: Caps,
-                           prerequisites: list[CheckResult]) -> CheckResult:
-    """The bimodule theorem, gated on its hypotheses.
-
-    If any prerequisite failed the theorem is reported inadmissible (a
-    hypothesis failure, not a counterexample); otherwise the left Leibniz
-    identity is verified on bounded bases.
-    """
-    bad = [r.name for r in prerequisites if not r.passed]
-    if bad:
-        return inadmissible("bimodule-theorem",
-                            f"hypotheses failed: {', '.join(sorted(bad))}")
-    inner = check_bimodule_leibniz(pc, ps, caps)
-    return CheckResult("bimodule-theorem", inner.verdict, inner.witness,
-                       inner.cases, inner.detail)
+                return failed("bimodule-theorem", f"{w} . ({label})", cases)
+    return passed("bimodule-theorem", cases)

@@ -18,13 +18,14 @@ from .forms import Caps
 from .runner import run_checks
 from .scenario import ScenarioError, load_scenario_file
 
+# the check groups each subcommand asks for; the runner adds prerequisites
 _COMMANDS: dict[str, list[str] | None] = {
     "check-axioms": ["axioms"],
-    "check-hypotheses": ["axioms", "hypotheses"],
-    "theorem": ["axioms", "hypotheses", "leibniz", "theorem"],
-    "curvature": ["axioms", "hypotheses", "curvature"],
-    "report": ["axioms", "hypotheses", "report"],
-    "check-bimodule": ["axioms", "hypotheses", "bimodule"],
+    "check-hypotheses": ["hypotheses"],
+    "theorem": ["leibniz", "theorem"],
+    "curvature": ["curvature"],
+    "report": ["report"],
+    "check-bimodule": ["bimodule"],
     "run": None,
 }
 

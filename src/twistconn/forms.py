@@ -289,14 +289,22 @@ def parse_form(gen: str, text: str) -> Form:
 
     Terms are separated by (whitespace-delimited) '+'/'-'; a term is an
     optional rational coefficient followed by whitespace-separated factors
-    ``gen``, ``gen^k`` or ``dgen``; ``1`` denotes the unit word.
+    ``gen``, ``gen^k`` or ``dgen``; ``1`` denotes the unit word.  Every
+    sign must be followed by a term.
     """
-    tokens = text.replace("+", " + ").replace("- ", " - ").split()
-    # re-attach a leading sign glued to a coefficient, e.g. "-3/2"
+    tokens: list[str] = []
+    for tok in text.replace("+", " + ").replace("- ", " - ").split():
+        # a sign glued to a coefficient stays on it ("-3/2"); one glued to a
+        # monomial ("-dx", how a leading -1 renders) is a separate token
+        if tok[0] == "-" and len(tok) > 1 and not _RATIONAL_RE.match(tok):
+            tokens += ["-", tok[1:]]
+        else:
+            tokens.append(tok)
     result = Form.zero(gen)
     sign = Fraction(1)
     coeff: Fraction | None = None
     word: list[int] | None = None
+    dangling = False  # a sign seen, its term not yet
 
     def flush():
         nonlocal result, sign, coeff, word
@@ -308,12 +316,16 @@ def parse_form(gen: str, text: str) -> Form:
         sign, coeff, word = Fraction(1), None, None
 
     for tok in tokens:
-        if tok == "+":
+        if tok in ("+", "-"):
+            if dangling:
+                raise ValueError(f"sign without a term in {text!r}")
             flush()
-        elif tok == "-":
-            flush()
-            sign = Fraction(-1)
-        elif _RATIONAL_RE.match(tok):
+            dangling = True
+            if tok == "-":
+                sign = Fraction(-1)
+            continue
+        dangling = False
+        if _RATIONAL_RE.match(tok):
             if word is not None or coeff is not None:
                 raise ValueError(f"unexpected coefficient {tok!r} in {text!r}")
             try:
@@ -336,5 +348,7 @@ def parse_form(gen: str, text: str) -> Form:
                 word[-1] += exponent
             else:
                 raise ValueError(f"bad factor {tok!r} for generator {gen!r}")
+    if dangling:
+        raise ValueError(f"sign without a term in {text!r}")
     flush()
     return result

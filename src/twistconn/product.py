@@ -37,12 +37,11 @@ from .twist import AlgebraTwist, RightModuleTwist, check_right_module_twist
 class ProductVector:
     """Free-basis coordinates of an element of (E ⊗ B) + (A ⊗ F)."""
 
-    __slots__ = ("e", "f", "flags")
+    __slots__ = ("e", "f")
 
-    def __init__(self, e, f, flags: frozenset[str] = frozenset()):
+    def __init__(self, e, f):
         self.e: tuple[ProductForm, ...] = tuple(e)
         self.f: tuple[ProductForm, ...] = tuple(f)
-        self.flags = flags
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ProductVector":
@@ -67,22 +66,17 @@ class ProductVector:
         return all(w.is_homogeneous(degree) for w in self.e) and \
             all(w.is_homogeneous(degree) for w in self.f)
 
-    def with_flags(self, flags: frozenset[str]) -> "ProductVector":
-        return ProductVector(self.e, self.f, self.flags | flags)
-
     def __add__(self, other: "ProductVector") -> "ProductVector":
         return ProductVector([a + b for a, b in zip(self.e, other.e)],
-                             [a + b for a, b in zip(self.f, other.f)],
-                             self.flags | other.flags)
+                             [a + b for a, b in zip(self.f, other.f)])
 
     def __sub__(self, other: "ProductVector") -> "ProductVector":
         return ProductVector([a - b for a, b in zip(self.e, other.e)],
-                             [a - b for a, b in zip(self.f, other.f)],
-                             self.flags | other.flags)
+                             [a - b for a, b in zip(self.f, other.f)])
 
     def scale(self, c) -> "ProductVector":
         return ProductVector([w.scale(c) for w in self.e],
-                             [w.scale(c) for w in self.f], self.flags)
+                             [w.scale(c) for w in self.f])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ProductVector)
@@ -149,7 +143,18 @@ def act_right_form(twist: AlgebraTwist, pv: ProductVector,
                    w: ProductForm) -> ProductVector:
     """Right multiplication by an arbitrary form (the right calculus action)."""
     return ProductVector([twist.mul(c, w) for c in pv.e],
-                         [twist.mul(c, w) for c in pv.f], pv.flags)
+                         [twist.mul(c, w) for c in pv.f])
+
+
+def add_row(out: list[ProductForm], row, piece: ProductForm, c=1) -> None:
+    """out[q] += c · row[q] · piece for every nonzero entry of a matrix row.
+
+    This is how a term in one slot spreads over the free slots when a matrix
+    (a power of S or T) carries the slot across.
+    """
+    for q, r in enumerate(row):
+        if r:
+            out[q] = out[q] + piece.scale(c * r)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +165,7 @@ class ProductConnection:
     """Product of two free-module connections across the algebra twist."""
 
     def __init__(self, twist: AlgebraTwist, rmt: RightModuleTwist,
-                 conn_e: ModuleConnection, conn_f: ModuleConnection,
-                 hypothesis_verdict: str = "unchecked"):
+                 conn_e: ModuleConnection, conn_f: ModuleConnection):
         if conn_e.gen != "x" or conn_f.gen != "y":
             raise ValueError("expected an x-module and a y-module connection")
         if rmt.rank != conn_f.rank:
@@ -172,7 +176,6 @@ class ProductConnection:
         self.rmt = rmt
         self.conn_e = conn_e
         self.conn_f = conn_f
-        self.hypothesis_verdict = hypothesis_verdict
 
     @property
     def m(self) -> int:
@@ -186,8 +189,7 @@ class ProductConnection:
         return ProductConnection(
             self.twist, self.rmt,
             ModuleConnection.grassmann("x", self.m),
-            ModuleConnection.grassmann("y", self.n),
-            hypothesis_verdict="pass")
+            ModuleConnection.grassmann("y", self.n))
 
     def zero_vector(self) -> ProductVector:
         return ProductVector.zero(self.m, self.n)
@@ -234,21 +236,15 @@ class ProductConnection:
                         eta = eta + y_pow.d()
                     if eta.is_zero:
                         continue
-                    row = back[p]
                     piece = ProductForm({(wx, weta): ceta
                                          for weta, ceta in eta.terms.items()})
-                    for q in range(n):
-                        if row[q]:
-                            out[q] = out[q] + piece.scale(c * row[q])
+                    add_row(out, back[p], piece, c)
                 # inverse-twist term: carries d(x^i) to the left of the slot
                 if i:
                     dx_terms = word_differential(wx)
                     piece = ProductForm({(wdx, wy): Fraction(s)
                                          for wdx, s in dx_terms.items()})
-                    row = back[l]
-                    for q in range(n):
-                        if row[q]:
-                            out[q] = out[q] + piece.scale(c * row[q])
+                    add_row(out, back[l], piece, c)
         return out
 
     def _f_extension(self, coords) -> list[ProductForm]:
@@ -268,15 +264,14 @@ class ProductConnection:
         self._check_ranks(pv)
         if not all(w.is_homogeneous(0) for w in pv.e):
             raise ValueError("first block map is defined on degree-0 input")
-        return self._flagged(ProductVector(self.nabla_e_block(pv.e),
-                                           [ProductForm.zero()] * self.n,
-                                           pv.flags))
+        return ProductVector(self.nabla_e_block(pv.e),
+                             [ProductForm.zero()] * self.n)
 
     def nabla2(self, pv: ProductVector) -> ProductVector:
         """Second block map on a degree-0 f-block element."""
         self._check_ranks(pv)
-        return self._flagged(ProductVector([ProductForm.zero()] * self.m,
-                                           self.nabla_f_block(pv.f), pv.flags))
+        return ProductVector([ProductForm.zero()] * self.m,
+                             self.nabla_f_block(pv.f))
 
     def nabla(self, pv: ProductVector) -> ProductVector:
         """The product connection, extended to all form degrees."""
@@ -287,7 +282,7 @@ class ProductConnection:
         f_out = self.nabla_f_block(f_deg0)
         rest = self._f_extension(f_rest)
         f_out = [a + b for a, b in zip(f_out, rest)]
-        return self._flagged(ProductVector(e_out, f_out, pv.flags))
+        return ProductVector(e_out, f_out)
 
     def curvature(self, pv: ProductVector) -> ProductVector:
         """nabla twice on a degree-0 element."""
@@ -295,20 +290,23 @@ class ProductConnection:
             raise ValueError("curvature is evaluated on degree-0 elements")
         return self.nabla(self.nabla(pv))
 
-    def _flagged(self, pv: ProductVector) -> ProductVector:
-        if self.hypothesis_verdict == "fail":
-            return pv.with_flags(frozenset({"not-guaranteed"}))
-        return pv
-
     # -- naive basis inputs ----------------------------------------------
     def e_naive_basis(self, k: int, i: int, j: int) -> ProductVector:
-        return ProductVector.e_basis(self.m, self.n, k, ProductForm.monomial(i, j))
+        return naive_vector(self.m, self.rmt, "e", k, i, j)
 
     def f_naive_basis(self, k: int, i: int, j: int) -> ProductVector:
-        naive = [ProductForm.zero() for _ in range(self.n)]
-        naive[k] = ProductForm.monomial(i, j)
-        return ProductVector([ProductForm.zero()] * self.m,
-                             f_naive_to_free(self.rmt, naive))
+        return naive_vector(self.m, self.rmt, "f", k, i, j)
+
+
+def naive_vector(m: int, rmt: RightModuleTwist, block: str,
+                 k: int, i: int, j: int) -> ProductVector:
+    """e_k x^i ⊗ y^j (block "e") or x^i ⊗ f_k y^j (block "f"), free coordinates."""
+    n, mono = rmt.rank, ProductForm.monomial(i, j)
+    if block == "e":
+        return ProductVector.e_basis(m, n, k, mono)
+    naive = [ProductForm.zero()] * n
+    naive[k] = mono
+    return ProductVector([ProductForm.zero()] * m, f_naive_to_free(rmt, naive))
 
 
 def reduced_presentation(twist: AlgebraTwist, rmt: RightModuleTwist,
@@ -443,16 +441,20 @@ def random_degree0_vector(rng: random.Random, m: int, n: int,
                          [_random_degree0_form(rng, caps) for _ in range(n)])
 
 
-def iter_naive_basis(pc: ProductConnection, caps: Caps):
+def iter_naive_basis(m: int, rmt: RightModuleTwist, caps: Caps,
+                     blocks: str = "ef"):
+    """Labelled naive monomials: e_k x^i ⊗ y^j, then x^i ⊗ f_k y^j.
+
+    ``blocks`` picks the e-block, the f-block or both.
+    """
     E = caps.max_exponent
-    for k in range(pc.m):
-        for i in range(E + 1):
-            for j in range(E + 1):
-                yield f"e_{k + 1} x^{i} ⊗ y^{j}", pc.e_naive_basis(k, i, j)
-    for k in range(pc.n):
-        for i in range(E + 1):
-            for j in range(E + 1):
-                yield f"x^{i} ⊗ f_{k + 1} y^{j}", pc.f_naive_basis(k, i, j)
+    for block in blocks:
+        for k in range(m if block == "e" else rmt.rank):
+            for i in range(E + 1):
+                for j in range(E + 1):
+                    label = f"e_{k + 1} x^{i} ⊗ y^{j}" if block == "e" \
+                        else f"x^{i} ⊗ f_{k + 1} y^{j}"
+                    yield label, naive_vector(m, rmt, block, k, i, j)
 
 
 def check_connection_leibniz(pc: ProductConnection, caps: Caps,
@@ -470,7 +472,7 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
             act_right_form(twist, pv, w.d())
         return lhs == rhs
 
-    inputs = list(iter_naive_basis(pc, caps))
+    inputs = list(iter_naive_basis(pc.m, pc.rmt, caps))
     rng = random.Random(seed)
     for _ in range(random_cases):
         inputs.append(("random", random_degree0_vector(rng, pc.m, pc.n, caps)))
@@ -518,10 +520,7 @@ def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVe
                     continue
                 piece = ProductForm({(wx, weta): ceta
                                      for weta, ceta in entry.terms.items()})
-                row = back[p]
-                for q in range(pc.n):
-                    if row[q]:
-                        f_out[q] = f_out[q] + piece.scale(c * row[q])
+                add_row(f_out, back[p], piece, c)
     return ProductVector(e_out, f_out)
 
 
@@ -530,7 +529,7 @@ def check_curvature_formula(pc: ProductConnection, caps: Caps,
     """Main identity: the product curvature equals the blockwise formula."""
     cases = 0
     witness = None
-    inputs = list(iter_naive_basis(pc, caps))
+    inputs = list(iter_naive_basis(pc.m, pc.rmt, caps))
     rng = random.Random(seed)
     for _ in range(random_cases):
         inputs.append(("random", random_degree0_vector(rng, pc.m, pc.n, caps)))
@@ -553,7 +552,7 @@ def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:
     if not (pc.conn_e.is_grassmann and pc.conn_f.is_grassmann):
         return inadmissible(name, "connections are not both Grassmann")
     cases = 0
-    for label, pv in iter_naive_basis(pc, caps):
+    for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
         cases += 1
         if not pc.curvature(pv).is_zero:
             return failed(name, f"nonzero curvature at {label}", cases)
@@ -572,8 +571,8 @@ def check_twist_independence(twist: AlgebraTwist, conn_e: ModuleConnection,
             why = axioms.witness if not axioms.passed else compat.witness
             return inadmissible(name, f"inadmissible pair: {tag} twist: {why}")
 
-    pc1 = ProductConnection(twist, rmt1, conn_e, conn_f, "pass")
-    pc2 = ProductConnection(twist, rmt2, conn_e, conn_f, "pass")
+    pc1 = ProductConnection(twist, rmt1, conn_e, conn_f)
+    pc2 = ProductConnection(twist, rmt2, conn_e, conn_f)
     cases = 0
     E = caps.max_exponent
     for k in range(conn_e.rank):
@@ -643,10 +642,7 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps,
     for k, ik in enumerate(f_exponents):
         d_y = Form.gen_power("y", ik).d()
         piece = ProductForm({((1,), w): c for w, c in d_y.terms.items()})
-        row = rmt.matrix_power(-1)[k]
-        for q_idx in range(n):
-            if row[q_idx]:
-                expected_f[q_idx] = expected_f[q_idx] + piece.scale(row[q_idx])
+        add_row(expected_f, rmt.matrix_power(-1)[k], piece)
         # inverse-twist term: the free normal form of
         #   q^{-i_k} sum_l (S^-1)[k][l] (1 ⊗ f_l y^{i_k}) . (dx ⊗ 1)
         back_term = twist.qpow(-ik) * twist.mul(
@@ -697,10 +693,7 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps,
         d_b = b.d()
         if not d_b.is_zero:
             piece = ProductForm({((jpow,), w): c for w, c in d_b.terms.items()})
-            row = rmt.matrix_power(-jpow)[k]
-            for q_idx in range(n):
-                if row[q_idx]:
-                    expected2[q_idx] = expected2[q_idx] + piece.scale(row[q_idx])
+            add_row(expected2, rmt.matrix_power(-jpow)[k], piece)
     remark_matches = list(computed2.f) == expected2
     remark_display = (f"nabla_gr(x^{jpow} ⊗ (b_1, ..., b_n)) = "
                       f"sum_k x^{jpow} ⊗ f_k ⊗ 1 ⊗ d(b_k) "
@@ -717,7 +710,8 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps,
     compat = check_twist_connection_compat(twist, rmt, pc.conn_f, caps)
     delta_ok = True
     E = caps.max_exponent
-    for label, pv in iter_naive_basis(pc, Caps(min(E, 2), caps.max_degree)):
+    small = Caps(min(E, 2), caps.max_degree)
+    for label, pv in iter_naive_basis(pc.m, rmt, small):
         delta = pc.nabla(pv) - gr.nabla(pv)
         expected_e = [ProductForm.zero() for _ in range(pc.m)]
         for k in range(pc.m):
@@ -736,11 +730,7 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps,
                     if eta.is_zero:
                         continue
                     piece = ProductForm({(wx, w): cc for w, cc in eta.terms.items()})
-                    row = back[p]
-                    for q_idx in range(pc.n):
-                        if row[q_idx]:
-                            expected_f2[q_idx] = expected_f2[q_idx] + \
-                                piece.scale(c * row[q_idx])
+                    add_row(expected_f2, back[p], piece, c)
         if list(delta.e) != expected_e or list(delta.f) != expected_f2:
             delta_ok = False
             break

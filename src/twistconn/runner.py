@@ -1,16 +1,21 @@
 """Check orchestration: scenario -> constructed objects -> report.
 
-Checks run in dependency order (axioms, then module/connection
-compatibility hypotheses, then theorem-level statements); a theorem check
-whose hypotheses failed in the same run is reported inadmissible rather
-than pass/fail, and nothing theorem-level is judged without its
-hypotheses having been executed first.
+``CHECKS`` is the one registry of checks: each row names a check, the
+group that selects it, the hypotheses its statement presupposes (its
+gates) and how to run it.  Groups run in dependency order (axioms, then
+module/connection compatibility hypotheses, then theorem-level
+statements, as ``PREREQUISITES`` says), so nothing theorem-level is judged
+without its hypotheses having been executed first; a check whose gate
+failed in the same run is reported inadmissible rather than pass/fail.
+Verdicts live only in the report: a check that depends on an earlier
+verdict reads it from there.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .bimodule import (FormSwap, ProductSwap, check_bimodule_axiom,
                        check_bimodule_connection, check_bimodule_theorem,
@@ -22,50 +27,13 @@ from .product import (ProductConnection, check_connection_leibniz,
                       check_curvature_formula, check_flatness,
                       check_twist_connection_compat, check_twist_independence,
                       iter_naive_basis, quantum_plane_report)
-from .reports import CheckResult, Report, inadmissible
+from .reports import NOT_GUARANTEED, CheckResult, Report, failed, \
+    inadmissible, passed
 from .scenario import Scenario, default_matrix
 from .twist import (AlgebraTwist, LeftModuleTwist, RightModuleTwist,
                     check_derived_conditions, check_dga_laws,
                     check_left_module_twist, check_lift_compat,
                     check_right_module_twist, check_twist_axioms)
-
-GROUPS: dict[str, tuple[str, ...]] = {
-    "axioms": ("twist-axioms", "lift-compat", "dga-laws", "right-module-twist",
-               "left-module-twist", "derived-compat"),
-    "hypotheses": ("f-connection-compat",),
-    "leibniz": ("leibniz",),
-    "theorem": ("curvature-formula",),
-    "flatness": ("flatness",),
-    "independence": ("independence",),
-    "curvature": ("curvature-payload",),
-    "report": ("quantum-plane-report",),
-    "bimodule": ("e-connection-compat", "bimodule-connection-x",
-                 "bimodule-connection-y", "swap-compat-e", "swap-compat-f",
-                 "swap-cross-morphisms", "bimodule-axiom", "bimodule-theorem"),
-}
-
-# checks whose statements presuppose these hypotheses
-_GATED = {
-    "leibniz": ("f-connection-compat",),
-    "curvature-formula": ("f-connection-compat",),
-    "quantum-plane-report": (),
-    "bimodule-theorem": ("f-connection-compat", "e-connection-compat",
-                         "right-module-twist", "left-module-twist",
-                         "bimodule-connection-x", "bimodule-connection-y",
-                         "swap-compat-e", "swap-compat-f", "bimodule-axiom"),
-}
-
-_PREREQ_GROUPS = {
-    "leibniz": ("axioms", "hypotheses"),
-    "theorem": ("axioms", "hypotheses"),
-    "bimodule": ("axioms", "hypotheses"),
-    "curvature": ("axioms", "hypotheses"),
-    "report": ("axioms", "hypotheses"),
-    "independence": ("axioms",),
-    "flatness": (),
-    "axioms": (),
-    "hypotheses": ("axioms",),
-}
 
 
 @dataclass
@@ -101,23 +69,142 @@ def build_objects(s: Scenario) -> BuiltObjects:
                         swap_e, swap_f, pc, product_swap)
 
 
+def _independence(o: BuiltObjects, s: Scenario, report: Report) -> CheckResult:
+    if o.rmt_alt is None:
+        return inadmissible("independence",
+                            "no alternate mixing matrix ([S_alt]) given")
+    return check_twist_independence(o.twist, o.conn_e, o.conn_f, o.rmt,
+                                    o.rmt_alt, s.caps)
+
+
+def _curvature_payload(o: BuiltObjects, s: Scenario,
+                       report: Report) -> CheckResult:
+    """Curvature tables, not guaranteed when the module twist hypothesis failed."""
+    payload = {
+        "factor_curvature_x": [[str(e) for e in row]
+                               for row in o.conn_e.curvature_matrix()],
+        "factor_curvature_y": [[str(e) for e in row]
+                               for row in o.conn_f.curvature_matrix()],
+    }
+    small = Caps(min(s.caps.max_exponent, 2), s.caps.max_degree)
+    payload["product_curvature"] = {
+        label: o.pc.curvature(pv).render()
+        for label, pv in iter_naive_basis(s.m, o.rmt, small)}
+    report.payloads["curvature"] = payload
+    # the group prerequisites have run f-connection-compat before this check
+    if not report.find("f-connection-compat").passed:
+        return CheckResult("curvature-payload", NOT_GUARANTEED,
+                           witness="hypotheses violated; symbolic output only")
+    return passed("curvature-payload", 0)
+
+
+def _quantum_plane_report(o: BuiltObjects, s: Scenario,
+                          report: Report) -> CheckResult:
+    payload, lines = quantum_plane_report(o.pc, s.caps,
+                                          f_exponents=s.f_exponents,
+                                          remark_power=s.remark_power)
+    report.payloads["quantum-plane"] = payload
+    report.payloads["quantum-plane-text"] = lines
+    if payload["all_verified"]:
+        return passed("quantum-plane-report", 0)
+    return failed("quantum-plane-report", "symbolic display did not match the "
+                  "computed connection", 0)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One registry row; ``run(objects, scenario, report)`` gives the result."""
+    name: str
+    group: str
+    gates: tuple[str, ...]
+    run: Callable[[BuiltObjects, Scenario, Report], CheckResult]
+
+
+_F_COMPAT = ("f-connection-compat",)
+_BIMODULE_HYPOTHESES = (
+    "f-connection-compat", "e-connection-compat", "right-module-twist",
+    "left-module-twist", "bimodule-connection-x", "bimodule-connection-y",
+    "swap-compat-e", "swap-compat-f", "bimodule-axiom")
+
+# Rows call the check_* functions through module globals looked up at call
+# time, so that rebinding a module-level name (as an outside tracer does)
+# reaches every run.  Groups appear in the order of ``scenario.KNOWN_CHECKS``.
+CHECKS: tuple[Check, ...] = (
+    Check("twist-axioms", "axioms", (),
+          lambda o, s, r: check_twist_axioms(o.twist, s.caps)),
+    Check("lift-compat", "axioms", (),
+          lambda o, s, r: check_lift_compat(o.twist, s.caps)),
+    Check("dga-laws", "axioms", (),
+          lambda o, s, r: check_dga_laws(o.twist, s.caps)),
+    Check("right-module-twist", "axioms", (),
+          lambda o, s, r: check_right_module_twist(o.rmt, s.caps)),
+    Check("left-module-twist", "axioms", (),
+          lambda o, s, r: check_left_module_twist(o.lmt, s.caps)),
+    Check("derived-compat", "axioms", (),
+          lambda o, s, r: check_derived_conditions(o.rmt, s.caps)),
+    Check("f-connection-compat", "hypotheses", (),
+          lambda o, s, r: check_twist_connection_compat(o.twist, o.rmt,
+                                                        o.conn_f, s.caps)),
+    Check("leibniz", "leibniz", _F_COMPAT,
+          lambda o, s, r: check_connection_leibniz(o.pc, s.caps, seed=s.seed)),
+    Check("curvature-formula", "theorem", _F_COMPAT,
+          lambda o, s, r: check_curvature_formula(o.pc, s.caps, seed=s.seed)),
+    Check("flatness", "flatness", (),
+          lambda o, s, r: check_flatness(o.pc, s.caps)),
+    Check("independence", "independence", (), _independence),
+    Check("curvature-payload", "curvature", (), _curvature_payload),
+    Check("quantum-plane-report", "report", (), _quantum_plane_report),
+    Check("e-connection-compat", "bimodule", (),
+          lambda o, s, r: check_left_twist_connection_compat(
+              o.twist, o.lmt, o.conn_e, s.caps)),
+    Check("bimodule-connection-x", "bimodule", (),
+          lambda o, s, r: check_bimodule_connection(o.conn_e, o.swap_e, s.caps)),
+    Check("bimodule-connection-y", "bimodule", (),
+          lambda o, s, r: check_bimodule_connection(o.conn_f, o.swap_f, s.caps)),
+    Check("swap-compat-e", "bimodule", (),
+          lambda o, s, r: check_swap_compat_e(o.product_swap, s.caps)),
+    Check("swap-compat-f", "bimodule", (),
+          lambda o, s, r: check_swap_compat_f(o.product_swap, s.caps)),
+    Check("swap-cross-morphisms", "bimodule", (),
+          lambda o, s, r: check_swap_cross_morphisms(o.product_swap, s.caps)),
+    Check("bimodule-axiom", "bimodule", (),
+          lambda o, s, r: check_bimodule_axiom(o.twist, o.rmt, o.lmt, s.m,
+                                               s.caps)),
+    Check("bimodule-theorem", "bimodule", _BIMODULE_HYPOTHESES,
+          lambda o, s, r: check_bimodule_theorem(o.pc, o.product_swap,
+                                                 s.caps)),
+)
+
+# the groups each group needs to have run first; resolved transitively
+PREREQUISITES: dict[str, tuple[str, ...]] = {
+    "hypotheses": ("axioms",),
+    "leibniz": ("hypotheses",),
+    "theorem": ("hypotheses",),
+    "curvature": ("hypotheses",),
+    "report": ("hypotheses",),
+    "bimodule": ("hypotheses",),
+    "independence": ("axioms",),
+}
+
+_BY_NAME = {check.name: check for check in CHECKS}
+
+
 def resolve_checks(requested: list[str]) -> list[str]:
     """Expand check groups into concrete check names, dependencies first."""
-    ordered_groups: list[str] = []
+    groups: list[str] = []
 
     def add_group(group: str):
-        for dep in _PREREQ_GROUPS.get(group, ()):
+        for dep in PREREQUISITES.get(group, ()):
             add_group(dep)
-        if group not in ordered_groups:
-            ordered_groups.append(group)
+        if group not in groups:
+            groups.append(group)
 
     for group in requested:
         add_group(group)
-    names: list[str] = []
-    for group in ordered_groups:
-        for name in GROUPS[group]:
-            if name not in names:
-                names.append(name)
+    names = [c.name for group in groups for c in CHECKS if c.group == group]
+    unknown = set(groups) - {c.group for c in CHECKS}
+    if unknown:
+        raise ValueError(f"unknown check groups: {', '.join(sorted(unknown))}")
     return names
 
 
@@ -126,112 +213,13 @@ def run_checks(s: Scenario, requested: list[str] | None = None) -> Report:
     started = time.perf_counter()
     objs = build_objects(s)
     report = Report(config=s.config_echo())
-    caps = s.caps
-    names = resolve_checks(requested if requested is not None else s.checks)
-
-    def gate(name: str) -> CheckResult | None:
-        for dep in _GATED.get(name, ()):
-            res = report.find(dep)
-            if res is not None and not res.passed:
-                return inadmissible(name, f"hypothesis failed: {dep}")
-        return None
-
-    for name in names:
-        blocked = gate(name)
-        if blocked is not None:
-            report.add(blocked)
-            continue
-        report.add(_run_one(name, s, objs, caps, report))
-
-    if report.find("f-connection-compat") is not None:
-        objs.pc.hypothesis_verdict = (
-            "pass" if report.find("f-connection-compat").passed else "fail")
+    for name in resolve_checks(requested if requested is not None else s.checks):
+        check = _BY_NAME[name]
+        blocked = [dep for dep in check.gates
+                   if (res := report.find(dep)) is not None and not res.passed]
+        if blocked:
+            report.add(inadmissible(name, f"hypothesis failed: {blocked[0]}"))
+        else:
+            report.add(check.run(objs, s, report))
     report.elapsed = time.perf_counter() - started
     return report
-
-
-def _run_one(name: str, s: Scenario, objs: BuiltObjects, caps: Caps,
-             report: Report) -> CheckResult:
-    if name == "twist-axioms":
-        return check_twist_axioms(objs.twist, caps)
-    if name == "lift-compat":
-        return check_lift_compat(objs.twist, caps)
-    if name == "dga-laws":
-        return check_dga_laws(objs.twist, caps)
-    if name == "right-module-twist":
-        return check_right_module_twist(objs.rmt, caps)
-    if name == "left-module-twist":
-        return check_left_module_twist(objs.lmt, caps)
-    if name == "derived-compat":
-        return check_derived_conditions(objs.rmt, caps)
-    if name == "f-connection-compat":
-        result = check_twist_connection_compat(objs.twist, objs.rmt,
-                                               objs.conn_f, caps)
-        objs.pc.hypothesis_verdict = "pass" if result.passed else "fail"
-        return result
-    if name == "e-connection-compat":
-        return check_left_twist_connection_compat(objs.twist, objs.lmt,
-                                                  objs.conn_e, caps)
-    if name == "leibniz":
-        return check_connection_leibniz(objs.pc, caps, seed=s.seed)
-    if name == "curvature-formula":
-        return check_curvature_formula(objs.pc, caps, seed=s.seed)
-    if name == "flatness":
-        return check_flatness(objs.pc, caps)
-    if name == "independence":
-        if objs.rmt_alt is None:
-            return inadmissible("independence",
-                                "no alternate mixing matrix ([S_alt]) given")
-        return check_twist_independence(objs.twist, objs.conn_e, objs.conn_f,
-                                        objs.rmt, objs.rmt_alt, caps)
-    if name == "curvature-payload":
-        report.payloads["curvature"] = _curvature_payload(objs, caps)
-        flagged = objs.pc.hypothesis_verdict == "fail"
-        verdict = "not-guaranteed" if flagged else "pass"
-        return CheckResult("curvature-payload", verdict,
-                           witness=("hypotheses violated; symbolic output "
-                                    "only" if flagged else None))
-    if name == "quantum-plane-report":
-        payload, lines = quantum_plane_report(
-            objs.pc, caps, f_exponents=s.f_exponents,
-            remark_power=s.remark_power)
-        report.payloads["quantum-plane"] = payload
-        report.payloads["quantum-plane-text"] = lines
-        if payload["all_verified"]:
-            return CheckResult("quantum-plane-report", "pass")
-        return CheckResult("quantum-plane-report", "fail",
-                           witness="symbolic display did not match the "
-                                   "computed connection")
-    if name == "bimodule-connection-x":
-        return check_bimodule_connection(objs.conn_e, objs.swap_e, caps)
-    if name == "bimodule-connection-y":
-        return check_bimodule_connection(objs.conn_f, objs.swap_f, caps)
-    if name == "swap-compat-e":
-        return check_swap_compat_e(objs.product_swap, caps)
-    if name == "swap-compat-f":
-        return check_swap_compat_f(objs.product_swap, caps)
-    if name == "swap-cross-morphisms":
-        return check_swap_cross_morphisms(objs.product_swap, caps)
-    if name == "bimodule-axiom":
-        return check_bimodule_axiom(objs.twist, objs.rmt, objs.lmt, s.m, caps)
-    if name == "bimodule-theorem":
-        prereqs = [report.find(dep) for dep in _GATED["bimodule-theorem"]]
-        prereqs = [r for r in prereqs if r is not None]
-        return check_bimodule_theorem(objs.pc, objs.product_swap, caps, prereqs)
-    raise ValueError(f"unknown check {name!r}")
-
-
-def _curvature_payload(objs: BuiltObjects, caps: Caps) -> dict:
-    payload = {
-        "factor_curvature_x": [[str(e) for e in row]
-                               for row in objs.conn_e.curvature_matrix()],
-        "factor_curvature_y": [[str(e) for e in row]
-                               for row in objs.conn_f.curvature_matrix()],
-    }
-    table = {}
-    small = Caps(min(caps.max_exponent, 2), caps.max_degree)
-    for label, pv in iter_naive_basis(objs.pc, small):
-        out = objs.pc.curvature(pv)
-        table[label] = out.render()
-    payload["product_curvature"] = table
-    return payload

@@ -118,7 +118,8 @@ class Scenario:
         return echo
 
 
-def _parse_matrix_rows(rows: list[tuple[int, str]], label: str) -> Matrix:
+def _parse_matrix_rows(rows: list[tuple[int, str]], label: str,
+                       header: int) -> Matrix:
     mat = []
     for lineno, row in rows:
         try:
@@ -126,10 +127,10 @@ def _parse_matrix_rows(rows: list[tuple[int, str]], label: str) -> Matrix:
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {label}: {exc}") from None
     if not mat:
-        raise ScenarioError(f"{label} section is empty")
+        raise ScenarioError(f"line {header}: {label} section is empty")
     width = len(mat[0])
     if any(len(r) != width for r in mat) or width != len(mat):
-        raise ScenarioError(f"{label} must be square")
+        raise ScenarioError(f"line {header}: {label} must be square")
     return tuple(tuple(v for v in row) for row in mat)
 
 
@@ -138,6 +139,7 @@ def load_scenario(text: str) -> Scenario:
     top: dict[str, tuple[int, str]] = {}
     matrix_rows: dict[str, list[tuple[int, str]]] = {}
     form_entries: dict[str, list[tuple[int, int, int, str]]] = {}
+    headers: dict[str, int] = {}  # section -> line of its first header
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,6 +151,7 @@ def load_scenario(text: str) -> Scenario:
             section = sec.group(1)
             if section not in _MATRIX_SECTIONS and section not in _FORM_SECTIONS:
                 raise ScenarioError(f"line {lineno}: unknown section [{section}]")
+            headers.setdefault(section, lineno)
             matrix_rows.setdefault(section, [])
             form_entries.setdefault(section, [])
             continue
@@ -216,18 +219,23 @@ def load_scenario(text: str) -> Scenario:
     unknown = set(top) - {"q", "m", "n", "max_exponent", "max_degree", "seed",
                           "checks", "f_exponents", "remark_power"}
     if unknown:
-        raise ScenarioError(f"unknown keys: {', '.join(sorted(unknown))}")
+        lineno = min(top[key][0] for key in unknown)
+        raise ScenarioError(f"line {lineno}: unknown keys: "
+                            f"{', '.join(sorted(unknown))}")
 
     for label, attr in _MATRIX_SECTIONS.items():
         if label in matrix_rows:
-            mat = _parse_matrix_rows(matrix_rows[label], label)
+            header = headers[label]
+            mat = _parse_matrix_rows(matrix_rows[label], label, header)
             expected = scenario.n if label.startswith("S") else scenario.m
             if len(mat) != expected:
-                raise ScenarioError(f"{label} must be {expected}x{expected}")
+                raise ScenarioError(f"line {header}: {label} must be "
+                                    f"{expected}x{expected}")
             try:
                 mat_inv(mat)
             except ValueError:
-                raise ScenarioError(f"{label} not invertible") from None
+                raise ScenarioError(f"line {header}: {label} not invertible") \
+                    from None
             setattr(scenario, attr, mat)
 
     for label, (gen, attr) in _FORM_SECTIONS.items():
@@ -254,7 +262,8 @@ def load_scenario(text: str) -> Scenario:
                                      if not f.is_zero})
 
     if scenario.f_exponents is not None and len(scenario.f_exponents) != scenario.n:
-        raise ScenarioError("f_exponents must list one exponent per f-slot")
+        raise ScenarioError(f"line {top['f_exponents'][0]}: f_exponents must "
+                            f"list one exponent per f-slot")
     return scenario
 
 

@@ -5,7 +5,7 @@ import pytest
 from twistconn.bimodule import (FormSwap, ProductSwap, act_left,
                                 check_bimodule_axiom,
                                 check_bimodule_connection,
-                                check_bimodule_leibniz, check_bimodule_theorem,
+                                check_bimodule_theorem,
                                 check_left_twist_connection_compat,
                                 check_swap_pair_compatible, check_swap_compat_e,
                                 check_swap_compat_f,
@@ -15,6 +15,8 @@ from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm
 from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from twistconn.product import ProductConnection, ProductVector, f_naive_to_free
+from twistconn.runner import run_checks
+from twistconn.scenario import load_scenario
 
 Q2 = AlgebraTwist(2)
 CAPS = Caps(2, 2)
@@ -29,7 +31,7 @@ def canonical(q, m=1, n=1):
     conn_f = ModuleConnection.grassmann("y", n)
     ps = ProductSwap(twist, rmt, lmt, FormSwap.flip("x", m),
                      FormSwap.flip("y", n))
-    pc = ProductConnection(twist, rmt, conn_e, conn_f, "pass")
+    pc = ProductConnection(twist, rmt, conn_e, conn_f)
     return twist, rmt, lmt, pc, ps
 
 
@@ -188,19 +190,22 @@ class TestBimoduleTheorem:
     @pytest.mark.parametrize("q", [1, 2])
     def test_leibniz_identity(self, q):
         _, _, _, pc, ps = canonical(q)
-        assert check_bimodule_leibniz(pc, ps, SMALL).passed
+        result = check_bimodule_theorem(pc, ps, SMALL)
+        assert result.name == "bimodule-theorem" and result.passed
 
     def test_gated_on_hypotheses(self):
+        # the gate lives in the runner's registry, not in the check; the
+        # groups are those of the check-bimodule subcommand
         _, _, _, pc, ps = canonical(2)
-        good = check_swap_compat_e(ps, SMALL)
-        assert check_bimodule_theorem(pc, ps, SMALL, [good]).passed
-        bad = check_swap_compat_e(ProductSwap(
-            ps.twist, ps.rmt, ps.lmt,
-            FormSwap("x", 1, [[parse_form("x", "dx + x dx")]]),
-            ps.swap_f), SMALL)
-        gated = check_bimodule_theorem(pc, ps, SMALL, [good, bad])
+        assert check_bimodule_theorem(pc, ps, SMALL).passed
+        report = run_checks(load_scenario(
+            "q: 2\nmax_exponent: 1\nmax_degree: 1\n"
+            "[phi]\n(1,1): dx + x dx\n"), ["bimodule"])
+        assert report.exit_code == 1
+        assert report.find("swap-compat-e").failed
+        gated = report.find("bimodule-theorem")
         assert gated.verdict == "inadmissible"
-        assert "swap-compat-e" in gated.witness
+        assert gated.witness == "hypothesis failed: bimodule-connection-x"
 
 
 def dense(q):
@@ -211,7 +216,7 @@ def dense(q):
     ps = ProductSwap(twist, rmt, lmt, FormSwap.flip("x", 2),
                      FormSwap.flip("y", 2))
     pc = ProductConnection(twist, rmt, ModuleConnection.grassmann("x", 2),
-                           ModuleConnection.grassmann("y", 2), "pass")
+                           ModuleConnection.grassmann("y", 2))
     return pc, ps
 
 
@@ -238,7 +243,7 @@ class TestDenseSwap:
         results = [check_swap_compat_e(ps, self.TINY),
                    check_swap_compat_f(ps, self.TINY),
                    check_swap_cross_morphisms(ps, self.TINY),
-                   check_bimodule_leibniz(pc, ps, self.TINY)]
+                   check_bimodule_theorem(pc, ps, self.TINY)]
         assert all(r.passed for r in results)
         assert [r.cases for r in results] == [528, 528, 1024, 64]
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -68,7 +69,12 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     ("q: 2\n[potential_E]\n(1,1): 3/0 dx\n", "line 3: zero denominator"),
     ("q: 2\nf_exponents: -1\n", "line 2: f_exponents must be >= 0"),
     ("q: 2\n[potential_E]\n(1,1): x^-1 dx\n", "line 3: negative exponent"),
-], ids=["zero-denominator", "negative-f-exponent", "negative-exponent"])
+    ("q: 2\n\n[potential_E]\n(1,1): dx -\n", "line 4: sign without a term"),
+    ("q: 2\n\n[potential_E]\n(1,1): dx +\n", "line 4: sign without a term"),
+    ("q: 2\n[potential_E]\n(1,1): +\n", "line 3: sign without a term"),
+    ("q: 2\n[potential_E]\n(1,1): -\n", "line 3: sign without a term"),
+], ids=["zero-denominator", "negative-f-exponent", "negative-exponent",
+        "trailing-minus", "trailing-plus", "lone-plus", "lone-minus"])
 def test_malformed_value_exit_code(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -152,3 +158,20 @@ max_degree: 1
     assert main(["check-bimodule", "--scenario", str(path)]) == 0
     out = capsys.readouterr().out
     assert "bimodule-theorem" in out
+
+
+def test_curvature_not_guaranteed_on_bad_hypothesis(capsys):
+    # the payload is computed, but the failed f-connection-compat verdict in
+    # the same report marks it not guaranteed
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "bad_hypothesis_q2.cfg"
+    assert main(["curvature", "--scenario", str(scenario),
+                 "--format", "json", "--caps", "1,1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["f-connection-compat"]["verdict"] == "fail"
+    assert checks["curvature-payload"]["verdict"] == "not-guaranteed"
+    assert checks["curvature-payload"]["witness"] == \
+        "hypotheses violated; symbolic output only"
+    assert payload["payloads"]["curvature"]["product_curvature"]
+

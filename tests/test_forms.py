@@ -137,6 +137,22 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_form("x", "x dz")
 
+    @pytest.mark.parametrize("text", ["dx -", "dx +", "+", "-", "x - - dx",
+                                      "dx + - x"])
+    def test_parse_rejects_dangling_sign(self, text):
+        with pytest.raises(ValueError, match="sign without a term"):
+            parse_form("x", text)
+
+    @pytest.mark.parametrize("text,form", [
+        ("- dx", -w("x", 0, 0)),
+        ("-dx", -w("x", 0, 0)),
+        ("+ dx", w("x", 0, 0)),
+        ("x - 3/2 dx", w("x", 1) - Fraction(3, 2) * w("x", 0, 0)),
+        ("-3/2 dx", Fraction(-3, 2) * w("x", 0, 0)),
+    ])
+    def test_parse_leading_and_inner_signs(self, text, form):
+        assert parse_form("x", text) == form
+
 
 def small_forms(gen):
     words = st.lists(st.integers(min_value=0, max_value=2),
@@ -165,3 +181,15 @@ def test_scaled_generator():
     assert lam == Fraction(1, 4) * Form.gen_power("y", 2) + Form.gen_power("y", 1)
     with pytest.raises(ValueError):
         Form.d_gen("y").scaled_generator(Fraction(2))
+
+
+@given(st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1,
+             max_size=3).map(tuple),
+    st.sampled_from([Fraction(1), Fraction(-1)])
+    | st.fractions(min_value=-3, max_value=3).filter(bool),
+    max_size=3).map(lambda terms: Form("x", terms)))
+@settings(max_examples=100, deadline=None)
+def test_render_parses_back(u):
+    # unit coefficients render without a number, a leading -1 as "-dx"
+    assert parse_form("x", str(u)) == u

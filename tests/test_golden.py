@@ -1,0 +1,38 @@
+"""Golden guard: every shipped scenario × subcommand, byte for byte.
+
+``tests/golden/<scenario>.<subcommand>.json`` holds the ``--format json
+--caps 1,1`` stdout of the CLI and ``exit_codes.json`` its exit code.  A
+refactor must leave both unchanged; a deliberate change of behaviour
+regenerates the files and says so in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from twistconn.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCENARIOS = ("bad_hypothesis_q2", "bimodule_q2", "classical_q1",
+             "grassmann_q2", "potential_e_q2")
+SUBCOMMANDS = ("check-axioms", "check-hypotheses", "theorem", "curvature",
+               "report", "check-bimodule", "run")
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_golden_json(scenario, subcommand, capsys):
+    key = f"{scenario}.{subcommand}"
+    code = main([subcommand, "--scenario", str(ROOT / "scenarios" / f"{scenario}.cfg"),
+                 "--format", "json", "--caps", "1,1"])
+    assert capsys.readouterr().out == (GOLDEN / f"{key}.json").read_text()
+    assert code == EXIT_CODES[key]
+
+
+def test_golden_set_is_complete():
+    assert sorted(EXIT_CODES) == sorted(f"{s}.{c}" for s in SCENARIOS
+                                        for c in SUBCOMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.*.json")) == sorted(EXIT_CODES)

@@ -29,16 +29,14 @@ def grassmann_pc(twist, m=1, n=1, matrix=None):
     rmt = RightModuleTwist(twist, matrix, rank=n)
     return ProductConnection(twist, rmt,
                              ModuleConnection.grassmann("x", m),
-                             ModuleConnection.grassmann("y", n),
-                             hypothesis_verdict="pass")
+                             ModuleConnection.grassmann("y", n))
 
 
 def potential_pc(twist, e_entry="x dx", n=1, matrix=None):
     rmt = RightModuleTwist(twist, matrix, rank=n)
     conn_e = ModuleConnection("x", 1, [[parse_form("x", e_entry)]])
     return ProductConnection(twist, rmt, conn_e,
-                             ModuleConnection.grassmann("y", n),
-                             hypothesis_verdict="pass")
+                             ModuleConnection.grassmann("y", n))
 
 
 class TestCoordinates:
@@ -175,7 +173,7 @@ class TestProductNabla:
         conn_f = ModuleConnection("y", 2, [
             [parse_form("y", "dy"), Form.zero("y")],
             [Form.zero("y"), parse_form("y", "y dy")]])
-        pc = ProductConnection(twist, rmt, conn_e, conn_f, "pass")
+        pc = ProductConnection(twist, rmt, conn_e, conn_f)
         rng = random.Random(7)
         for _ in range(10):
             pv = random_degree0_vector(rng, 2, 2, Caps(2, 1))
@@ -211,7 +209,7 @@ class TestCurvature:
         rmt = RightModuleTwist(twist, rank=1)
         conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
         conn_f = ModuleConnection("y", 1, [[parse_form("y", "y dy y")]])
-        pc = ProductConnection(twist, rmt, conn_e, conn_f, "unchecked")
+        pc = ProductConnection(twist, rmt, conn_e, conn_f)
         out_e = pc.curvature(pc.e_naive_basis(0, 1, 1))
         assert all(w.is_zero for w in out_e.f)
         out_f = pc.curvature(pc.f_naive_basis(0, 1, 1))
@@ -251,16 +249,6 @@ class TestHypothesisChecker:
         rmt = RightModuleTwist(twist, rank=1)
         conn_f = ModuleConnection("y", 1, [[parse_form("y", "y dy")]])
         assert check_twist_connection_compat(twist, rmt, conn_f, CAPS).passed
-
-    def test_violation_flags_results(self):
-        twist = AlgebraTwist(2)
-        rmt = RightModuleTwist(twist, rank=1)
-        conn_f = ModuleConnection("y", 1, [[Form.d_gen("y")]])
-        pc = ProductConnection(twist, rmt,
-                               ModuleConnection.grassmann("x", 1), conn_f,
-                               hypothesis_verdict="fail")
-        out = pc.nabla(pc.f_naive_basis(0, 1, 0))
-        assert "not-guaranteed" in out.flags
 
 
 class TestTheoremChecks:

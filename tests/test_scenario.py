@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from twistconn.forms import Caps
-from twistconn.scenario import Scenario, ScenarioError, load_scenario
-from twistconn.runner import resolve_checks, run_checks
+from twistconn.scenario import (KNOWN_CHECKS, Scenario, ScenarioError,
+                                load_scenario)
+from twistconn.runner import CHECKS, resolve_checks, run_checks
 
 MINIMAL = """
 q: 2
@@ -117,6 +118,26 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="one exponent per"):
             load_scenario("n: 2\nf_exponents: 1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("q: 2\nqq: 2\n", "line 2: unknown keys: qq"),
+        ("q: 2\nzz: 1\naa: 2\n", "line 2: unknown keys: aa, zz"),
+        ("n: 2\n\n[S]\n1 0\n0\n", "line 3: S must be square"),
+        ("m: 2\n[T]\n1 2\n", "line 2: T must be square"),
+        ("n: 1\n[S]\n# no rows\n", "line 2: S section is empty"),
+        ("n: 2\n[S]\n1\n", "line 2: S must be 2x2"),
+        ("m: 1\n[T]\n1 0\n0 1\n", "line 2: T must be 1x1"),
+        ("n: 1\n# comment\n[S_alt]\n2 1\n4 2\n", "line 3: S_alt must be 1x1"),
+        ("n: 2\n[S]\n1 1\n1 1\n", "line 2: S not invertible"),
+        ("n: 2\n[S_alt]\n1 2\n2 4\n", "line 2: S_alt not invertible"),
+        ("m: 1\n\n\n[T]\n0\n", "line 4: T not invertible"),
+        ("n: 2\nf_exponents: 1\n",
+         "line 2: f_exponents must list one exponent per f-slot"),
+    ])
+    def test_errors_carry_line_numbers(self, text, message):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(text)
+        assert str(err.value) == message
+
 
 class TestRunner:
     def test_resolution_orders_dependencies(self):
@@ -124,6 +145,25 @@ class TestRunner:
         assert names.index("twist-axioms") < names.index("f-connection-compat")
         assert names.index("f-connection-compat") < \
             names.index("curvature-formula")
+
+    def test_registry_groups_are_known_checks(self):
+        assert tuple(dict.fromkeys(c.group for c in CHECKS)) == KNOWN_CHECKS
+        names = [c.name for c in CHECKS]
+        assert len(set(names)) == len(names)
+        assert all(set(c.gates) <= set(names) for c in CHECKS)
+
+    def test_prerequisites_come_from_registry(self):
+        axioms = ["twist-axioms", "lift-compat", "dga-laws",
+                  "right-module-twist", "left-module-twist", "derived-compat"]
+        assert resolve_checks(["hypotheses"]) == axioms + ["f-connection-compat"]
+        assert resolve_checks(["leibniz", "theorem"]) == axioms + [
+            "f-connection-compat", "leibniz", "curvature-formula"]
+        assert resolve_checks(["bimodule", "axioms"]) == axioms + [
+            "f-connection-compat", "e-connection-compat",
+            "bimodule-connection-x", "bimodule-connection-y", "swap-compat-e",
+            "swap-compat-f", "swap-cross-morphisms", "bimodule-axiom",
+            "bimodule-theorem"]
+        assert resolve_checks(["independence"]) == axioms + ["independence"]
 
     def test_all_pass_on_grassmann(self):
         s = load_scenario("""
