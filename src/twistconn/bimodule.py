@@ -34,8 +34,9 @@ from .forms import Caps, Form, Word, render_word, word_degree, \
 from .reports import CheckResult, failed, passed
 from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
-from .product import ProductConnection, ProductVector, act_right, \
-    act_right_form, add_row, f_free_to_naive, iter_naive_basis
+from .product import ProductConnection, ProductVector, _connection_compat, \
+    act_right, act_right_form, f_free_to_naive, f_naive_to_free, \
+    iter_naive_basis, x_tensor
 
 
 class FormSwap:
@@ -159,6 +160,17 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
 # ---------------------------------------------------------------------------
 # left action on the product module
 # ---------------------------------------------------------------------------
+
+def add_row(out: list[ProductForm], row, piece: ProductForm, c=1) -> None:
+    """out[q] += c · row[q] · piece for every nonzero entry of a matrix row.
+
+    This is how a term in one slot spreads over the free slots when a matrix
+    (a power of S or T) carries the slot across.
+    """
+    for q, r in enumerate(row):
+        if r:
+            out[q] = out[q] + piece.scale(c * r)
+
 
 def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
              w: ProductForm, pv: ProductVector) -> ProductVector:
@@ -348,16 +360,14 @@ class ProductSwap:
                     for w, cw in res.terms.items():
                         f2 = ProductForm({(w, wyk): cw * c})
                         e_out[l] = e_out[l] + f2
-        # f-block: two inverse twists compose into one matrix power
+        # f-block: d(x^cc) joins the naive x-power; two inverse twists
+        # compose into one matrix power
         naive = f_free_to_naive(self.rmt, pv.f)
         for k in range(self.n):
             for (wxk, wyk), c in naive[k].terms.items():
-                i2, j2 = wxk[0], wyk[0]
-                piece = ProductForm(
-                    {(word_mul(w, (i2,)), wyk): Fraction(s)
-                     for w, s in word_differential((cc,)).items()})
-                add_row(f_out, self.rmt.matrix_power(-(i2 + cc))[k], piece, c)
-        return ProductVector(e_out, f_out)
+                f_out[k] = f_out[k] + ProductForm(
+                    {(word_mul(w, wxk), wyk): c * s for w, s in d_pow.terms.items()})
+        return ProductVector(e_out, f_naive_to_free(self.rmt, f_out))
 
     def _generator_y(self, i: int, cc: int, pv: ProductVector) -> ProductVector:
         """Swap of x^i ⊗ d(y^cc) past pv."""
@@ -376,24 +386,19 @@ class ProductSwap:
                     {((i + i2,), word_mul(w, (j2,))): Fraction(s)
                      for w, s in d_words.items()})
                 add_row(e_out, self.lmt.matrix_power(cc)[k], piece, scale)
-        # f-block: algebra twist past the scalar, then the f-factor swap
+        # f-block: algebra twist past the scalar, then the f-factor swap,
+        # in naive coordinates
         naive = f_free_to_naive(self.rmt, pv.f)
         d_form = Form.gen_power("y", cc).d()
         for k in range(self.n):
             for (wxk, wyk), c in naive[k].terms.items():
-                i2, j2 = wxk[0], wyk[0]
+                i2 = wxk[0]
                 scale = twist.qpow(cc * i2) * c
                 vec = [Form.zero("y")] * self.n
                 vec[k] = Form.word("y", wyk)
-                res = self.swap_f.apply(d_form, vec)
-                row_cache = self.rmt.matrix_power(-(i + i2))
-                for p in range(self.n):
-                    if res[p].is_zero:
-                        continue
-                    piece = ProductForm({((i + i2,), w): cw
-                                         for w, cw in res[p].terms.items()})
-                    add_row(f_out, row_cache[p], piece, scale)
-        return ProductVector(e_out, f_out)
+                for p, res in enumerate(self.swap_f.apply(d_form, vec)):
+                    f_out[p] = f_out[p] + x_tensor((i + i2,), res, scale)
+        return ProductVector(e_out, f_naive_to_free(self.rmt, f_out))
 
 
 # ---------------------------------------------------------------------------
@@ -404,46 +409,7 @@ def check_left_twist_connection_compat(twist: AlgebraTwist, lmt: LeftModuleTwist
                                        conn_e: ModuleConnection,
                                        caps: Caps) -> CheckResult:
     """Compatibility of the left module twist with the first connection."""
-    m = lmt.rank
-    E = caps.max_exponent
-    cases = 0
-
-    def nabla_terms(l: int, i: int) -> list[tuple[int, Form]]:
-        x_pow = Form.gen_power("x", i)
-        out = []
-        for p in range(m):
-            eta = conn_e.potential[p][l] * x_pow
-            if p == l:
-                eta = eta + x_pow.d()
-            if not eta.is_zero:
-                out.append((p, eta))
-        return out
-
-    for k in range(m):
-        for j in range(E + 1):
-            for i in range(E + 1):
-                cases += 1
-                lhs: dict[tuple[int, Word], Fraction] = {}
-                for c, l in lmt.cross_word(j, k, i):
-                    for p, eta in nabla_terms(l, i):
-                        for w, cw in eta.terms.items():
-                            key = (p, w)
-                            lhs[key] = lhs.get(key, Fraction(0)) + c * cw
-                rhs: dict[tuple[int, Word], Fraction] = {}
-                for p, eta in nabla_terms(k, i):
-                    for w, cw in eta.terms.items():
-                        scale = twist.qpow(j * word_letters(w))
-                        for c, l in lmt.cross_word(j, p, 0):
-                            key = (l, w)
-                            rhs[key] = rhs.get(key, Fraction(0)) + c * cw * scale
-                lhs = {key: v for key, v in lhs.items() if v}
-                rhs = {key: v for key, v in rhs.items() if v}
-                if lhs != rhs:
-                    return failed(
-                        "e-connection-compat",
-                        f"y^{j} ⊗ e_{k + 1} x^{i}: twist and connection "
-                        f"do not commute", cases)
-    return passed("e-connection-compat", cases)
+    return _connection_compat(twist, lmt, conn_e, caps, "left")
 
 
 def _one_form_words_x(caps: Caps) -> list[Word]:

@@ -43,6 +43,7 @@ class ModuleConnection:
                 if not entry.is_zero and not entry.is_homogeneous(1):
                     raise ValueError("potential entries must be 1-forms")
         self._curvature: list[list[Form]] | None = None
+        self._monomials: dict[tuple[int, int], Vector] = {}
 
     @classmethod
     def grassmann(cls, gen: str, rank: int) -> "ModuleConnection":
@@ -79,6 +80,14 @@ class ModuleConnection:
                     acc = acc + entry * vec[l]
             out.append(acc)
         return out
+
+    def nabla_monomial(self, k: int, e: int) -> Vector:
+        """nabla of gen^e in slot k; kept, as the potential never changes."""
+        if (k, e) not in self._monomials:
+            vec = self.zero_vector()
+            vec[k] = Form.gen_power(self.gen, e)
+            self._monomials[(k, e)] = self.nabla(vec)
+        return self._monomials[(k, e)]
 
     def curvature_apply(self, vec: Sequence[Form]) -> Vector:
         """nabla twice; degree +2."""

@@ -100,7 +100,9 @@ def _curvature_payload(o: BuiltObjects, s: Scenario,
 
 def _quantum_plane_report(o: BuiltObjects, s: Scenario,
                           report: Report) -> CheckResult:
+    # the group prerequisites have run f-connection-compat before this check
     payload, lines = quantum_plane_report(o.pc, s.caps,
+                                          report.find("f-connection-compat"),
                                           f_exponents=s.f_exponents,
                                           remark_power=s.remark_power)
     report.payloads["quantum-plane"] = payload

@@ -20,8 +20,13 @@ giving the closed form
     f_k y^j ⊗ x^i  ->  q^{ij} sum_l (S^i)[k][l]  x^i ⊗ f_l y^j,
 
 with inverse obtained by q -> 1/q, S -> S^{-1}.  The left twist on the
-rank-m module over the x-algebra mirrors this with the matrix power driven
-by the y-exponent.
+rank-m module over the x-algebra mirrors this with a matrix T whose power
+is driven by the y-exponent.  Both are one ``ModuleTwist``: its kernel
+``cross(k, own, other, sign)`` is q^{sign·own·other} times row k of
+M^{sign·other}, where ``own`` is the exponent on the module's side and
+``other`` that of the generator crossed.  The two sides only order its
+arguments in ``cross_word`` (and ``uncross_word``, which only the right
+side needs), and one checker decides the twisting axioms of either side.
 
 Checkers verify the defining axioms exhaustively on bounded bases and
 accept pluggable maps with the same call signature, so deliberately
@@ -31,6 +36,7 @@ corrupted maps can be exercised.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence
 
 from .forms import (Caps, Form, Word, UNIT_WORD, iter_word_tuples, render_word,
@@ -117,10 +123,11 @@ class AlgebraTwist:
         return ProductForm(terms)
 
 
-class RightModuleTwist:
-    """Carries the free y-module factor across the x-algebra.
+class ModuleTwist:
+    """Carries a free module factor across the other polynomial algebra.
 
-    ``matrix`` is the invertible mixing matrix S; rank n is its size.
+    ``matrix`` is the invertible mixing matrix; the rank is its size.  The
+    one kernel is :meth:`cross`; a side only orders its arguments.
     """
 
     def __init__(self, twist: AlgebraTwist, matrix: Matrix | Sequence[Sequence] | None = None,
@@ -143,53 +150,36 @@ class RightModuleTwist:
     def matrix_power(self, k: int) -> Matrix:
         return self._powers.power(k)
 
+    def cross(self, k: int, own: int, other: int,
+              sign: int = 1) -> list[tuple[Fraction, int]]:
+        """Slot k with its own exponent past the other generator's power.
+
+        q^{sign·own·other} times row k of M^{sign·other}, as (coeff, slot)
+        pairs; sign -1 gives the inverse crossing.
+        """
+        q = self.twist.qpow(sign * own * other)
+        row = self.matrix_power(sign * other)[k]
+        return [(q * row[l], l) for l in range(self.rank) if row[l]]
+
+
+class RightModuleTwist(ModuleTwist):
+    """Carries the free y-module factor across the x-algebra (matrix S)."""
+
     def cross_word(self, k: int, j: int, i: int) -> list[tuple[Fraction, int]]:
         """f_k y^j ⊗ x^i  ->  sum of (coeff, l) with x^i ⊗ f_l y^j."""
-        q = self.twist.qpow(i * j)
-        row = self.matrix_power(i)[k]
-        return [(q * row[l], l) for l in range(self.rank) if row[l]]
+        return self.cross(k, j, i)
 
     def uncross_word(self, i: int, k: int, j: int) -> list[tuple[Fraction, int]]:
         """x^i ⊗ f_k y^j  ->  sum of (coeff, l) with f_l y^j ⊗ x^i."""
-        q = self.twist.qpow(-i * j)
-        row = self.matrix_power(-i)[k]
-        return [(q * row[l], l) for l in range(self.rank) if row[l]]
+        return self.cross(k, j, i, -1)
 
 
-class LeftModuleTwist:
-    """Carries the free x-module factor across the y-algebra (mirror)."""
-
-    def __init__(self, twist: AlgebraTwist, matrix: Matrix | Sequence[Sequence] | None = None,
-                 rank: int | None = None):
-        self.twist = twist
-        if matrix is None:
-            if rank is None:
-                raise ValueError("need a matrix or a rank")
-            matrix = identity(rank)
-        self._powers = MatrixPowers(matrix)
-
-    @property
-    def rank(self) -> int:
-        return self._powers.size
-
-    @property
-    def matrix(self) -> Matrix:
-        return self._powers.mat
-
-    def matrix_power(self, k: int) -> Matrix:
-        return self._powers.power(k)
+class LeftModuleTwist(ModuleTwist):
+    """Carries the free x-module factor across the y-algebra (matrix T)."""
 
     def cross_word(self, j: int, k: int, i: int) -> list[tuple[Fraction, int]]:
         """y^j ⊗ e_k x^i  ->  sum of (coeff, l) with e_l x^i ⊗ y^j."""
-        q = self.twist.qpow(i * j)
-        row = self.matrix_power(j)[k]
-        return [(q * row[l], l) for l in range(self.rank) if row[l]]
-
-    def uncross_word(self, k: int, i: int, j: int) -> list[tuple[Fraction, int]]:
-        """e_k x^i ⊗ y^j  ->  sum of (coeff, l) with y^j ⊗ e_l x^i."""
-        q = self.twist.qpow(-i * j)
-        row = self.matrix_power(-j)[k]
-        return [(q * row[l], l) for l in range(self.rank) if row[l]]
+        return self.cross(k, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +361,43 @@ def check_right_module_twist(rmt: RightModuleTwist, caps: Caps,
                              twist_map: ModuleTwistFn | None = None) -> CheckResult:
     """Unitality and the two right module twisting conditions."""
     fn = twist_map or rmt.cross_word
-    twist = rmt.twist
-    n = rmt.rank
-    E = caps.max_exponent
+    return _check_module_twist(rmt, caps, "right", fn)
+
+
+def check_left_module_twist(lmt: LeftModuleTwist, caps: Caps,
+                            twist_map: ModuleTwistFn | None = None) -> CheckResult:
+    """Mirror checks for the left module twisting map."""
+    fn = twist_map or lmt.cross_word
+    return _check_module_twist(lmt, caps, "left",
+                               lambda k, own, other: fn(other, k, own))
+
+
+# per side: the check name and its unit, multiplicativity and action witnesses
+_MODULE_TWIST_SIDES = {
+    "right": ("right-module-twist", "unit: f_{k} ⊗ 1 not fixed",
+              "multiplicativity at f_{k} y^{own} ⊗ x^{o1} * x^{o2}",
+              "module action at f_{k} y^{a} * y^{b} ⊗ x^{o}"),
+    "left": ("left-module-twist", "unit: 1 ⊗ e_{k} not fixed",
+             "multiplicativity at y^{o1} * y^{o2} ⊗ e_{k} x^{own}",
+             "left action at y^{o} ⊗ x^{b} e_{k} x^{a}"),
+}
+
+
+def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str,
+                        cross: ModuleTwistFn) -> CheckResult:
+    """Shared body of the two module-twist checks, in (slot, own, other) terms.
+
+    ``cross(k, own, other)`` carries slot k with its own-generator exponent
+    past a power of the other generator.  Besides the texts, the side fixes
+    which crossed factor composes first in the multiplicativity condition
+    (the right twist crosses x^{o1} first, the left one y^{o2}) and the
+    loop order of the action condition ((a, b, other) on the right, the
+    reverse on the left).
+    """
+    name, unit_text, mult_text, action_text = _MODULE_TWIST_SIDES[side]
+    n = mt.rank
+    exps = range(caps.max_exponent + 1)
     cases = 0
-    witness = None
 
     def as_vec(terms: list[tuple[Fraction, int]]) -> list[Fraction]:
         vec = [Fraction(0)] * n
@@ -385,127 +407,29 @@ def check_right_module_twist(rmt: RightModuleTwist, caps: Caps,
 
     for k in range(n):
         cases += 1
-        if as_vec(fn(k, 0, 0)) != as_vec([(Fraction(1), k)]):
-            witness = f"unit: f_{k + 1} ⊗ 1 not fixed"
-            break
+        if as_vec(cross(k, 0, 0)) != as_vec([(Fraction(1), k)]):
+            return failed(name, unit_text.format(k=k + 1), cases)
 
-    if witness is None:
-        for k in range(n):
-            for j in range(E + 1):
-                for i in range(E + 1):
-                    for i2 in range(E + 1):
-                        cases += 1
-                        lhs = as_vec(fn(k, j, i + i2))
-                        rhs = [Fraction(0)] * n
-                        for c, l in fn(k, j, i):
-                            for c2, m in fn(l, j, i2):
-                                rhs[m] += c * c2
-                        if lhs != rhs:
-                            witness = (f"multiplicativity at f_{k + 1} y^{j} "
-                                       f"⊗ x^{i} * x^{i2}")
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-
-    if witness is None:
-        for k in range(n):
-            for j in range(E + 1):
-                for j2 in range(E + 1):
-                    for i in range(E + 1):
-                        cases += 1
-                        lhs = as_vec(fn(k, j + j2, i))
-                        scale = twist.qpow(i * j2)  # crossing y^{j2} past x^i
-                        rhs = [scale * c for c in as_vec(fn(k, j, i))]
-                        if lhs != rhs:
-                            witness = (f"module action at f_{k + 1} y^{j} * "
-                                       f"y^{j2} ⊗ x^{i}")
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-
-    name = "right-module-twist"
-    if witness:
-        return failed(name, witness, cases)
-    return passed(name, cases)
-
-
-def check_left_module_twist(lmt: LeftModuleTwist, caps: Caps,
-                            twist_map: ModuleTwistFn | None = None) -> CheckResult:
-    """Mirror checks for the left module twisting map."""
-    fn = twist_map or lmt.cross_word
-    twist = lmt.twist
-    m = lmt.rank
-    E = caps.max_exponent
-    cases = 0
-    witness = None
-
-    def as_vec(terms: list[tuple[Fraction, int]]) -> list[Fraction]:
-        vec = [Fraction(0)] * m
-        for c, l in terms:
-            vec[l] += c
-        return vec
-
-    for k in range(m):
+    for k, own, o1, o2 in product(range(n), exps, exps, exps):
         cases += 1
-        if as_vec(fn(0, k, 0)) != as_vec([(Fraction(1), k)]):
-            witness = f"unit: 1 ⊗ e_{k + 1} not fixed"
-            break
+        lhs = as_vec(cross(k, own, o1 + o2))
+        first, second = (o1, o2) if side == "right" else (o2, o1)
+        rhs = [Fraction(0)] * n
+        for c, l in cross(k, own, first):
+            for c2, p in cross(l, own, second):
+                rhs[p] += c * c2
+        if lhs != rhs:
+            return failed(name, mult_text.format(k=k + 1, own=own, o1=o1, o2=o2),
+                          cases)
 
-    if witness is None:
-        # multiplicativity in the y-algebra argument
-        for k in range(m):
-            for i in range(E + 1):
-                for j in range(E + 1):
-                    for j2 in range(E + 1):
-                        cases += 1
-                        lhs = as_vec(fn(j + j2, k, i))
-                        rhs = [Fraction(0)] * m
-                        for c, l in fn(j2, k, i):
-                            for c2, p in fn(j, l, i):
-                                rhs[p] += c * c2
-                        if lhs != rhs:
-                            witness = (f"multiplicativity at y^{j} * y^{j2} "
-                                       f"⊗ e_{k + 1} x^{i}")
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-
-    if witness is None:
-        # compatibility with the left x-action through the algebra twist
-        for k in range(m):
-            for j in range(E + 1):
-                for i in range(E + 1):
-                    for i2 in range(E + 1):
-                        cases += 1
-                        lhs = as_vec(fn(j, k, i + i2))
-                        scale = twist.qpow(i * j)
-                        rhs = [scale * c for c in as_vec(fn(j, k, i2))]
-                        if lhs != rhs:
-                            witness = (f"left action at y^{j} ⊗ x^{i} "
-                                       f"e_{k + 1} x^{i2}")
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-
-    name = "left-module-twist"
-    if witness:
-        return failed(name, witness, cases)
+    for k, *loop in product(range(n), exps, exps, exps):
+        cases += 1
+        a, b, o = loop if side == "right" else loop[::-1]
+        lhs = as_vec(cross(k, a + b, o))
+        scale = mt.twist.qpow(b * o)  # crossing the extra own power b
+        rhs = [scale * c for c in as_vec(cross(k, a, o))]
+        if lhs != rhs:
+            return failed(name, action_text.format(k=k + 1, a=a, b=b, o=o), cases)
     return passed(name, cases)
 
 

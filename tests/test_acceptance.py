@@ -151,8 +151,10 @@ def test_criterion_07_quantum_plane_report():
     pc = ProductConnection(twist, RightModuleTwist(twist, rank=2),
                            ModuleConnection.grassmann("x", 1),
                            ModuleConnection.grassmann("y", 2))
-    payload, lines = quantum_plane_report(pc, PRODUCT_CAPS, f_exponents=[1, 2],
-                                          remark_power=2)
+    compat = check_twist_connection_compat(twist, pc.rmt, pc.conn_f,
+                                           PRODUCT_CAPS)
+    payload, lines = quantum_plane_report(pc, PRODUCT_CAPS, compat,
+                                          f_exponents=[1, 2], remark_power=2)
     display = payload["grassmann_display"]
     ok = display["verified"]
     ok = ok and display["inverse_twist_coefficients"] == \
@@ -167,7 +169,8 @@ def test_criterion_07_quantum_plane_report():
                                        [Form.zero("y"), Form.zero("y")]])
     pc2 = ProductConnection(twist, RightModuleTwist(twist, rank=2), conn_e,
                             conn_f)
-    payload2, _ = quantum_plane_report(pc2, Caps(2, 2))
+    compat2 = check_twist_connection_compat(twist, pc2.rmt, conn_f, Caps(2, 2))
+    payload2, _ = quantum_plane_report(pc2, Caps(2, 2), compat2)
     decomposition = payload2["potential_decomposition"]
     ok = decomposition["verified"] and decomposition["compat_verdict"] == "fail"
     ok = ok and payload2["all_verified"]

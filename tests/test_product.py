@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from twistconn import product, runner
 from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm, embed_y
@@ -17,6 +19,7 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                f_free_to_naive, f_naive_to_free,
                                quantum_plane_report, random_degree0_vector,
                                reduced_presentation)
+from twistconn.scenario import load_scenario_file
 
 from oracles import classical_product_nabla
 
@@ -60,6 +63,14 @@ class TestCoordinates:
         rmt = RightModuleTwist(Q2, rank=1)
         with pytest.raises(ValueError):
             f_free_to_naive(rmt, [ProductForm.pair((0, 0), (0,))])
+
+    def test_one_form_goes_back_by_its_letters(self):
+        # x dx ⊗ y has two x-letters, so slot 0 goes back by row 0 of S^{-2}
+        rmt = RightModuleTwist(Q2, [[2, 1], [1, 1]])
+        assert list(rmt.matrix_power(-2)[0]) == [2, -3]
+        term = ProductForm.pair((1, 0), (1,))
+        assert f_naive_to_free(rmt, [term, ProductForm.zero()]) == \
+            [term.scale(2), term.scale(-3)]
 
 
 class TestRightAction:
@@ -273,6 +284,30 @@ class TestTheoremChecks:
         result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2, CAPS)
         assert result.passed
 
+    @pytest.mark.parametrize("block,witness,cases", [
+        ("e", "e-input e_1 x^0 ⊗ y^0", 1),
+        ("f", "f-input x^0 ⊗ f_1 y^0", 10)])
+    def test_independence_witness_names_the_block(self, monkeypatch, block,
+                                                  witness, cases):
+        conn_e = ModuleConnection.grassmann("x", 1)
+        conn_f = ModuleConnection.grassmann("y", 2)
+        rmt1 = RightModuleTwist(Q2, rank=2)
+        rmt2 = RightModuleTwist(Q2, UT)
+        honest = product.reduced_presentation
+
+        def tagged(twist, rmt, pv):
+            # tell the two twists apart on the chosen block only
+            moved = any(not w.is_zero for w in getattr(pv, block))
+            return {**honest(twist, rmt, pv), "twist": id(rmt) if moved else 0}
+
+        # the curvature is the identity, so the tables see the inputs
+        monkeypatch.setattr(ProductConnection, "curvature", lambda pc, pv: pv)
+        monkeypatch.setattr(product, "reduced_presentation", tagged)
+        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2,
+                                          Caps(2, 1))
+        assert (result.verdict, result.witness, result.cases) == \
+            ("fail", witness, cases)
+
     def test_independence_rejects_inadmissible_pair(self):
         conn_e = ModuleConnection.grassmann("x", 1)
         conn_f = ModuleConnection("y", 1, [[Form.d_gen("y")]])
@@ -301,10 +336,14 @@ class TestReducedPresentation:
             reduced_presentation(Q2, rmt, pv2)
 
 
+def compat(pc, caps=Caps(3, 2)):
+    return check_twist_connection_compat(pc.twist, pc.rmt, pc.conn_f, caps)
+
+
 class TestQuantumPlaneReport:
     def test_grassmann_scenario(self):
         pc = grassmann_pc(Q2, n=2)
-        payload, lines = quantum_plane_report(pc, Caps(3, 2),
+        payload, lines = quantum_plane_report(pc, Caps(3, 2), compat(pc),
                                               f_exponents=[1, 2])
         display = payload["grassmann_display"]
         assert display["verified"]
@@ -317,10 +356,27 @@ class TestQuantumPlaneReport:
 
     def test_classical_q_one(self):
         pc = grassmann_pc(AlgebraTwist(1), n=2)
-        payload, _ = quantum_plane_report(pc, Caps(3, 2), f_exponents=[1, 2])
+        payload, _ = quantum_plane_report(pc, Caps(3, 2), compat(pc),
+                                          f_exponents=[1, 2])
         assert payload["grassmann_display"]["inverse_twist_coefficients"] == \
             {"f_1": "1", "f_2": "1"}
         assert payload["all_verified"]
+
+    def test_report_decides_compat_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_twist_connection_compat(*args)
+
+        for module in (product, runner):
+            monkeypatch.setattr(module, "check_twist_connection_compat", counted)
+        scenario = load_scenario_file(
+            Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
+        scenario.caps = Caps(1, 1)
+        report = runner.run_checks(scenario, ["report"])
+        assert report.find("quantum-plane-report").passed
+        assert len(calls) == 1
 
     def test_potential_scenario_reports_verdict(self):
         twist = AlgebraTwist(2)
@@ -328,7 +384,8 @@ class TestQuantumPlaneReport:
         conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
         conn_f = ModuleConnection("y", 1, [[Form.d_gen("y")]])
         pc = ProductConnection(twist, rmt, conn_e, conn_f)
-        payload, _ = quantum_plane_report(pc, Caps(2, 2))
+        payload, _ = quantum_plane_report(pc, Caps(2, 2),
+                                          compat(pc, Caps(2, 2)))
         decomposition = payload["potential_decomposition"]
         assert decomposition["verified"]
         assert decomposition["compat_verdict"] == "fail"

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from twistconn.bimodule import check_left_twist_connection_compat
+from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, enumerate_words, word_degree
+from twistconn.product import check_twist_connection_compat
 from twistconn.tdga import ProductForm
-from twistconn.twist import (AlgebraTwist, LeftModuleTwist, RightModuleTwist,
-                             check_derived_conditions, check_dga_laws,
-                             check_left_module_twist, check_lift_compat,
-                             check_right_module_twist, check_twist_axioms)
+from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
+                             RightModuleTwist, check_derived_conditions,
+                             check_dga_laws, check_left_module_twist,
+                             check_lift_compat, check_right_module_twist,
+                             check_twist_axioms)
 
 from oracles import left_twist_oracle, lift_oracle, right_twist_oracle
 
@@ -247,3 +251,31 @@ class TestCheckers:
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
             AlgebraTwist(0)
+
+
+def test_cross_without_q_power_fails_every_twist_check(monkeypatch):
+    """Mutation: a module twist that forgets q^{own·other} is caught."""
+    twist = AlgebraTwist(2)
+    rmt = RightModuleTwist(twist, [[2, 1], [1, 1]])
+    lmt = LeftModuleTwist(twist, [[1, 2], [1, 3]])
+    conn_e = ModuleConnection.grassmann("x", 2)
+    conn_f = ModuleConnection.grassmann("y", 2)
+
+    def verdicts():
+        return {r.name: r.verdict for r in (
+            check_right_module_twist(rmt, CAPS),
+            check_left_module_twist(lmt, CAPS),
+            check_twist_connection_compat(twist, rmt, conn_f, CAPS),
+            check_left_twist_connection_compat(twist, lmt, conn_e, CAPS),
+            check_derived_conditions(rmt, CAPS))}
+
+    names = ["right-module-twist", "left-module-twist", "f-connection-compat",
+             "e-connection-compat", "derived-compat"]
+    assert verdicts() == dict.fromkeys(names, "pass")
+
+    def cross_without_q(self, k, own, other, sign=1):
+        row = self.matrix_power(sign * other)[k]
+        return [(row[l], l) for l in range(self.rank) if row[l]]
+
+    monkeypatch.setattr(ModuleTwist, "cross", cross_without_q)
+    assert verdicts() == dict.fromkeys(names, "fail")
