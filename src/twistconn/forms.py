@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from functools import cache
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Word = tuple[int, ...]
 
@@ -46,8 +48,13 @@ def word_mul(u: Word, v: Word) -> Word:
     return u[:-1] + (u[-1] + v[0],) + v[1:]
 
 
-def word_differential(word: Word) -> dict[Word, int]:
-    """d on a basis word, as a word -> (+1|-1) table."""
+@cache
+def word_differential(word: Word) -> Mapping[Word, int]:
+    """d on a basis word, as a read-only word -> (+1|-1) table.
+
+    Memoized per word, so every caller shares one table; nothing is cached
+    for pairs or products of words (see the README's memo tables).
+    """
     out: dict[Word, int] = {}
     for k, n in enumerate(word):
         sign = -1 if k % 2 else 1
@@ -58,7 +65,7 @@ def word_differential(word: Word) -> dict[Word, int]:
                 out[new] = c
             else:
                 del out[new]
-    return out
+    return MappingProxyType(out)
 
 
 def enumerate_words(max_degree: int, max_exponent: int) -> list[Word]:

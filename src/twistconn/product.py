@@ -534,12 +534,24 @@ def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:
 
 def check_twist_independence(twist: AlgebraTwist, conn_e: ModuleConnection,
                              conn_f: ModuleConnection, rmt1: RightModuleTwist,
-                             rmt2: RightModuleTwist, caps: Caps) -> CheckResult:
-    """Curvature tables agree for two admissible module twists."""
+                             rmt2: RightModuleTwist, caps: Caps,
+                             axioms1: CheckResult,
+                             compat1: CheckResult) -> CheckResult:
+    """Curvature tables agree for two admissible module twists.
+
+    ``axioms1`` and ``compat1`` are the first twist's results of
+    :func:`check_right_module_twist` and :func:`check_twist_connection_compat`
+    at ``caps``; the second twist is decided here, once the first is
+    admissible.
+    """
     name = "independence"
-    for tag, rmt in (("first", rmt1), ("second", rmt2)):
-        axioms = check_right_module_twist(rmt, caps)
-        compat = check_twist_connection_compat(twist, rmt, conn_f, caps)
+
+    def admissibility():
+        yield "first", axioms1, compat1
+        yield "second", check_right_module_twist(rmt2, caps), \
+            check_twist_connection_compat(twist, rmt2, conn_f, caps)
+
+    for tag, axioms, compat in admissibility():
         if not (axioms.passed and compat.passed):
             why = axioms.witness if not axioms.passed else compat.witness
             return inadmissible(name, f"inadmissible pair: {tag} twist: {why}")

@@ -73,8 +73,11 @@ def _independence(o: BuiltObjects, s: Scenario, report: Report) -> CheckResult:
     if o.rmt_alt is None:
         return inadmissible("independence",
                             "no alternate mixing matrix ([S_alt]) given")
+    # the group prerequisites have decided the first twist's admissibility
     return check_twist_independence(o.twist, o.conn_e, o.conn_f, o.rmt,
-                                    o.rmt_alt, s.caps)
+                                    o.rmt_alt, s.caps,
+                                    report.find("right-module-twist"),
+                                    report.find("f-connection-compat"))
 
 
 def _curvature_payload(o: BuiltObjects, s: Scenario,
@@ -185,7 +188,7 @@ PREREQUISITES: dict[str, tuple[str, ...]] = {
     "curvature": ("hypotheses",),
     "report": ("hypotheses",),
     "bimodule": ("hypotheses",),
-    "independence": ("axioms",),
+    "independence": ("hypotheses",),
 }
 
 _BY_NAME = {check.name: check for check in CHECKS}

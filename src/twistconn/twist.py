@@ -39,15 +39,35 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
-from .forms import (Caps, Form, Word, UNIT_WORD, iter_word_tuples, render_word,
-                    word_degree, word_differential, word_letters, word_mul,
-                    words_by_degree)
+from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words,
+                    iter_word_tuples, render_word, word_degree,
+                    word_differential, word_letters, word_mul, words_by_degree)
 from .rationals import Matrix, MatrixPowers, identity
 from .reports import CheckResult, failed, passed
 from .tdga import PairWord, ProductForm
 
 CrossFn = Callable[[Form, Form], ProductForm]
 ModuleTwistFn = Callable[[int, int, int], list[tuple[Fraction, int]]]
+
+
+def word_twist(wy: Word, wx: Word) -> tuple[int, int]:
+    """The one word kernel: (sign, q-exponent) of carrying wy past wx.
+
+    sign = (-1)^{deg wx · deg wy} and exponent = letters(wx) · letters(wy),
+    so the lift sends wy ⊗ wx to sign · q^exponent · wx ⊗ wy, and the
+    pair-word product (ux ⊗ wy)(wx ⊗ vy) has that coefficient.  The
+    runtime products and the axiom checks all call it.
+    """
+    dx = len(wx) - 1
+    dy = len(wy) - 1
+    return -1 if dx * dy % 2 else 1, (dx + sum(wx)) * (dy + sum(wy))
+
+
+def _times(c: Fraction, f: Fraction) -> Fraction:
+    """c · f, with no rational product for f = ±1."""
+    if f == 1:
+        return c
+    return -c if f == -1 else c * f
 
 
 class AlgebraTwist:
@@ -67,28 +87,23 @@ class AlgebraTwist:
 
     # ---- closed forms on words ----------------------------------------
     def cross_coeff(self, wy: Word, wx: Word) -> Fraction:
-        c = self.qpow(word_letters(wx) * word_letters(wy))
-        if (word_degree(wx) * word_degree(wy)) % 2:
-            c = -c
-        return c
+        sign, e = word_twist(wy, wx)
+        return self.qpow(e) if sign > 0 else -self.qpow(e)
 
     def uncross_coeff(self, wx: Word, wy: Word) -> Fraction:
-        c = self.qpow(-word_letters(wx) * word_letters(wy))
-        if (word_degree(wx) * word_degree(wy)) % 2:
-            c = -c
-        return c
+        sign, e = word_twist(wy, wx)
+        return self.qpow(-e) if sign > 0 else -self.qpow(-e)
 
     # ---- element level -------------------------------------------------
     def cross(self, yform: Form, xform: Form) -> ProductForm:
         """Lifted twisting map: y-forms move right, x-forms move left."""
         if yform.gen != "y" or xform.gen != "x":
             raise ValueError("cross expects (y-form, x-form)")
+        # distinct (wy, wx) give distinct keys, so nothing accumulates
         out: dict[PairWord, Fraction] = {}
         for wy, cy in yform.terms.items():
             for wx, cx in xform.terms.items():
-                c = cy * cx * self.cross_coeff(wy, wx)
-                key = (wx, wy)
-                out[key] = out.get(key, Fraction(0)) + c
+                out[(wx, wy)] = _times(_times(self.cross_coeff(wy, wx), cy), cx)
         return ProductForm(out)
 
     def uncross(self, xform: Form, yform: Form) -> dict[tuple[Word, Word], Fraction]:
@@ -98,21 +113,17 @@ class AlgebraTwist:
         out: dict[tuple[Word, Word], Fraction] = {}
         for wx, cx in xform.terms.items():
             for wy, cy in yform.terms.items():
-                c = cy * cx * self.uncross_coeff(wx, wy)
-                key = (wy, wx)
-                if c:
-                    out[key] = out.get(key, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
+                out[(wy, wx)] = _times(_times(self.uncross_coeff(wx, wy), cy), cx)
+        return out
 
     def mul(self, u: ProductForm, v: ProductForm) -> ProductForm:
         """Twisted product (u_x ⊗ u_y)(v_x ⊗ v_y) via the lift."""
         terms: dict[PairWord, Fraction] = {}
         for (ux, uy), cu in u.terms.items():
-            duy = word_degree(uy)
-            luy = word_letters(uy)
             for (vx, vy), cv in v.terms.items():
-                c = cu * cv * self.qpow(word_letters(vx) * luy)
-                if (word_degree(vx) * duy) % 2:
+                sign, e = word_twist(uy, vx)
+                c = cu * cv * self.qpow(e)
+                if sign < 0:
                     c = -c
                 key = (word_mul(ux, vx), word_mul(uy, vy))
                 c2 = terms.get(key, Fraction(0)) + c
@@ -208,8 +219,7 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
     cases = 0
     failures: dict[str, str] = {}
 
-    words = [w for ws in words_by_degree(caps.max_degree, caps.max_exponent).values()
-             for w in ws]
+    words = enumerate_words(caps.max_degree, caps.max_exponent)
     unit_x = Form.unit("x")
     unit_y = Form.unit("y")
     for w in words:
@@ -225,35 +235,28 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
             failures["unit"] = f"{render_word('y', w)} ⊗ 1 -> {got}"
 
     if cross is None:
-        # the merged word's letters and degree must reproduce the two-step
-        # crossing exactly
+        # the merged word's (sign, exponent) must be the product of the two
+        # crossing steps'; the rationals decide only unequal pairs (q = ±1)
         qpow = twist.qpow
+
+        def agrees(merged: tuple[int, int], first: tuple[int, int],
+                   second: tuple[int, int]) -> bool:
+            (s, e), (s1, e1), (s2, e2) = merged, first, second
+            return (s == s1 * s2 and e == e1 + e2) or \
+                s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
+
         for wb, wa, wa2 in iter_word_tuples(3, caps):
             cases += 2
-            merged = word_mul(wa, wa2)
-            lb, db = word_letters(wb), word_degree(wb)
-            lhs = qpow(word_letters(merged) * lb)
-            if (word_degree(merged) * db) % 2:
-                lhs = -lhs
-            rhs = qpow(word_letters(wa) * lb) * qpow(word_letters(wa2) * lb)
-            if ((word_degree(wa) + word_degree(wa2)) * db) % 2:
-                rhs = -rhs
-            if lhs != rhs:
+            if not agrees(word_twist(wb, word_mul(wa, wa2)),
+                          word_twist(wb, wa), word_twist(wb, wa2)):
                 failures.setdefault(
                     "product-right",
                     f"b={render_word('y', wb)}, a={render_word('x', wa)}, "
                     f"a'={render_word('x', wa2)}")
                 break
             # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-            merged_y = word_mul(wb, wa)
-            la2, da2 = word_letters(wa2), word_degree(wa2)
-            lhs = qpow(la2 * word_letters(merged_y))
-            if (da2 * word_degree(merged_y)) % 2:
-                lhs = -lhs
-            rhs = qpow(la2 * word_letters(wb)) * qpow(la2 * word_letters(wa))
-            if (da2 * (word_degree(wb) + word_degree(wa))) % 2:
-                rhs = -rhs
-            if lhs != rhs:
+            if not agrees(word_twist(word_mul(wb, wa), wa2),
+                          word_twist(wb, wa2), word_twist(wa, wa2)):
                 failures.setdefault(
                     "product-left",
                     f"b={render_word('y', wb)}, b'={render_word('y', wa)}, "
@@ -313,39 +316,37 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps,
     fn = cross or _default_cross(twist)
     cases = 0
     witness = None
+    # each word's form and differential, built once per check
+    forms = {gen: {w: (_wform(gen, w), Form(gen, word_differential(w)))
+                   for w in enumerate_words(caps.max_degree, caps.max_exponent)}
+             for gen in "xy"}
 
-    def d_form(gen: str, w: Word) -> Form:
-        return Form(gen, {nw: Fraction(s) for nw, s in word_differential(w).items()})
-
-    def apply_dB(p: ProductForm) -> ProductForm:
+    def apply_d(p: ProductForm, side: int) -> ProductForm:
+        # d on the x-factor (side 0) or the y-factor (side 1) of each pair,
+        # signed by the degree of the other factor
         out: dict[PairWord, Fraction] = {}
-        for (ax, by), c in p.terms.items():
-            sign = -1 if word_degree(ax) % 2 else 1
-            for nby, s in word_differential(by).items():
-                key = (ax, nby)
-                out[key] = out.get(key, Fraction(0)) + sign * s * c
-        return ProductForm(out)
-
-    def apply_dA(p: ProductForm) -> ProductForm:
-        out: dict[PairWord, Fraction] = {}
-        for (ax, by), c in p.terms.items():
-            sign = -1 if word_degree(by) % 2 else 1
-            for nax, s in word_differential(ax).items():
-                key = (nax, by)
-                out[key] = out.get(key, Fraction(0)) + sign * s * c
+        for pair, c in p.terms.items():
+            other = pair[1 - side]
+            if len(other) % 2 == 0:
+                c = -c
+            for nw, s in word_differential(pair[side]).items():
+                key = (nw, other) if side == 0 else (other, nw)
+                v = _times(c, s)
+                out[key] = out[key] + v if key in out else v
         return ProductForm(out)
 
     for wb, wa in iter_word_tuples(2, caps):
         cases += 2
-        base = fn(_wform("y", wb), _wform("x", wa))
-        lhs = fn(d_form("y", wb), _wform("x", wa))
-        rhs = apply_dB(base)
+        (yb, dyb), (xa, dxa) = forms["y"][wb], forms["x"][wa]
+        base = fn(yb, xa)
+        lhs = fn(dyb, xa)
+        rhs = apply_d(base, 1)
         if lhs != rhs:
             witness = (f"d on y-side at ({render_word('y', wb)}, "
                        f"{render_word('x', wa)}): {lhs} != {rhs}")
             break
-        lhs = fn(_wform("y", wb), d_form("x", wa))
-        rhs = apply_dA(base)
+        lhs = fn(yb, dxa)
+        rhs = apply_d(base, 0)
         if lhs != rhs:
             witness = (f"d on x-side at ({render_word('y', wb)}, "
                        f"{render_word('x', wa)}): {lhs} != {rhs}")
@@ -445,6 +446,33 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
     """
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
+    cases = 0
+
+    def d_word(wx: Word, wy: Word) -> dict[PairWord, int]:
+        # d(wx ⊗ wy) from the word tables; the two parts never share a key
+        out = {(nwx, wy): s for nwx, s in word_differential(wx).items()}
+        sx = 1 if len(wx) % 2 else -1
+        for nwy, s in word_differential(wy).items():
+            out[(wx, nwy)] = sx * s
+        return out
+
+    def pair_mul(wx1: Word, wy1: Word, wx2: Word, wy2: Word):
+        # (wx1 ⊗ wy1)(wx2 ⊗ wy2) = sign q^e (wx1 wx2 ⊗ wy1 wy2)
+        sign, e = word_twist(wy1, wx2)
+        return sign, e, word_mul(wx1, wx2), word_mul(wy1, wy2)
+
+    def is_one(sign: int, e: int) -> bool:
+        return (sign, e) == (1, 0) or sign * qpow(e) == 1
+
+    def rational(table: dict[tuple[int, PairWord], int]) -> dict[PairWord, Fraction]:
+        # the exact value of a table keyed by (q-exponent, pair-word)
+        out: dict[PairWord, Fraction] = {}
+        for (e, key), s in table.items():
+            out[key] = out.get(key, 0) + s * qpow(e)
+        return {k: v for k, v in out.items() if v}
+
+    # each basis pair-word with its total degree, letters and differential,
+    # sorted by letter count so the pair and triple loops can cut on the budget
     pair_words: list[tuple[int, int, Word, Word]] = []
     for dx in range(caps.max_degree + 1):
         for dy in range(caps.max_degree + 1 - dx):
@@ -452,77 +480,52 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
                 lx = word_letters(wx)
                 for wy in by_deg[dy]:
                     pair_words.append((dx + dy, lx + word_letters(wy), wx, wy))
-    # sorted by letter count so the triple loop can cut on the budget
     pair_words.sort(key=lambda t: (t[1], t[0], t[2], t[3]))
-    cases = 0
-
-    def mul_word(wx1: Word, wy1: Word, wx2: Word, wy2: Word):
-        c = qpow(word_letters(wx2) * word_letters(wy1))
-        if (word_degree(wx2) * word_degree(wy1)) % 2:
-            c = -c
-        return c, word_mul(wx1, wx2), word_mul(wy1, wy2)
-
-    def d_word(wx: Word, wy: Word) -> dict[tuple[Word, Word], int]:
-        out: dict[tuple[Word, Word], int] = {}
-        for nwx, s in word_differential(wx).items():
-            out[(nwx, wy)] = out.get((nwx, wy), 0) + s
-        sx = -1 if word_degree(wx) % 2 else 1
-        for nwy, s in word_differential(wy).items():
-            out[(wx, nwy)] = out.get((wx, nwy), 0) + sx * s
-        return {k: v for k, v in out.items() if v}
-
-    d_cache: dict[tuple[Word, Word], dict[tuple[Word, Word], int]] = {}
-
-    def d_cached(wx: Word, wy: Word) -> dict[tuple[Word, Word], int]:
-        key = (wx, wy)
-        if key not in d_cache:
-            d_cache[key] = d_word(wx, wy)
-        return d_cache[key]
+    diffs = [d_word(wx, wy) for _, _, wx, wy in pair_words]
 
     # unit law and d^2 = 0 on every pair word
-    for _, _, wx, wy in pair_words:
+    for (_, _, wx, wy), dw in zip(pair_words, diffs):
         cases += 2
-        c, mx, my = mul_word(UNIT_WORD, UNIT_WORD, wx, wy)
-        c2, mx2, my2 = mul_word(wx, wy, UNIT_WORD, UNIT_WORD)
-        if (c, mx, my) != (Fraction(1), wx, wy) or \
-                (c2, mx2, my2) != (Fraction(1), wx, wy):
+        c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
+        c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
+        if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
+                and is_one(c2, e2)):
             return failed("dga-laws", f"unit law at ({render_word('x', wx)}, "
                           f"{render_word('y', wy)})", cases)
-        acc: dict[tuple[Word, Word], int] = {}
-        for (nwx, nwy), s in d_cached(wx, wy).items():
+        acc: dict[PairWord, int] = {}
+        for (nwx, nwy), s in dw.items():
             for key, s2 in d_word(nwx, nwy).items():
                 acc[key] = acc.get(key, 0) + s * s2
         if any(acc.values()):
             return failed("dga-laws", f"d^2 != 0 at ({render_word('x', wx)}, "
                           f"{render_word('y', wy)})", cases)
 
-    # graded Leibniz on pairs of bounded total degree
-    for d1, l1, ux, uy in pair_words:
+    # graded Leibniz on pairs of bounded total degree; both sides as integer
+    # tables keyed by (q-exponent, pair-word), decided over the rationals
+    # only when the tables differ
+    for (d1, l1, ux, uy), du in zip(pair_words, diffs):
         if l1 > letter_budget:
             break
-        du = d_cached(ux, uy)
         sign = -1 if d1 % 2 else 1
-        for d2, l2, vx, vy in pair_words:
+        for (d2, l2, vx, vy), dv in zip(pair_words, diffs):
             if l1 + l2 > letter_budget:
                 break
             if d1 + d2 > caps.max_degree:
                 continue
             cases += 1
-            cuv, px, py = mul_word(ux, uy, vx, vy)
-            lhs: dict[tuple[Word, Word], Fraction] = {
-                key: cuv * s for key, s in d_word(px, py).items()}
-            rhs: dict[tuple[Word, Word], Fraction] = {}
+            cuv, euv, px, py = pair_mul(ux, uy, vx, vy)
+            lhs = {(euv, key): cuv * s for key, s in d_word(px, py).items()}
+            rhs: dict[tuple[int, PairWord], int] = {}
             for (nux, nuy), s in du.items():
-                c, mx, my = mul_word(nux, nuy, vx, vy)
-                key = (mx, my)
-                rhs[key] = rhs.get(key, Fraction(0)) + s * c
-            for (nvx, nvy), s in d_cached(vx, vy).items():
-                c, mx, my = mul_word(ux, uy, nvx, nvy)
-                key = (mx, my)
-                rhs[key] = rhs.get(key, Fraction(0)) + sign * s * c
+                c, e, mx, my = pair_mul(nux, nuy, vx, vy)
+                key = (e, (mx, my))
+                rhs[key] = rhs.get(key, 0) + s * c
+            for (nvx, nvy), s in dv.items():
+                c, e, mx, my = pair_mul(ux, uy, nvx, nvy)
+                key = (e, (mx, my))
+                rhs[key] = rhs.get(key, 0) + sign * s * c
             rhs = {k: v for k, v in rhs.items() if v}
-            lhs = {k: v for k, v in lhs.items() if v}
-            if lhs != rhs:
+            if lhs != rhs and rational(lhs) != rational(rhs):
                 return failed("dga-laws",
                               f"graded Leibniz at ({render_word('x', ux)}, "
                               f"{render_word('y', uy)}) * "
@@ -581,8 +584,9 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
             for c in range(E + 1):
                 for d in range(E + 1):
                     cases += 1
-                    got, mx, my = mul_word((a,), (b,), (c,), (d,))
-                    if (got, mx, my) != (qpow(b * c), (a + c,), (b + d,)):
+                    sign, e, mx, my = pair_mul((a,), (b,), (c,), (d,))
+                    if (mx, my) != ((a + c,), (b + d,)) or \
+                            sign * qpow(e) != qpow(b * c):
                         return failed("dga-laws",
                                       f"commutation at x^{a} y^{b} * x^{c} y^{d}",
                                       cases)

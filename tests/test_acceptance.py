@@ -55,6 +55,7 @@ def test_criterion_01_twisting_axioms(q):
     lift = check_lift_compat(twist, FULL_CAPS)
     elapsed = time.perf_counter() - started
     ok = axioms.passed and lift.passed and elapsed < 10.0
+    assert (axioms.cases, lift.cases) == (355560, 29300)
     report_line(1, f"twisting axioms at q={q} "
                    f"({axioms.cases + lift.cases} cases, {elapsed:.1f}s)", ok)
 
@@ -63,6 +64,7 @@ def test_criterion_01_twisting_axioms(q):
 def test_criterion_02_dga_laws(q):
     """Associativity, graded Leibniz, d^2=0, and the commutation relation."""
     result = check_dga_laws(AlgebraTwist(q), FULL_CAPS, letter_budget=8)
+    assert result.cases == 252286
     report_line(2, f"product-calculus laws at q={q} ({result.cases} cases)",
                 result.passed)
 
@@ -119,9 +121,11 @@ def test_criterion_05_twist_independence():
     twist = AlgebraTwist(2)
     conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
     conn_f = ModuleConnection.grassmann("y", 2)
+    rmt1 = RightModuleTwist(twist, rank=2)
     result = check_twist_independence(
-        twist, conn_e, conn_f, RightModuleTwist(twist, rank=2),
-        RightModuleTwist(twist, UT), PRODUCT_CAPS)
+        twist, conn_e, conn_f, rmt1, RightModuleTwist(twist, UT), PRODUCT_CAPS,
+        check_right_module_twist(rmt1, PRODUCT_CAPS),
+        check_twist_connection_compat(twist, rmt1, conn_f, PRODUCT_CAPS))
     report_line(5, f"curvature independent of the module twist "
                    f"({result.cases} inputs)", result.passed)
 

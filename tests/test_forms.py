@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistconn.forms import (Caps, Form, enumerate_words, parse_form,
-                             word_degree, word_letters, word_mul)
+                             word_degree, word_differential, word_letters,
+                             word_mul)
 
 
 def w(gen, *exps):
@@ -60,6 +61,17 @@ class TestDifferential:
                     continue
                 v = Form.word("y", wv)
                 assert (u * v).d() == u.d() * v + sign * (u * v.d())
+
+    def test_word_differential_is_read_only(self):
+        # the table is memoized and shared, so no caller may change it
+        table = word_differential((2, 1))
+        assert dict(table.items()) == {(0, 1, 1): 1, (1, 0, 1): 1,
+                                       (2, 0, 0): -1}
+        with pytest.raises(TypeError):
+            table[(0,)] = 1
+        with pytest.raises(TypeError):
+            del table[(0, 1, 1)]
+        assert word_differential((2, 1)) == table
 
     def test_associativity_exhaustive(self):
         words = enumerate_words(1, 2)

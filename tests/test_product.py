@@ -10,7 +10,8 @@ from twistconn import product, runner
 from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm, embed_y
-from twistconn.twist import AlgebraTwist, RightModuleTwist
+from twistconn.twist import (AlgebraTwist, RightModuleTwist,
+                             check_right_module_twist)
 from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_connection_leibniz,
                                check_curvature_formula, check_flatness,
@@ -40,6 +41,12 @@ def potential_pc(twist, e_entry="x dx", n=1, matrix=None):
     conn_e = ModuleConnection("x", 1, [[parse_form("x", e_entry)]])
     return ProductConnection(twist, rmt, conn_e,
                              ModuleConnection.grassmann("y", n))
+
+
+def first_twist(rmt, conn_f, caps):
+    """The first twist's admissibility results, as a report holds them."""
+    return (check_right_module_twist(rmt, caps),
+            check_twist_connection_compat(rmt.twist, rmt, conn_f, caps))
 
 
 class TestCoordinates:
@@ -281,7 +288,8 @@ class TestTheoremChecks:
         conn_f = ModuleConnection.grassmann("y", 2)
         rmt1 = RightModuleTwist(Q2, rank=2)
         rmt2 = RightModuleTwist(Q2, UT)
-        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2, CAPS)
+        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2, CAPS,
+                                          *first_twist(rmt1, conn_f, CAPS))
         assert result.passed
 
     @pytest.mark.parametrize("block,witness,cases", [
@@ -304,7 +312,8 @@ class TestTheoremChecks:
         monkeypatch.setattr(ProductConnection, "curvature", lambda pc, pv: pv)
         monkeypatch.setattr(product, "reduced_presentation", tagged)
         result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2,
-                                          Caps(2, 1))
+                                          Caps(2, 1),
+                                          *first_twist(rmt1, conn_f, Caps(2, 1)))
         assert (result.verdict, result.witness, result.cases) == \
             ("fail", witness, cases)
 
@@ -312,9 +321,31 @@ class TestTheoremChecks:
         conn_e = ModuleConnection.grassmann("x", 1)
         conn_f = ModuleConnection("y", 1, [[Form.d_gen("y")]])
         rmt1 = RightModuleTwist(Q2, rank=1)
-        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt1, CAPS)
+        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt1, CAPS,
+                                          *first_twist(rmt1, conn_f, CAPS))
         assert result.verdict == "inadmissible"
         assert "inadmissible pair" in result.witness
+
+    def test_independence_decides_each_twist_once(self, monkeypatch):
+        # the report's verdicts on the first twist are passed in, so each
+        # admissibility check runs once per twist
+        calls = {"check_right_module_twist": [],
+                 "check_twist_connection_compat": []}
+        for fname, seen in calls.items():
+            honest = getattr(product, fname)
+
+            def counted(*args, honest=honest, seen=seen):
+                seen.append(args)
+                return honest(*args)
+
+            for module in (product, runner):
+                monkeypatch.setattr(module, fname, counted)
+        scenario = load_scenario_file(
+            Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
+        scenario.caps = Caps(1, 1)
+        report = runner.run_checks(scenario, ["independence"])
+        assert report.find("independence").passed
+        assert [len(seen) for seen in calls.values()] == [2, 2]
 
 
 class TestReducedPresentation:

@@ -163,7 +163,8 @@ class TestRunner:
             "bimodule-connection-x", "bimodule-connection-y", "swap-compat-e",
             "swap-compat-f", "swap-cross-morphisms", "bimodule-axiom",
             "bimodule-theorem"]
-        assert resolve_checks(["independence"]) == axioms + ["independence"]
+        assert resolve_checks(["independence"]) == axioms + [
+            "f-connection-compat", "independence"]
 
     def test_all_pass_on_grassmann(self):
         s = load_scenario("""

@@ -15,6 +15,7 @@ from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
                              check_lift_compat, check_right_module_twist,
                              check_twist_axioms)
 
+import twistconn.twist as twist_module
 from oracles import left_twist_oracle, lift_oracle, right_twist_oracle
 
 Q2 = AlgebraTwist(2)
@@ -191,6 +192,21 @@ class TestCheckers:
         assert result.failed
         # the y-side multiplicativity rule is among the violated axioms
         assert "product-left" in result.detail["failed_axioms"]
+        assert result.cases == 178
+        assert result.witness == "product-right: b=y, a=x, a'=x"
+
+    def test_kernel_without_koszul_sign_fails_product_checks(self, monkeypatch):
+        # dga-laws and the runtime lift share the word kernel, so a kernel
+        # that drops (-1)^{deg wx deg wy} must turn both checks red
+        kernel = twist_module.word_twist
+        monkeypatch.setattr(twist_module, "word_twist",
+                            lambda wy, wx: (1, kernel(wy, wx)[1]))
+        result = check_dga_laws(Q2, Caps(1, 1))
+        assert result.failed
+        assert result.witness == "graded Leibniz at (1, y) * (dx, 1)"
+        result = check_lift_compat(Q2, Caps(1, 1))
+        assert result.failed
+        assert result.witness == "d on y-side at (y, dx): 2 dx ⊗ dy != -2 dx ⊗ dy"
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_lift_compat_pass(self, q):
@@ -208,6 +224,8 @@ class TestCheckers:
         result = check_lift_compat(Q2, CAPS, cross=no_sign)
         assert result.failed
         assert "dx" in result.witness or "x-side" in result.witness
+        assert result.cases == 86
+        assert result.witness == "d on y-side at (y, dx): 2 dx ⊗ dy != -2 dx ⊗ dy"
 
     def test_right_module_twist_pass(self):
         assert check_right_module_twist(RightModuleTwist(Q2, rank=2), CAPS).passed
