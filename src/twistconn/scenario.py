@@ -139,7 +139,7 @@ def load_scenario(text: str) -> Scenario:
     top: dict[str, tuple[int, str]] = {}
     matrix_rows: dict[str, list[tuple[int, str]]] = {}
     form_entries: dict[str, list[tuple[int, int, int, str]]] = {}
-    headers: dict[str, int] = {}  # section -> line of its first header
+    headers: dict[str, int] = {}  # section -> line of its header
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -151,14 +151,21 @@ def load_scenario(text: str) -> Scenario:
             section = sec.group(1)
             if section not in _MATRIX_SECTIONS and section not in _FORM_SECTIONS:
                 raise ScenarioError(f"line {lineno}: unknown section [{section}]")
-            headers.setdefault(section, lineno)
-            matrix_rows.setdefault(section, [])
-            form_entries.setdefault(section, [])
+            if section in headers:
+                raise ScenarioError(f"line {lineno}: duplicate section "
+                                    f"[{section}] (first on line "
+                                    f"{headers[section]})")
+            headers[section] = lineno
+            matrix_rows[section] = []
+            form_entries[section] = []
             continue
         if section is None:
             if ":" not in line:
                 raise ScenarioError(f"line {lineno}: expected 'key: value'")
             key, value = (part.strip() for part in line.split(":", 1))
+            if key in top:
+                raise ScenarioError(f"line {lineno}: duplicate key {key!r} "
+                                    f"(first on line {top[key][0]})")
             top[key] = (lineno, value)
         elif section in _MATRIX_SECTIONS:
             matrix_rows[section].append((lineno, line))
@@ -247,6 +254,9 @@ def load_scenario(text: str) -> Scenario:
             if not (1 <= k <= rank and 1 <= l <= rank):
                 raise ScenarioError(f"line {lineno}: index ({k},{l}) out of "
                                     f"range for rank {rank}")
+            if (k - 1, l - 1) in entries:
+                raise ScenarioError(f"line {lineno}: duplicate entry ({k},{l}) "
+                                    f"in [{label}]")
             try:
                 form = parse_form(gen, expr)
             except ValueError as exc:

@@ -120,17 +120,24 @@ class AlgebraTwist:
         """Twisted product (u_x ⊗ u_y)(v_x ⊗ v_y) via the lift."""
         terms: dict[PairWord, Fraction] = {}
         for (ux, uy), cu in u.terms.items():
+            unit = cu == 1
             for (vx, vy), cv in v.terms.items():
                 sign, e = word_twist(uy, vx)
-                c = cu * cv * self.qpow(e)
+                c = cv if unit else cu * cv
+                if e:
+                    c = c * self.qpow(e)
                 if sign < 0:
                     c = -c
                 key = (word_mul(ux, vx), word_mul(uy, vy))
-                c2 = terms.get(key, Fraction(0)) + c
-                if c2:
-                    terms[key] = c2
-                elif key in terms:
-                    del terms[key]
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = c
+                else:
+                    c += old
+                    if c:
+                        terms[key] = c
+                    else:
+                        del terms[key]
         return ProductForm(terms)
 
 

@@ -1,20 +1,26 @@
 """Bimodule structure, the degree-1 swap, and the bimodule theorem."""
 
-import pytest
+from functools import partial
 
-from twistconn.bimodule import (FormSwap, ProductSwap, act_left,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistconn.bimodule import (Columns, FormSwap, ProductSwap, act_left,
                                 check_bimodule_axiom,
                                 check_bimodule_connection,
                                 check_bimodule_theorem,
                                 check_left_twist_connection_compat,
                                 check_swap_pair_compatible, check_swap_compat_e,
                                 check_swap_compat_f,
-                                check_swap_cross_morphisms)
+                                check_swap_cross_morphisms, flat_terms,
+                                flat_vector, sum_columns)
 from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm
 from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
-from twistconn.product import ProductConnection, ProductVector, f_naive_to_free
+from twistconn.product import ProductConnection, ProductVector, \
+    act_right_form, f_naive_to_free
 from twistconn.runner import run_checks
 from twistconn.scenario import load_scenario
 
@@ -208,10 +214,14 @@ class TestBimoduleTheorem:
         assert gated.witness == "hypothesis failed: bimodule-connection-x"
 
 
-def dense(q):
+SYMMETRIC_S = [[2, 1], [1, 1]]
+NON_SYMMETRIC_S = [[2, 1], [3, 2]]
+
+
+def dense(q, s=SYMMETRIC_S):
     """Rank 2 on both sides with dense unimodular S and T, flip swaps."""
     twist = AlgebraTwist(q)
-    rmt = RightModuleTwist(twist, [[2, 1], [1, 1]])
+    rmt = RightModuleTwist(twist, s)
     lmt = LeftModuleTwist(twist, [[1, 2], [1, 3]])
     ps = ProductSwap(twist, rmt, lmt, FormSwap.flip("x", 2),
                      FormSwap.flip("y", 2))
@@ -227,19 +237,21 @@ class DroppedQ(ProductSwap):
     evaluated at q = 1; the y-form/f-block piece is left intact.
     """
 
-    def _generator_y(self, i, cc, pv):
+    def _generator_y(self, i, cc, t, ops):
+        if t[0] >= self.m:
+            return super()._generator_y(i, cc, t, ops)
         flat = ProductSwap(AlgebraTwist(1), self.rmt, self.lmt, self.swap_e,
                            self.swap_f)
-        return ProductVector(flat._generator_y(i, cc, pv).e,
-                             super()._generator_y(i, cc, pv).f)
+        return flat._generator_y(i, cc, t, ops)
 
 
 class TestDenseSwap:
     TINY = Caps(1, 1)
+    S = SYMMETRIC_S
 
     @pytest.mark.parametrize("q", [2, -3])
     def test_swap_checks_pass(self, q):
-        pc, ps = dense(q)
+        pc, ps = dense(q, self.S)
         results = [check_swap_compat_e(ps, self.TINY),
                    check_swap_compat_f(ps, self.TINY),
                    check_swap_cross_morphisms(ps, self.TINY),
@@ -248,7 +260,7 @@ class TestDenseSwap:
         assert [r.cases for r in results] == [528, 528, 1024, 64]
 
     def test_dropped_q_factor_fails_cross_morphisms(self):
-        _, ps = dense(2)
+        _, ps = dense(2, self.S)
         bad = DroppedQ(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
         result = check_swap_cross_morphisms(bad, self.TINY)
         assert result.failed
@@ -257,14 +269,14 @@ class TestDenseSwap:
         assert result.detail["xform_fblock_left"] == "pass"
 
     def test_no_columns_leak_between_swaps(self):
-        _, ps = dense(2)
+        _, ps = dense(2, self.S)
         bad = DroppedQ(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
         assert check_swap_cross_morphisms(ps, self.TINY).passed
         assert check_swap_cross_morphisms(bad, self.TINY).failed
         assert check_swap_cross_morphisms(ps, self.TINY).passed
 
     def test_columns_match_per_call_evaluation(self):
-        pc, ps = dense(2)
+        pc, ps = dense(2, self.S)
         pv = pc.f_naive_basis(1, 1, 0) + pc.e_naive_basis(0, 0, 1)
         w = ProductForm.pair((1, 0), (1,), 3) + ProductForm.pair((1,), (0, 1))
         columns: dict = {}
@@ -273,6 +285,65 @@ class TestDenseSwap:
         assert ps.apply(w, pv, columns) == first == ps.apply(w, pv)
         assert first == ps.apply(ProductForm.pair((1, 0), (1,), 3), pv) + \
             ps.apply(ProductForm.pair((1,), (0, 1)), pv)
+
+
+class TestDenseSwapNonSymmetric(TestDenseSwap):
+    """Every pin of :class:`TestDenseSwap` again with a non-symmetric S.
+
+    A symmetric S hides a transposed power of S (see tests/test_mutants.py).
+    """
+    S = NON_SYMMETRIC_S
+
+
+exponents = st.integers(min_value=0, max_value=2)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+monomials = st.tuples(exponents, exponents)
+degree0_forms = st.dictionaries(
+    monomials.map(lambda ij: ((ij[0],), (ij[1],))), coeffs,
+    max_size=2).map(ProductForm)
+degree0_vectors = st.lists(degree0_forms, min_size=4, max_size=4).map(
+    lambda coords: ProductVector(coords[:2], coords[2:]))
+one_form_words = st.one_of(
+    st.tuples(st.tuples(exponents, exponents), exponents.map(lambda t: (t,))),
+    st.tuples(exponents.map(lambda t: (t,)), st.tuples(exponents, exponents)))
+
+
+class TestFlatColumns:
+    """Sums of cached columns equal the public operators on random input.
+
+    One table serves every draw, as one check's table serves every case;
+    the public operators run with no table of their own.
+    """
+    _, PS = dense(-3, NON_SYMMETRIC_S)
+    OPS = Columns(PS.twist, PS.rmt, PS.lmt, PS.m)
+
+    def image(self, column, vector, c=1):
+        """c · vector, mapped term by term through cached columns."""
+        terms = [(t, c * v) for t, v in flat_terms(vector).items()]
+        return flat_vector(sum_columns(terms, column), 2, 2)
+
+    @given(degree0_vectors, one_form_words)
+    @settings(max_examples=60, deadline=None)
+    def test_swap(self, pv, pair):
+        assert self.image(partial(self.PS.column, self.OPS, pair), pv) == \
+            self.PS.apply(ProductForm({pair: 1}), pv)
+
+    @given(degree0_vectors, one_form_words, monomials, coeffs)
+    @settings(max_examples=60, deadline=None)
+    def test_left_action(self, pv, pair, ij, c):
+        w = ProductForm.monomial(*ij, c)
+        # degree 0, and degree 1 as the swap's images are
+        for vector in (pv, self.PS.apply(ProductForm({pair: 1}), pv)):
+            assert self.image(partial(self.OPS.left, *ij), vector, c) == \
+                act_left(self.PS.twist, self.PS.rmt, self.PS.lmt, w, vector)
+
+    @given(degree0_vectors, one_form_words, monomials, coeffs)
+    @settings(max_examples=60, deadline=None)
+    def test_right_action(self, pv, pair, ij, c):
+        w = ProductForm.monomial(*ij, c)
+        for vector in (pv, self.PS.apply(ProductForm({pair: 1}), pv)):
+            assert self.image(partial(self.OPS.right, *ij), vector, c) == \
+                act_right_form(self.PS.twist, vector, w)
 
 
 class TestCheckNames:

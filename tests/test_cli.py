@@ -73,8 +73,10 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     ("q: 2\n\n[potential_E]\n(1,1): dx +\n", "line 4: sign without a term"),
     ("q: 2\n[potential_E]\n(1,1): +\n", "line 3: sign without a term"),
     ("q: 2\n[potential_E]\n(1,1): -\n", "line 3: sign without a term"),
+    ("q: 2\nq: 3\n", "line 2: duplicate key 'q'"),
 ], ids=["zero-denominator", "negative-f-exponent", "negative-exponent",
-        "trailing-minus", "trailing-plus", "lone-plus", "lone-minus"])
+        "trailing-minus", "trailing-plus", "lone-plus", "lone-minus",
+        "duplicate-key"])
 def test_malformed_value_exit_code(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

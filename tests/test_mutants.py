@@ -1,0 +1,142 @@
+"""Mutation rows: corrupt one runtime kernel, and the named checks turn red.
+
+Each row is one monkeypatch and the exact set of checks whose verdict turns
+from pass to fail when every check runs (no hypothesis gate) on m = n = 2,
+dense S and T = [[1, 2], [1, 3]], caps 1,1.  A row whose mutant no check
+catches would show a verdict that comes from code that does not fail when
+the runtime is wrong.
+"""
+
+from functools import lru_cache
+
+import pytest
+
+from test_bimodule import NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
+from twistconn import bimodule, product, runner
+from twistconn.reports import Report
+from twistconn.scenario import KNOWN_CHECKS, load_scenario
+
+SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
+
+
+def scenario(q, s):
+    rows = "".join(f"{a} {b}\n" for a, b in s)
+    return load_scenario(f"q: {q}\nm: 2\nn: 2\nmax_exponent: 1\n"
+                         f"max_degree: 1\n[S]\n{rows}[T]\n1 2\n1 3\n")
+
+
+def red_checks(q, s):
+    """Names of the checks that fail when every check runs ungated."""
+    sc = scenario(q, s)
+    objs = runner.build_objects(sc)
+    report = Report(config=sc.config_echo())
+    by_name = {check.name: check for check in runner.CHECKS}
+    for name in runner.resolve_checks(list(KNOWN_CHECKS)):
+        report.add(by_name[name].run(objs, sc, report))
+    return {r.name for r in report.results if r.failed}
+
+
+class _Inverse:
+    """A module twist seen through M^{-k} where the kernel asks for M^{k}."""
+
+    def __init__(self, mt):
+        self.mt = mt
+
+    def matrix_power(self, k):
+        return self.mt.matrix_power(-k)
+
+
+class _Transposed:
+    """A right module twist whose matrix powers come back transposed."""
+
+    def __init__(self, rmt):
+        self.rmt = rmt
+        self.rank = rmt.rank
+
+    def matrix_power(self, k):
+        return tuple(zip(*self.rmt.matrix_power(k)))
+
+
+# the left action's kernel: act_left and the cached columns both call it
+def left_with_t_inverse(monkeypatch):
+    kernel = bimodule._left_term
+    monkeypatch.setattr(bimodule, "_left_term", lambda twist, rmt, lmt, *rest:
+                        kernel(twist, rmt, _Inverse(lmt), *rest))
+
+
+def left_with_s_forward(monkeypatch):
+    kernel = bimodule._left_term
+    monkeypatch.setattr(bimodule, "_left_term", lambda twist, rmt, lmt, *rest:
+                        kernel(twist, _Inverse(rmt), lmt, *rest))
+
+
+def _normal_form(base, step):
+    """bimodule._right_normal with ``base`` · d(t) t^b as its base case and
+    ``step`` in place of the -1 of its recursion.
+
+    A private copy, so that no mutant reaches the module's cache.
+    """
+    @lru_cache(maxsize=None)
+    def normal(a, b):
+        if a == 0:
+            return ((1, b, base),)
+        acc = {(a + 1, b): 1}
+        for s in range(a):
+            for c, e, co in normal(s, a - s + b):
+                acc[(c, e)] = acc.get((c, e), 0) + step * co
+        return tuple((c, e, co) for (c, e), co in sorted(acc.items()) if co)
+
+    return normal
+
+
+def right_normal_base_sign_flipped(monkeypatch):
+    monkeypatch.setattr(bimodule, "_right_normal", _normal_form(-1, -1))
+
+
+def right_normal_recursion_sign_flipped(monkeypatch):
+    # d(t) t^b is untouched, so only 1-forms x^a dx x^b with a >= 1 see it
+    monkeypatch.setattr(bimodule, "_right_normal", _normal_form(1, 1))
+
+
+def dropped_q(monkeypatch):
+    monkeypatch.setattr(runner, "ProductSwap", DroppedQ)
+
+
+def free_to_naive_transposed(monkeypatch):
+    f_free_to_naive = product.f_free_to_naive
+
+    def transposed(rmt, coords):
+        return f_free_to_naive(_Transposed(rmt), coords)
+
+    for module in (product, bimodule):
+        monkeypatch.setattr(module, "f_free_to_naive", transposed)
+
+
+ROWS = [
+    (left_with_t_inverse, SYMMETRIC_S,
+     {"swap-cross-morphisms", "bimodule-theorem"}),
+    (left_with_s_forward, SYMMETRIC_S,
+     {"swap-compat-f", "swap-cross-morphisms", "bimodule-theorem"}),
+    (right_normal_base_sign_flipped, SYMMETRIC_S, SWAP_CHECKS | {"bimodule-theorem"}),
+    (right_normal_recursion_sign_flipped, SYMMETRIC_S, SWAP_CHECKS),
+    (dropped_q, SYMMETRIC_S, {"swap-cross-morphisms", "bimodule-theorem"}),
+    # survives every check with the symmetric S
+    (free_to_naive_transposed, SYMMETRIC_S, set()),
+    (free_to_naive_transposed, NON_SYMMETRIC_S,
+     {"leibniz", "quantum-plane-report", "swap-compat-f",
+      "swap-cross-morphisms", "bimodule-theorem"}),
+]
+
+
+@pytest.mark.parametrize("s", [SYMMETRIC_S, NON_SYMMETRIC_S])
+@pytest.mark.parametrize("q", [2, -3])
+def test_unmutated_runtime_passes_every_check(q, s):
+    assert red_checks(q, s) == set()
+
+
+@pytest.mark.parametrize("q", [2, -3])
+@pytest.mark.parametrize("mutate, s, red", ROWS,
+                         ids=[f"{row[0].__name__}-S{row[1]}" for row in ROWS])
+def test_mutant_turns_checks_red(monkeypatch, mutate, s, red, q):
+    mutate(monkeypatch)
+    assert red_checks(q, s) == red

@@ -132,6 +132,11 @@ class TestValidation:
         ("m: 1\n\n\n[T]\n0\n", "line 4: T not invertible"),
         ("n: 2\nf_exponents: 1\n",
          "line 2: f_exponents must list one exponent per f-slot"),
+        ("q: 2\nq: 3\n", "line 2: duplicate key 'q' (first on line 1)"),
+        ("n: 2\n[S]\n1 0\n[S]\n0 1\n",
+         "line 4: duplicate section [S] (first on line 2)"),
+        ("q: 2\n[potential_E]\n(1,1): x dx\n(1,1): dx\n",
+         "line 4: duplicate entry (1,1) in [potential_E]"),
     ])
     def test_errors_carry_line_numbers(self, text, message):
         with pytest.raises(ScenarioError) as err:
