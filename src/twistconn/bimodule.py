@@ -26,13 +26,13 @@ identity of the product connection with respect to the assembled swap.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .connections import ModuleConnection
-from .forms import Caps, Form, Word, render_word, word_degree, \
+from .forms import Caps, Form, Word, UNIT_WORD, render_word, word_degree, \
     word_differential, word_letters, word_mul
-from .reports import CheckResult, failed, passed
-from .tdga import PairWord, ProductForm, enumerate_monomials
+from .reports import CheckResult, failed, passed, run_cases, tally
+from .tdga import PairWord, ProductForm, add_column, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
 from .product import ProductConnection, ProductVector, _connection_compat, \
     act_right_form, f_free_to_naive, f_naive_to_free, iter_naive_basis
@@ -99,32 +99,21 @@ def check_swap_pair_compatible(conn: ModuleConnection, swap: FormSwap,
     every bounded basis vector.
     """
     gen = conn.gen
-    name = f"swap-pair-compatible-{gen}"
-    E = caps.max_exponent
-    cases = 0
-    for k in range(conn.rank):
-        for i in range(E + 1):
-            cases += 1
-            vec = conn.zero_vector()
-            vec[k] = Form.gen_power(gen, i)
-            left = [vec[l].d() for l in range(conn.rank)]
-            for l in range(conn.rank):
-                for p in range(conn.rank):
-                    entry = left_potential[l][p]
-                    if not entry.is_zero and not vec[p].is_zero:
-                        left[l] = left[l] + entry * vec[p]
-            swapped = [Form.zero(gen) for _ in range(conn.rank)]
-            for l in range(conn.rank):
-                if left[l].is_zero:
-                    continue
-                basis = conn.zero_vector()
-                basis[l] = Form.unit(gen)
-                for p, res in enumerate(swap.apply(left[l], basis)):
-                    swapped[p] = swapped[p] + res
-            if swapped != conn.nabla(vec):
-                return failed(name, f"left candidate differs at e_{k + 1} "
-                              f"{gen}^{i}", cases, generator=gen)
-    return passed(name, cases)
+    candidate = ModuleConnection(gen, conn.rank, left_potential)
+
+    def cases():
+        for k in range(conn.rank):
+            for i in range(caps.max_exponent + 1):
+                swapped = [Form.zero(gen) for _ in range(conn.rank)]
+                for l, left in enumerate(candidate.nabla_monomial(k, i)):
+                    if not left.is_zero:
+                        for p, res in enumerate(swap.apply(left,
+                                                           conn.basis_vector(l))):
+                            swapped[p] = swapped[p] + res
+                yield None if swapped == conn.nabla_monomial(k, i) \
+                    else f"left candidate differs at e_{k + 1} {gen}^{i}"
+
+    return run_cases(f"swap-pair-compatible-{gen}", cases(), generator=gen)
 
 
 def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
@@ -133,27 +122,22 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
     if swap.gen != conn.gen or swap.rank != conn.rank:
         raise ValueError("swap and connection must share module data")
     gen = conn.gen
-    name = f"bimodule-connection-{gen}"
     E = caps.max_exponent
-    cases = 0
-    for c_exp in range(E + 1):
-        a = Form.gen_power(gen, c_exp)
-        da = a.d()
-        for k in range(conn.rank):
-            for i in range(E + 1):
-                cases += 1
-                vec = conn.zero_vector()
-                vec[k] = Form.gen_power(gen, i)
-                lhs_vec = conn.zero_vector()
-                lhs_vec[k] = Form.gen_power(gen, c_exp + i)
-                lhs = conn.nabla(lhs_vec)
-                rhs = [a * w for w in conn.nabla(vec)]
-                for l, extra in enumerate(swap.apply(da, vec)):
-                    rhs[l] = rhs[l] + extra
-                if lhs != rhs:
-                    return failed(name, f"gen^{c_exp} . e_{k + 1} gen^{i}",
-                                  cases, generator=gen)
-    return passed(name, cases)
+
+    def cases():
+        for c_exp in range(E + 1):
+            a = Form.gen_power(gen, c_exp)
+            da = a.d()
+            for k in range(conn.rank):
+                for i in range(E + 1):
+                    vec = conn.zero_vector()
+                    vec[k] = Form.gen_power(gen, i)
+                    rhs = [a * w + extra for w, extra in
+                           zip(conn.nabla_monomial(k, i), swap.apply(da, vec))]
+                    yield None if conn.nabla_monomial(k, c_exp + i) == rhs \
+                        else f"gen^{c_exp} . e_{k + 1} gen^{i}"
+
+    return run_cases(f"bimodule-connection-{gen}", cases(), generator=gen)
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +166,6 @@ def flat_vector(flat: dict[Term, Fraction], m: int, n: int) -> ProductVector:
         coords[s][w] = c
     forms = [ProductForm(t) for t in coords]
     return ProductVector(forms[:m], forms[m:])
-
-
-def add_column(acc: dict[Term, Fraction], c: Fraction, column) -> None:
-    """acc += c · column, dropping the terms that cancel.
-
-    The one summation step of the bimodule code; for c = 1 it adds the
-    column as it is, with no rational product.
-    """
-    if c != 1:
-        column = [(t, c * v) for t, v in column]
-    for t, v in column:
-        old = acc.get(t)
-        if old is None:
-            acc[t] = v
-        else:
-            v += old
-            if v:
-                acc[t] = v
-            else:
-                del acc[t]
 
 
 def sum_columns(terms, column) -> dict[Term, Fraction]:
@@ -309,40 +273,34 @@ def check_bimodule_axiom(twist: AlgebraTwist, rmt: RightModuleTwist,
     """Left and right actions commute on bounded monomial bases."""
     monos = _monomials(caps)
     ops = Columns(twist, rmt, lmt, m)
-    cases = 0
-    for label, pv in iter_naive_basis(m, rmt, caps):
-        terms = flat_terms(pv).items()
-        for il, jl, wl in monos:
-            left = partial(ops.left, il, jl)
-            moved = sum_columns(terms, left).items()
-            for ir, jr, wr in monos:
-                cases += 1
-                right = partial(ops.right, ir, jr)
-                lhs = sum_columns(sum_columns(terms, right).items(), left)
-                if lhs != sum_columns(moved, right):
-                    return failed("bimodule-axiom",
-                                  f"{label} between {wl} and {wr}", cases)
-    return passed("bimodule-axiom", cases)
+
+    def cases():
+        for label, pv in iter_naive_basis(m, rmt, caps):
+            terms = flat_terms(pv).items()
+            for il, jl, wl in monos:
+                left = partial(ops.left, il, jl)
+                moved = sum_columns(terms, left).items()
+                for ir, jr, wr in monos:
+                    right = partial(ops.right, ir, jr)
+                    lhs = sum_columns(sum_columns(terms, right).items(), left)
+                    yield None if lhs == sum_columns(moved, right) \
+                        else f"{label} between {wl} and {wr}"
+
+    return run_cases("bimodule-axiom", cases())
 
 
 # ---------------------------------------------------------------------------
 # the degree-1 swap on the product module
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _right_normal(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
-    """t^a dt t^b as a sum of d(t^c) t^e, returned as (c, e, coeff) triples."""
+    """t^a dt t^b as a sum of d(t^c) t^e, returned as (c, e, coeff) triples.
+
+    By the Leibniz rule, t^a dt t^b = d(t^{a+1}) t^b - d(t^a) t^{b+1}.
+    """
     if a == 0:
         return ((1, b, 1),)
-    acc: dict[tuple[int, int], int] = {(a + 1, b): 1}
-    for s in range(a):
-        r = a - s
-        for c, e, co in _right_normal(s, r + b):
-            key = (c, e)
-            acc[key] = acc.get(key, 0) - co
-            if not acc[key]:
-                del acc[key]
-    return tuple((c, e, co) for (c, e), co in sorted(acc.items()))
+    return ((a, b + 1, -1), (a + 1, b, 1))
 
 
 class ProductSwap:
@@ -426,16 +384,11 @@ class ProductSwap:
         return ops.get(tag, t, make)
 
     def _factor_swap(self, gen: str, cc: int, k: int, word: Word,
-                     ops: Columns) -> tuple[tuple[int, Word, Fraction], ...]:
-        """FormSwap.apply(d(gen^cc), e_k·word) as (slot, word, coeff), cached."""
-        def make():
-            swap = self.swap_e if gen == "x" else self.swap_f
-            vec = [Form.zero(gen)] * swap.rank
-            vec[k] = Form.word(gen, word)
-            return tuple((l, w, c) for l, res in enumerate(
-                swap.apply(Form.gen_power(gen, cc).d(), vec))
-                for w, c in res.terms.items())
-        return ops.get(("F", gen, cc), (k, word), make)
+                     ops: Columns) -> tuple[tuple[tuple[int, Word], Fraction], ...]:
+        """The factor swap of d(gen^cc) past e_k·word, cached."""
+        return ops.get(("F", gen, cc), (k, word), lambda: tuple(_swap_image(
+            self.swap_e if gen == "x" else self.swap_f,
+            Form.gen_power(gen, cc).d(), k, word)))
 
     def _naive(self, t: Term) -> dict[Term, Fraction]:
         """A free f-block term in naive coordinates (f-slots count from 0)."""
@@ -455,7 +408,7 @@ class ProductSwap:
         if slot < self.m:
             # e-block: the e-factor swap acts on the x-form and the coordinate
             return {(l, (w, wy)): c
-                    for l, w, c in self._factor_swap("x", cc, slot, wx, ops)}
+                    for (l, w), c in self._factor_swap("x", cc, slot, wx, ops)}
         # f-block: d(x^cc) joins the naive x-power; two inverse twists
         # compose into one matrix power
         out: dict[Term, Fraction] = {}
@@ -483,7 +436,7 @@ class ProductSwap:
         # in naive coordinates
         for (k, (wxk, wyk)), c in self._naive(t).items():
             add_column(out, twist.qpow(cc * wxk[0]) * c,
-                       [((p, ((i + wxk[0],), w)), cw) for p, w, cw
+                       [((p, ((i + wxk[0],), w)), cw) for (p, w), cw
                         in self._factor_swap("y", cc, k, wyk, ops)])
         return self._free(out)
 
@@ -497,6 +450,15 @@ def check_left_twist_connection_compat(twist: AlgebraTwist, lmt: LeftModuleTwist
                                        caps: Caps) -> CheckResult:
     """Compatibility of the left module twist with the first connection."""
     return _connection_compat(twist, lmt, conn_e, caps, "left")
+
+
+def _swap_image(swap: FormSwap, one_form: Form, k: int,
+                word: Word) -> list[tuple[tuple[int, Word], Fraction]]:
+    """FormSwap.apply(one_form, e_k·word) as ((slot, word), coeff) terms."""
+    vec = [Form.zero(swap.gen)] * swap.rank
+    vec[k] = Form.word(swap.gen, word)
+    return [((l, w), c) for l, res in enumerate(swap.apply(one_form, vec))
+            for w, c in res.terms.items()]
 
 
 def _one_form_words_x(caps: Caps) -> list[Word]:
@@ -535,46 +497,34 @@ def _swap_compat(ps: ProductSwap, caps: Caps, block: str) -> CheckResult:
     else:
         gen, swap, mt, iff = "y", ps.swap_f, ps.rmt, "right"
         where = "{w} ⊗ f_{k} ⊗ x^{s}"
-    rank = swap.rank
-    units = [[Form.unit(gen) if p == l else Form.zero(gen) for p in range(rank)]
-             for l in range(rank)]
-    eq_cases = 0
-    eq_witness = None
-    for s_exp in range(caps.max_exponent + 1):
-        power = mt.matrix_power(s_exp)
-        for w in _one_form_words_x(caps):
-            omega = Form.word(gen, w)
-            lam = word_letters(w)
-            for k in range(rank):
-                eq_cases += 1
-                lhs: dict[tuple[int, Word], Fraction] = {}
-                row = power[k]
-                for l in range(rank):
-                    if not row[l]:
-                        continue
-                    for p, res in enumerate(swap.apply(omega, units[l])):
-                        for wres, cres in res.terms.items():
-                            key = (p, wres)
-                            lhs[key] = lhs.get(key, Fraction(0)) + \
-                                twist.qpow(s_exp * lam) * row[l] * cres
-                rhs: dict[tuple[int, Word], Fraction] = {}
-                for p, res in enumerate(swap.apply(omega, units[k])):
-                    for wres, cres in res.terms.items():
-                        scale = twist.qpow(s_exp * word_letters(wres))
-                        rowp = power[p]
-                        for l in range(rank):
-                            if rowp[l]:
-                                key = (l, wres)
-                                rhs[key] = rhs.get(key, Fraction(0)) + \
-                                    rowp[l] * scale * cres
-                lhs = {key: v for key, v in lhs.items() if v}
-                rhs = {key: v for key, v in rhs.items() if v}
-                if lhs != rhs and eq_witness is None:
-                    eq_witness = where.format(s=s_exp, w=render_word(gen, w),
-                                              k=k + 1)
+    words = _one_form_words_x(caps)
+    # the factor swap of each 1-form word past each basis vector
+    images = {(w, l): _swap_image(swap, Form.word(gen, w), l, UNIT_WORD)
+              for w in words for l in range(swap.rank)}
 
-    left_witness, right_witness, mor_cases = _piece_morphism(
-        ps, caps, block=block, form_side=gen)
+    def equation():
+        for s_exp in range(caps.max_exponent + 1):
+            power = mt.matrix_power(s_exp)
+            for w in words:
+                scale = twist.qpow(s_exp * word_letters(w))
+                for k in range(swap.rank):
+                    lhs: dict[tuple[int, Word], Fraction] = {}
+                    rhs: dict[tuple[int, Word], Fraction] = {}
+                    for l, r in enumerate(power[k]):
+                        if r:
+                            add_column(lhs, scale * r, images[w, l])
+                    for (p, wres), c in images[w, k]:
+                        add_column(rhs, twist.qpow(s_exp * word_letters(wres)) * c,
+                                   [((l, wres), r) for l, r in enumerate(power[p])
+                                    if r])
+                    yield None if lhs == rhs else where.format(
+                        s=s_exp, w=render_word(gen, w), k=k + 1)
+
+    # the equation runs on every case, so that its verdict is complete
+    eq_cases, eq = tally(equation(), until=None)
+    eq_witness = eq.get(None)
+    mor_cases, morphism = _piece_morphism(ps, caps, block=block, form_side=gen)
+    left_witness, right_witness = morphism.get("left"), morphism.get("right")
     # the equation is equivalent to one morphism property; the other must hold
     tied, other = (left_witness, right_witness) if iff == "left" \
         else (right_witness, left_witness)
@@ -596,75 +546,71 @@ def _swap_compat(ps: ProductSwap, caps: Caps, block: str) -> CheckResult:
 
 
 def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
-                    form_side: str) -> tuple[str | None, str | None, int]:
-    """Left/right module-morphism witnesses for one swap piece.
+                    form_side: str) -> tuple[int, dict[str, str]]:
+    """Left/right module-morphism cases of one swap piece.
 
     Each case compares two sides as flat term tables, each a sum of cached
     columns: w·ω ⊗ pv against w · swap(ω ⊗ pv) on the left, and
-    ω ⊗ pv·w against swap(ω ⊗ pv) · w on the right.
+    ω ⊗ pv·w against swap(ω ⊗ pv) · w on the right.  A step is one basis
+    vector under one 1-form, two cases per monomial w; a side is not
+    compared again once it failed, and the loop stops after the step where
+    both have failed.  Returns the cases and the witness of each failed
+    side ("left", "right").
     """
     twist = ps.twist
     E = caps.max_exponent
     monos = _monomials(caps)
 
-    one_forms = []
-    for w in _one_form_words_x(caps):
-        for t in range(E + 1):
-            if form_side == "x":
-                one_forms.append((f"{render_word('x', w)} ⊗ y^{t}",
-                                  (w, (t,))))
-            else:
-                one_forms.append((f"x^{t} ⊗ {render_word('y', w)}",
-                                  ((t,), w)))
+    one_forms = [(f"{render_word('x', w)} ⊗ y^{t}", (w, (t,))) if form_side == "x"
+                 else (f"x^{t} ⊗ {render_word('y', w)}", ((t,), w))
+                 for w in _one_form_words_x(caps) for t in range(E + 1)]
 
     basis = [(label, flat_terms(pv).items())
              for label, pv in iter_naive_basis(ps.m, ps.rmt, caps, blocks=block)]
 
-    left_witness = right_witness = None
-    cases = 0
     ops = Columns(twist, ps.rmt, ps.lmt, ps.m)
-    for flabel, pair in one_forms:
-        # w·ω is one pair-word with a coefficient, whatever pv is
-        products = [(i, j, w, *next(iter(twist.mul(
-            w, ProductForm({pair: _ONE})).terms.items())))
-            for i, j, w in monos]
-        swap = partial(ps.column, ops, pair)
-        for plabel, terms in basis:
-            base = sum_columns(terms, swap).items()
-            for i, j, w, wpair, wc in products:
-                cases += 2
-                if left_witness is None:
-                    lhs = sum_columns([(t, wc * c) for t, c in terms],
-                                      partial(ps.column, ops, wpair))
-                    if lhs != sum_columns(base, partial(ops.left, i, j)):
-                        left_witness = (f"left: {w} . ({flabel}) ⊗ {plabel}")
-                if right_witness is None:
-                    right = partial(ops.right, i, j)
-                    lhs = sum_columns(sum_columns(terms, right).items(), swap)
-                    if lhs != sum_columns(base, right):
-                        right_witness = (f"right: ({flabel}) ⊗ {plabel} . {w}")
-            if left_witness and right_witness:
-                break
-        if left_witness and right_witness:
-            break
-    return left_witness, right_witness, cases
+
+    def steps():
+        done: set[str] = set()
+        for flabel, pair in one_forms:
+            # w·ω is one pair-word with a coefficient, whatever pv is
+            products = [(i, j, w, *next(iter(twist.mul(
+                w, ProductForm({pair: _ONE})).terms.items())))
+                for i, j, w in monos]
+            swap = partial(ps.column, ops, pair)
+            for plabel, terms in basis:
+                base = sum_columns(terms, swap).items()
+                found = {}
+                for i, j, w, wpair, wc in products:
+                    if "left" not in done:
+                        lhs = sum_columns([(t, wc * c) for t, c in terms],
+                                          partial(ps.column, ops, wpair))
+                        if lhs != sum_columns(base, partial(ops.left, i, j)):
+                            found["left"] = f"left: {w} . ({flabel}) ⊗ {plabel}"
+                    if "right" not in done:
+                        right = partial(ops.right, i, j)
+                        lhs = sum_columns(sum_columns(terms, right).items(), swap)
+                        if lhs != sum_columns(base, right):
+                            found["right"] = f"right: ({flabel}) ⊗ {plabel} . {w}"
+                    done.update(found)
+                yield found or None
+
+    return tally(steps(), 2 * len(monos), until=2)
 
 
 def check_swap_cross_morphisms(ps: ProductSwap, caps: Caps) -> CheckResult:
     """Module-morphism properties of the two mixed swap pieces."""
-    lw1, rw1, c1 = _piece_morphism(ps, caps, block="e", form_side="y")
-    lw2, rw2, c2 = _piece_morphism(ps, caps, block="f", form_side="x")
-    cases = c1 + c2
-    detail = {
-        "yform_eblock_left": "pass" if lw1 is None else "fail",
-        "yform_eblock_right": "pass" if rw1 is None else "fail",
-        "xform_fblock_left": "pass" if lw2 is None else "fail",
-        "xform_fblock_right": "pass" if rw2 is None else "fail",
-    }
+    pieces = {"yform_eblock": _piece_morphism(ps, caps, block="e", form_side="y"),
+              "xform_fblock": _piece_morphism(ps, caps, block="f", form_side="x")}
+    sides = ("left", "right")
+    detail = {f"{piece}_{side}": "fail" if side in found else "pass"
+              for piece, (_, found) in pieces.items() for side in sides}
+    witnesses = [found[side] for _, found in pieces.values()
+                 for side in sides if side in found]
+    cases = sum(count for count, _ in pieces.values())
     name = "swap-cross-morphisms"
-    witness = lw1 or rw1 or lw2 or rw2
-    if witness:
-        return failed(name, witness, cases, **detail)
+    if witnesses:
+        return failed(name, witnesses[0], cases, **detail)
     return passed(name, cases, **detail)
 
 
@@ -677,14 +623,15 @@ def check_bimodule_theorem(pc: ProductConnection, ps: ProductSwap,
     """
     monos = _monomials(caps)
     ops = Columns(ps.twist, ps.rmt, ps.lmt, pc.m)
-    cases = 0
-    for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
-        nabla = flat_terms(pc.nabla(pv)).items()
-        for i, j, w in monos:
-            cases += 1
-            lhs = flat_terms(pc.nabla(act_left(ps.twist, ps.rmt, ps.lmt, w, pv)))
-            rhs = sum_columns(nabla, partial(ops.left, i, j))
-            add_column(rhs, 1, flat_terms(ps.apply(w.d(), pv, ops.table)).items())
-            if lhs != rhs:
-                return failed("bimodule-theorem", f"{w} . ({label})", cases)
-    return passed("bimodule-theorem", cases)
+
+    def cases():
+        for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
+            nabla = flat_terms(pc.nabla(pv)).items()
+            for i, j, w in monos:
+                lhs = flat_terms(pc.nabla(act_left(ps.twist, ps.rmt, ps.lmt, w, pv)))
+                rhs = sum_columns(nabla, partial(ops.left, i, j))
+                add_column(rhs, 1,
+                           flat_terms(ps.apply(w.d(), pv, ops.table)).items())
+                yield None if lhs == rhs else f"{w} . ({label})"
+
+    return run_cases("bimodule-theorem", cases())

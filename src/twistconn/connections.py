@@ -104,12 +104,3 @@ class ModuleConnection:
             self._curvature = [[cols[k][l] for k in range(self.rank)]
                                for l in range(self.rank)]
         return self._curvature
-
-    @property
-    def is_flat_matrix(self) -> bool:
-        return all(e.is_zero for row in self.curvature_matrix() for e in row)
-
-    def scale_vector(self, vec: Sequence[Form], a: Form) -> Vector:
-        """Right action of a scalar form on coordinates."""
-        self._check_vector(vec)
-        return [entry * a for entry in vec]

@@ -91,30 +91,22 @@ def words_by_degree(max_degree: int, max_exponent: int) -> dict[int, list[Word]]
     return table
 
 
-def iter_word_tuples(count: int, caps: Caps,
-                     letter_budget: int | None = None) -> Iterator[tuple[Word, ...]]:
+def iter_word_tuples(count: int, caps: Caps) -> Iterator[tuple[Word, ...]]:
     """Tuples of words with *total* degree <= caps.max_degree.
 
-    Per-word exponent entries are capped by caps.max_exponent; an optional
-    total letter budget trims the combinatorial blow-up of triple checks.
+    Per-word exponent entries are capped by caps.max_exponent.
     """
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
 
-    def rec(prefix: tuple[Word, ...], deg_left: int, letters_left: int | None):
+    def rec(prefix: tuple[Word, ...], deg_left: int):
         if len(prefix) == count:
             yield prefix
             return
         for d in range(deg_left + 1):
             for w in by_deg[d]:
-                if letters_left is not None:
-                    used = word_letters(w)
-                    if used > letters_left:
-                        continue
-                    yield from rec(prefix + (w,), deg_left - d, letters_left - used)
-                else:
-                    yield from rec(prefix + (w,), deg_left - d, None)
+                yield from rec(prefix + (w,), deg_left - d)
 
-    yield from rec((), caps.max_degree, letter_budget)
+    yield from rec((), caps.max_degree)
 
 
 class Form:
@@ -229,11 +221,6 @@ class Form:
                 elif nw in terms:
                     del terms[nw]
         return Form(self.gen, terms)
-
-    def grade_involution(self) -> "Form":
-        """Multiply each degree-p component by (-1)^p."""
-        return Form(self.gen, {w: -c if word_degree(w) % 2 else c
-                               for w, c in self.terms.items()})
 
     def scaled_generator(self, factor: Fraction) -> "Form":
         """Substitute t -> factor * t; defined on degree-0 elements only."""

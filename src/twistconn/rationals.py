@@ -21,10 +21,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def to_matrix(rows) -> Matrix:
     mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
     if not mat or any(len(row) != len(mat) for row in mat):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 PASS = "pass"
 FAIL = "fail"
@@ -61,6 +62,43 @@ def failed(name: str, witness: str, cases: int, **detail) -> CheckResult:
 
 def inadmissible(name: str, why: str, **detail) -> CheckResult:
     return CheckResult(name, INADMISSIBLE, witness=why, detail=detail)
+
+
+def tally(cases: Iterable, weight: int = 1,
+          until: int | None = 1) -> tuple[int, dict]:
+    """The one case loop of every check.
+
+    ``cases`` yields one entry per step of a check, and each step counts
+    ``weight`` cases.  An entry is None when the step holds; otherwise it is
+    the witness of the failure, or a dict from each condition that failed at
+    that step to its witness.  A check formats a witness only when a case
+    fails.  The loop stops once ``until`` conditions have failed (None: after
+    the last step).  Returns the cases counted and the first witness of each
+    failed condition, in the order they failed; a bare witness is condition
+    None.
+    """
+    count = 0
+    failures: dict = {}
+    for entry in cases:
+        count += weight
+        if entry is not None:
+            if not isinstance(entry, dict):
+                entry = {None: entry}
+            for condition, witness in entry.items():
+                failures.setdefault(condition, witness)
+            if until is not None and len(failures) >= until:
+                break
+    return count, failures
+
+
+def run_cases(name: str, cases: Iterable, weight: int = 1,
+              **detail) -> CheckResult:
+    """Pass, or fail at the first failing case with ``detail``; see
+    :func:`tally`."""
+    count, failures = tally(cases, weight)
+    if failures:
+        return failed(name, failures[None], count, **detail)
+    return passed(name, count)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .product import (ProductConnection, check_connection_leibniz,
                       iter_naive_basis, quantum_plane_report)
 from .reports import NOT_GUARANTEED, CheckResult, Report, failed, \
     inadmissible, passed
-from .scenario import Scenario, default_matrix
+from .scenario import Scenario
 from .twist import (AlgebraTwist, LeftModuleTwist, RightModuleTwist,
                     check_derived_conditions, check_dga_laws,
                     check_left_module_twist, check_lift_compat,
@@ -52,17 +52,15 @@ class BuiltObjects:
 
 def build_objects(s: Scenario) -> BuiltObjects:
     twist = AlgebraTwist(s.q)
-    rmt = RightModuleTwist(twist, default_matrix(s.s_matrix, s.n))
+    rmt = RightModuleTwist(twist, s.s_matrix, rank=s.n)
     rmt_alt = RightModuleTwist(twist, s.s_alt) if s.s_alt is not None else None
-    lmt = LeftModuleTwist(twist, default_matrix(s.t_matrix, s.m))
+    lmt = LeftModuleTwist(twist, s.t_matrix, rank=s.m)
     conn_e = ModuleConnection("x", s.m, s.potential_matrix("e"))
     conn_f = ModuleConnection("y", s.n, s.potential_matrix("f"))
-    swap_vals_e = s.swap_matrix("e")
-    swap_vals_f = s.swap_matrix("f")
-    swap_e = FormSwap("x", s.m, swap_vals_e) if swap_vals_e is not None \
-        else FormSwap.flip("x", s.m)
-    swap_f = FormSwap("y", s.n, swap_vals_f) if swap_vals_f is not None \
-        else FormSwap.flip("y", s.n)
+    swap_e, swap_f = (FormSwap.flip(gen, rank) if values is None
+                      else FormSwap(gen, rank, values)
+                      for gen, rank, values in (("x", s.m, s.swap_matrix("e")),
+                                                ("y", s.n, s.swap_matrix("f"))))
     pc = ProductConnection(twist, rmt, conn_e, conn_f)
     product_swap = ProductSwap(twist, rmt, lmt, swap_e, swap_f)
     return BuiltObjects(twist, rmt, rmt_alt, lmt, conn_e, conn_f,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import Caps, Form, parse_form
-from .rationals import Matrix, identity, mat_inv, parse_rational
+from .rationals import Matrix, mat_inv, parse_rational
 
 KNOWN_CHECKS = ("axioms", "hypotheses", "leibniz", "theorem", "flatness",
                 "independence", "curvature", "report", "bimodule")
@@ -71,23 +71,22 @@ class Scenario:
     f_exponents: list[int] | None = None
     remark_power: int = 2
 
-    def potential_matrix(self, which: str) -> list[list[Form]]:
+    def _form_matrix(self, which: str, entries) -> list[list[Form]]:
+        """The rank x rank matrix of the e side (x-forms) or the f side
+        (y-forms) with ``entries`` and zeros elsewhere."""
         gen, rank = ("x", self.m) if which == "e" else ("y", self.n)
-        entries = self.potential_e if which == "e" else self.potential_f
         mat = [[Form.zero(gen) for _ in range(rank)] for _ in range(rank)]
         for (k, l), form in entries.items():
             mat[k][l] = form
         return mat
 
+    def potential_matrix(self, which: str) -> list[list[Form]]:
+        return self._form_matrix(
+            which, self.potential_e if which == "e" else self.potential_f)
+
     def swap_matrix(self, which: str) -> list[list[Form]] | None:
         entries = self.phi if which == "e" else self.psi
-        if entries is None:
-            return None
-        gen, rank = ("x", self.m) if which == "e" else ("y", self.n)
-        mat = [[Form.zero(gen) for _ in range(rank)] for _ in range(rank)]
-        for (k, l), form in entries.items():
-            mat[k][l] = form
-        return mat
+        return None if entries is None else self._form_matrix(which, entries)
 
     @property
     def is_grassmann(self) -> bool:
@@ -102,16 +101,14 @@ class Scenario:
             "max_degree": self.caps.max_degree,
             "seed": self.seed,
             "checks": list(self.checks),
-            "potential_E": {f"({k + 1},{l + 1})": str(f)
-                            for (k, l), f in sorted(self.potential_e.items())},
-            "potential_F": {f"({k + 1},{l + 1})": str(f)
-                            for (k, l), f in sorted(self.potential_f.items())},
         }
         for label, mat in (("S", self.s_matrix), ("S_alt", self.s_alt),
                            ("T", self.t_matrix)):
             if mat is not None:
                 echo[label] = [[str(v) for v in row] for row in mat]
-        for label, entries in (("phi", self.phi), ("psi", self.psi)):
+        for label, entries in (("potential_E", self.potential_e),
+                               ("potential_F", self.potential_f),
+                               ("phi", self.phi), ("psi", self.psi)):
             if entries is not None:
                 echo[label] = {f"({k + 1},{l + 1})": str(f)
                                for (k, l), f in sorted(entries.items())}
@@ -285,7 +282,3 @@ def load_scenario_file(path: str) -> Scenario:
             raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at "
                                 f"byte {exc.start})") from None
     return load_scenario(text)
-
-
-def default_matrix(mat: Matrix | None, rank: int) -> Matrix:
-    return mat if mat is not None else identity(rank)

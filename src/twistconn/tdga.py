@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .forms import (Caps, Form, Word, UNIT_WORD, render_terms, render_word,
-                    word_degree, word_differential, words_by_degree)
+from .forms import (Form, Word, UNIT_WORD, render_terms, render_word,
+                    word_degree, word_differential)
 
 PairWord = tuple[Word, Word]
 
@@ -160,15 +160,25 @@ def embed_y(form: Form) -> ProductForm:
     return ProductForm({(UNIT_WORD, w): c for w, c in form.terms.items()})
 
 
-def enumerate_pairs(caps: Caps, total_degree: int | None = None) -> list[PairWord]:
-    """All pair-words with total degree <= bound and exponents <= cap."""
-    bound = caps.max_degree if total_degree is None else total_degree
-    by_deg = words_by_degree(bound, caps.max_exponent)
-    out: list[PairWord] = []
-    for p in range(bound + 1):
-        for q in range(bound + 1 - p):
-            out.extend((wx, wy) for wx in by_deg[p] for wy in by_deg[q])
-    return sorted(out, key=lambda pr: (pair_degree(pr), pr))
+def add_column(acc: dict, c: Fraction, column) -> None:
+    """acc += c · column over (key, coefficient) pairs, dropping the terms
+    that cancel.
+
+    The one summation step of sparse term tables; for c = 1 it adds the
+    column as it is, with no rational product.
+    """
+    if c != 1:
+        column = [(t, c * v) for t, v in column]
+    for t, v in column:
+        old = acc.get(t)
+        if old is None:
+            acc[t] = v
+        else:
+            v += old
+            if v:
+                acc[t] = v
+            else:
+                del acc[t]
 
 
 def enumerate_monomials(max_exponent: int) -> list[PairWord]:

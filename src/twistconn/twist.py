@@ -36,15 +36,15 @@ corrupted maps can be exercised.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Sequence
 
 from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words,
                     iter_word_tuples, render_word, word_degree,
                     word_differential, word_letters, word_mul, words_by_degree)
 from .rationals import Matrix, MatrixPowers, identity
-from .reports import CheckResult, failed, passed
-from .tdga import PairWord, ProductForm
+from .reports import CheckResult, failed, passed, run_cases, tally
+from .tdga import PairWord, ProductForm, add_column
 
 CrossFn = Callable[[Form, Form], ProductForm]
 ModuleTwistFn = Callable[[int, int, int], list[tuple[Fraction, int]]]
@@ -161,10 +161,6 @@ class ModuleTwist:
     def rank(self) -> int:
         return self._powers.size
 
-    @property
-    def matrix(self) -> Matrix:
-        return self._powers.mat
-
     def matrix_power(self, k: int) -> Matrix:
         return self._powers.power(k)
 
@@ -204,12 +200,8 @@ class LeftModuleTwist(ModuleTwist):
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def _default_cross(twist: AlgebraTwist) -> CrossFn:
-    return twist.cross
-
-
-def _wform(gen: str, w: Word) -> Form:
-    return Form.word(gen, w)
+# total letter count that trims the pair and triple loops of dga-laws
+_LETTER_BUDGET = 8
 
 
 def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
@@ -220,28 +212,33 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
     multiplicativity conditions are checked on all word triples whose total
     degree stays within caps.max_degree.  For the built-in closed form the
     triple loop compares single scaled word pairs directly (the closed form
-    maps words to words); a pluggable map goes through full elements.
+    maps words to words); a pluggable map goes through full elements.  Each
+    of the loops stops at its first failure, and the others still run.
     """
-    fn = cross or _default_cross(twist)
-    cases = 0
-    failures: dict[str, str] = {}
+    fn = cross or twist.cross
 
-    words = enumerate_words(caps.max_degree, caps.max_exponent)
-    unit_x = Form.unit("x")
-    unit_y = Form.unit("y")
-    for w in words:
-        cases += 2
-        if "unit" in failures:
-            break
-        got = fn(unit_y, _wform("x", w))
-        if got != ProductForm({(w, UNIT_WORD): Fraction(1)}):
-            failures["unit"] = f"1 ⊗ {render_word('x', w)} -> {got}"
-            continue
-        got = fn(_wform("y", w), unit_x)
-        if got != ProductForm({(UNIT_WORD, w): Fraction(1)}):
-            failures["unit"] = f"{render_word('y', w)} ⊗ 1 -> {got}"
+    def crossed(wy: Word, wx: Word) -> ProductForm:
+        return fn(Form.word("y", wy), Form.word("x", wx))
 
-    if cross is None:
+    def right(wb: Word, wa: Word, wa2: Word) -> dict[str, str]:
+        return {"product-right": f"b={render_word('y', wb)}, "
+                f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"}
+
+    def left(wb: Word, wb2: Word, wa: Word) -> dict[str, str]:
+        return {"product-left": f"b={render_word('y', wb)}, "
+                f"b'={render_word('y', wb2)}, a={render_word('x', wa)}"}
+
+    def units():
+        for w in enumerate_words(caps.max_degree, caps.max_exponent):
+            got = crossed(UNIT_WORD, w)
+            if got != ProductForm({(w, UNIT_WORD): Fraction(1)}):
+                yield {"unit": f"1 ⊗ {render_word('x', w)} -> {got}"}
+            else:
+                got = crossed(w, UNIT_WORD)
+                yield None if got == ProductForm({(UNIT_WORD, w): Fraction(1)}) \
+                    else {"unit": f"{render_word('y', w)} ⊗ 1 -> {got}"}
+
+    def word_products():
         # the merged word's (sign, exponent) must be the product of the two
         # crossing steps'; the rationals decide only unequal pairs (q = ±1)
         qpow = twist.qpow
@@ -253,78 +250,60 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
                 s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
 
         for wb, wa, wa2 in iter_word_tuples(3, caps):
-            cases += 2
             if not agrees(word_twist(wb, word_mul(wa, wa2)),
                           word_twist(wb, wa), word_twist(wb, wa2)):
-                failures.setdefault(
-                    "product-right",
-                    f"b={render_word('y', wb)}, a={render_word('x', wa)}, "
-                    f"a'={render_word('x', wa2)}")
-                break
+                yield right(wb, wa, wa2)
             # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-            if not agrees(word_twist(word_mul(wb, wa), wa2),
-                          word_twist(wb, wa2), word_twist(wa, wa2)):
-                failures.setdefault(
-                    "product-left",
-                    f"b={render_word('y', wb)}, b'={render_word('y', wa)}, "
-                    f"a={render_word('x', wa2)}")
-                break
-    else:
-        def compose_right(wb: Word, wa: Word, wa2: Word) -> ProductForm:
-            # (mu_A ⊗ B) o (A ⊗ R) o (R ⊗ A)
-            out: dict[PairWord, Fraction] = {}
-            for (ax, by), c in fn(_wform("y", wb), _wform("x", wa)).terms.items():
-                for (ax2, by2), c2 in fn(_wform("y", by),
-                                         _wform("x", wa2)).terms.items():
-                    key = (word_mul(ax, ax2), by2)
-                    out[key] = out.get(key, Fraction(0)) + c * c2
-            return ProductForm(out)
+            elif not agrees(word_twist(word_mul(wb, wa), wa2),
+                            word_twist(wb, wa2), word_twist(wa, wa2)):
+                yield left(wb, wa, wa2)
+            else:
+                yield None
 
-        def compose_left(wb: Word, wb2: Word, wa: Word) -> ProductForm:
-            # (A ⊗ mu_B) o (R ⊗ B) o (B ⊗ R)
-            out: dict[PairWord, Fraction] = {}
-            for (ax, by2), c in fn(_wform("y", wb2), _wform("x", wa)).terms.items():
-                for (ax2, by), c2 in fn(_wform("y", wb),
-                                        _wform("x", ax)).terms.items():
-                    key = (ax2, word_mul(by, by2))
-                    out[key] = out.get(key, Fraction(0)) + c * c2
-            return ProductForm(out)
+    def summed(terms) -> ProductForm:
+        out: dict[PairWord, Fraction] = {}
+        add_column(out, 1, terms)
+        return ProductForm(out)
 
+    def products_right():
+        # (mu_A ⊗ B) o (A ⊗ R) o (R ⊗ A)
         for wb, wa, wa2 in iter_word_tuples(3, caps):
-            cases += 1
-            lhs = fn(_wform("y", wb), _wform("x", word_mul(wa, wa2)))
-            if lhs != compose_right(wb, wa, wa2):
-                failures.setdefault(
-                    "product-right",
-                    f"b={render_word('y', wb)}, a={render_word('x', wa)}, "
-                    f"a'={render_word('x', wa2)}")
-                break
-        for wb, wb2, wa in iter_word_tuples(3, caps):
-            cases += 1
-            lhs = fn(_wform("y", word_mul(wb, wb2)), _wform("x", wa))
-            if lhs != compose_left(wb, wb2, wa):
-                failures.setdefault(
-                    "product-left",
-                    f"b={render_word('y', wb)}, b'={render_word('y', wb2)}, "
-                    f"a={render_word('x', wa)}")
-                break
+            rhs = summed(((word_mul(ax, ax2), by2), c * c2)
+                         for (ax, by), c in crossed(wb, wa).terms.items()
+                         for (ax2, by2), c2 in crossed(by, wa2).terms.items())
+            yield None if crossed(wb, word_mul(wa, wa2)) == rhs \
+                else right(wb, wa, wa2)
 
-    name = "twist-axioms"
+    def products_left():
+        # (A ⊗ mu_B) o (R ⊗ B) o (B ⊗ R)
+        for wb, wb2, wa in iter_word_tuples(3, caps):
+            rhs = summed(((ax2, word_mul(by, by2)), c * c2)
+                         for (ax, by2), c in crossed(wb2, wa).terms.items()
+                         for (ax2, by), c2 in crossed(wb, ax).terms.items())
+            yield None if crossed(word_mul(wb, wb2), wa) == rhs \
+                else left(wb, wb2, wa)
+
+    loops = [(units(), 2)] + ([(word_products(), 2)] if cross is None else
+                              [(products_right(), 1), (products_left(), 1)])
+    tallies = [tally(cases, weight) for cases, weight in loops]
+    failures = {axiom: w for _, found in tallies for axiom, w in found.items()}
+    cases = sum(count for count, _ in tallies)
     if failures:
         axiom, witness = next(iter(failures.items()))
-        return failed(name, f"{axiom}: {witness}", cases,
+        return failed("twist-axioms", f"{axiom}: {witness}", cases,
                       failed_axioms=sorted(failures))
-    return passed(name, cases)
+    return passed("twist-axioms", cases)
 
 
 def check_lift_compat(twist: AlgebraTwist, caps: Caps,
                       cross: CrossFn | None = None) -> CheckResult:
-    """Differential compatibility of the lift on bounded word pairs."""
-    fn = cross or _default_cross(twist)
-    cases = 0
-    witness = None
+    """Differential compatibility of the lift on bounded word pairs.
+
+    Each word pair counts two cases, d on the y-side and d on the x-side.
+    """
+    fn = cross or twist.cross
     # each word's form and differential, built once per check
-    forms = {gen: {w: (_wform(gen, w), Form(gen, word_differential(w)))
+    forms = {gen: {w: (Form.word(gen, w), Form(gen, word_differential(w)))
                    for w in enumerate_words(caps.max_degree, caps.max_exponent)}
              for gen in "xy"}
 
@@ -342,34 +321,24 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps,
                 out[key] = out[key] + v if key in out else v
         return ProductForm(out)
 
-    for wb, wa in iter_word_tuples(2, caps):
-        cases += 2
-        (yb, dyb), (xa, dxa) = forms["y"][wb], forms["x"][wa]
-        base = fn(yb, xa)
-        lhs = fn(dyb, xa)
-        rhs = apply_d(base, 1)
-        if lhs != rhs:
-            witness = (f"d on y-side at ({render_word('y', wb)}, "
-                       f"{render_word('x', wa)}): {lhs} != {rhs}")
-            break
-        lhs = fn(yb, dxa)
-        rhs = apply_d(base, 0)
-        if lhs != rhs:
-            witness = (f"d on x-side at ({render_word('y', wb)}, "
-                       f"{render_word('x', wa)}): {lhs} != {rhs}")
-            break
+    def cases():
+        for wb, wa in iter_word_tuples(2, caps):
+            (yb, dyb), (xa, dxa) = forms["y"][wb], forms["x"][wa]
+            base = fn(yb, xa)
+            side, lhs, rhs = "y", fn(dyb, xa), apply_d(base, 1)
+            if lhs == rhs:
+                side, lhs, rhs = "x", fn(yb, dxa), apply_d(base, 0)
+            yield None if lhs == rhs else (
+                f"d on {side}-side at ({render_word('y', wb)}, "
+                f"{render_word('x', wa)}): {lhs} != {rhs}")
 
-    name = "lift-compat"
-    if witness:
-        return failed(name, witness, cases)
-    return passed(name, cases)
+    return run_cases("lift-compat", cases(), 2)
 
 
 def check_right_module_twist(rmt: RightModuleTwist, caps: Caps,
                              twist_map: ModuleTwistFn | None = None) -> CheckResult:
     """Unitality and the two right module twisting conditions."""
-    fn = twist_map or rmt.cross_word
-    return _check_module_twist(rmt, caps, "right", fn)
+    return _check_module_twist(rmt, caps, "right", twist_map or rmt.cross_word)
 
 
 def check_left_module_twist(lmt: LeftModuleTwist, caps: Caps,
@@ -391,6 +360,19 @@ _MODULE_TWIST_SIDES = {
 }
 
 
+def _vector(n: int, terms) -> list[Fraction]:
+    """The length-n coordinate vector of (coeff, slot) pairs."""
+    vec = [Fraction(0)] * n
+    for c, l in terms:
+        vec[l] += c
+    return vec
+
+
+def _compose(terms, then) -> list[tuple[Fraction, int]]:
+    """The (coeff, slot) pairs of ``then`` applied to each slot of ``terms``."""
+    return [(c * c2, p) for c, l in terms for c2, p in then(l)]
+
+
 def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str,
                         cross: ModuleTwistFn) -> CheckResult:
     """Shared body of the two module-twist checks, in (slot, own, other) terms.
@@ -405,44 +387,27 @@ def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str,
     name, unit_text, mult_text, action_text = _MODULE_TWIST_SIDES[side]
     n = mt.rank
     exps = range(caps.max_exponent + 1)
-    cases = 0
 
-    def as_vec(terms: list[tuple[Fraction, int]]) -> list[Fraction]:
-        vec = [Fraction(0)] * n
-        for c, l in terms:
-            vec[l] += c
-        return vec
+    def cases():
+        for k in range(n):
+            yield None if _vector(n, cross(k, 0, 0)) == \
+                _vector(n, [(Fraction(1), k)]) else unit_text.format(k=k + 1)
+        for k, own, o1, o2 in product(range(n), exps, exps, exps):
+            first, second = (o1, o2) if side == "right" else (o2, o1)
+            rhs = _compose(cross(k, own, first), lambda l: cross(l, own, second))
+            yield None if _vector(n, cross(k, own, o1 + o2)) == _vector(n, rhs) \
+                else mult_text.format(k=k + 1, own=own, o1=o1, o2=o2)
+        for k, *loop in product(range(n), exps, exps, exps):
+            a, b, o = loop if side == "right" else loop[::-1]
+            scale = mt.twist.qpow(b * o)  # crossing the extra own power b
+            rhs = [scale * c for c in _vector(n, cross(k, a, o))]
+            yield None if _vector(n, cross(k, a + b, o)) == rhs \
+                else action_text.format(k=k + 1, a=a, b=b, o=o)
 
-    for k in range(n):
-        cases += 1
-        if as_vec(cross(k, 0, 0)) != as_vec([(Fraction(1), k)]):
-            return failed(name, unit_text.format(k=k + 1), cases)
-
-    for k, own, o1, o2 in product(range(n), exps, exps, exps):
-        cases += 1
-        lhs = as_vec(cross(k, own, o1 + o2))
-        first, second = (o1, o2) if side == "right" else (o2, o1)
-        rhs = [Fraction(0)] * n
-        for c, l in cross(k, own, first):
-            for c2, p in cross(l, own, second):
-                rhs[p] += c * c2
-        if lhs != rhs:
-            return failed(name, mult_text.format(k=k + 1, own=own, o1=o1, o2=o2),
-                          cases)
-
-    for k, *loop in product(range(n), exps, exps, exps):
-        cases += 1
-        a, b, o = loop if side == "right" else loop[::-1]
-        lhs = as_vec(cross(k, a + b, o))
-        scale = mt.twist.qpow(b * o)  # crossing the extra own power b
-        rhs = [scale * c for c in as_vec(cross(k, a, o))]
-        if lhs != rhs:
-            return failed(name, action_text.format(k=k + 1, a=a, b=b, o=o), cases)
-    return passed(name, cases)
+    return run_cases(name, cases())
 
 
-def check_dga_laws(twist: AlgebraTwist, caps: Caps,
-                   letter_budget: int = 8) -> CheckResult:
+def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     """Graded-algebra laws of the product calculus on bounded word bases.
 
     Verifies, at word level: the unit law and d^2 = 0 on every pair-word
@@ -453,7 +418,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
     """
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
-    cases = 0
 
     def d_word(wx: Word, wy: Word) -> dict[PairWord, int]:
         # d(wx ⊗ wy) from the word tables; the two parts never share a key
@@ -478,6 +442,10 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
             out[key] = out.get(key, 0) + s * qpow(e)
         return {k: v for k, v in out.items() if v}
 
+    def pairs(*words: tuple[Word, Word]) -> str:
+        return ", ".join(f"({render_word('x', wx)}, {render_word('y', wy)})"
+                         for wx, wy in words)
+
     # each basis pair-word with its total degree, letters and differential,
     # sorted by letter count so the pair and triple loops can cut on the budget
     pair_words: list[tuple[int, int, Word, Word]] = []
@@ -490,114 +458,101 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps,
     pair_words.sort(key=lambda t: (t[1], t[0], t[2], t[3]))
     diffs = [d_word(wx, wy) for _, _, wx, wy in pair_words]
 
-    # unit law and d^2 = 0 on every pair word
-    for (_, _, wx, wy), dw in zip(pair_words, diffs):
-        cases += 2
-        c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
-        c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
-        if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
-                and is_one(c2, e2)):
-            return failed("dga-laws", f"unit law at ({render_word('x', wx)}, "
-                          f"{render_word('y', wy)})", cases)
-        acc: dict[PairWord, int] = {}
-        for (nwx, nwy), s in dw.items():
-            for key, s2 in d_word(nwx, nwy).items():
-                acc[key] = acc.get(key, 0) + s * s2
-        if any(acc.values()):
-            return failed("dga-laws", f"d^2 != 0 at ({render_word('x', wx)}, "
-                          f"{render_word('y', wy)})", cases)
-
-    # graded Leibniz on pairs of bounded total degree; both sides as integer
-    # tables keyed by (q-exponent, pair-word), decided over the rationals
-    # only when the tables differ
-    for (d1, l1, ux, uy), du in zip(pair_words, diffs):
-        if l1 > letter_budget:
-            break
-        sign = -1 if d1 % 2 else 1
-        for (d2, l2, vx, vy), dv in zip(pair_words, diffs):
-            if l1 + l2 > letter_budget:
-                break
-            if d1 + d2 > caps.max_degree:
+    def unit_and_nilpotence():
+        # the unit law and d^2 = 0 on every pair word, two cases each
+        for (_, _, wx, wy), dw in zip(pair_words, diffs):
+            c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
+            c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
+            if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
+                    and is_one(c2, e2)):
+                yield f"unit law at {pairs((wx, wy))}"
                 continue
-            cases += 1
-            cuv, euv, px, py = pair_mul(ux, uy, vx, vy)
-            lhs = {(euv, key): cuv * s for key, s in d_word(px, py).items()}
-            rhs: dict[tuple[int, PairWord], int] = {}
-            for (nux, nuy), s in du.items():
-                c, e, mx, my = pair_mul(nux, nuy, vx, vy)
-                key = (e, (mx, my))
-                rhs[key] = rhs.get(key, 0) + s * c
-            for (nvx, nvy), s in dv.items():
-                c, e, mx, my = pair_mul(ux, uy, nvx, nvy)
-                key = (e, (mx, my))
-                rhs[key] = rhs.get(key, 0) + sign * s * c
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs and rational(lhs) != rational(rhs):
-                return failed("dga-laws",
-                              f"graded Leibniz at ({render_word('x', ux)}, "
-                              f"{render_word('y', uy)}) * "
-                              f"({render_word('x', vx)}, {render_word('y', vy)})",
-                              cases)
+            acc: dict[PairWord, int] = {}
+            for (nwx, nwy), s in dw.items():
+                for key, s2 in d_word(nwx, nwy).items():
+                    acc[key] = acc.get(key, 0) + s * s2
+            yield f"d^2 != 0 at {pairs((wx, wy))}" if any(acc.values()) else None
 
-    # associativity on bounded triples; integer exponent/sign bookkeeping
-    # for both association orders, with the merged words built both ways
-    rich = [(dsum, lsum, wx, wy, word_letters(wx), word_letters(wy),
-             word_degree(wx), word_degree(wy))
-            for dsum, lsum, wx, wy in pair_words]
-    max_deg = caps.max_degree
-    for d1, l1, ux, uy, lux, luy, dux, duy in rich:
-        if l1 > letter_budget:
-            break
-        for d2, l2, vx, vy, lvx, lvy, dvx, dvy in rich:
-            if l1 + l2 > letter_budget:
+    def leibniz():
+        # graded Leibniz on pairs of bounded total degree; both sides as
+        # integer tables keyed by (q-exponent, pair-word), decided over the
+        # rationals only when the tables differ
+        for (d1, l1, ux, uy), du in zip(pair_words, diffs):
+            if l1 > _LETTER_BUDGET:
                 break
-            if d1 + d2 > max_deg:
-                continue
-            uvx = word_mul(ux, vx)
-            uvy = word_mul(uy, vy)
-            for d3, l3, wx, wy, lwx, lwy, dwx, dwy in rich:
-                if l1 + l2 + l3 > letter_budget:
+            sign = -1 if d1 % 2 else 1
+            for (d2, l2, vx, vy), dv in zip(pair_words, diffs):
+                if l1 + l2 > _LETTER_BUDGET:
                     break
-                if d1 + d2 + d3 > max_deg:
+                if d1 + d2 > caps.max_degree:
                     continue
-                cases += 1
-                exp_left = lvx * luy + lwx * (luy + lvy)
-                exp_right = lwx * lvy + (lvx + lwx) * luy
-                sign_left = (dvx * duy + dwx * (duy + dvy)) % 2
-                sign_right = (dwx * dvy + (dvx + dwx) * duy) % 2
-                if exp_left != exp_right or sign_left != sign_right:
-                    if qpow(exp_left) * (-1) ** sign_left != \
-                            qpow(exp_right) * (-1) ** sign_right:
-                        return failed(
-                            "dga-laws",
-                            f"associativity at ({render_word('x', ux)}, "
-                            f"{render_word('y', uy)}), ({render_word('x', vx)}, "
-                            f"{render_word('y', vy)}), ({render_word('x', wx)}, "
-                            f"{render_word('y', wy)})", cases)
-                if word_mul(uvx, wx) != word_mul(ux, word_mul(vx, wx)) or \
-                        word_mul(uvy, wy) != word_mul(uy, word_mul(vy, wy)):
-                    return failed(
-                        "dga-laws",
-                        f"word concatenation not associative at "
-                        f"({render_word('x', ux)}, {render_word('y', uy)}), "
-                        f"({render_word('x', vx)}, {render_word('y', vy)}), "
-                        f"({render_word('x', wx)}, {render_word('y', wy)})",
-                        cases)
+                cuv, euv, px, py = pair_mul(ux, uy, vx, vy)
+                lhs = {(euv, key): cuv * s for key, s in d_word(px, py).items()}
+                rhs: dict[tuple[int, PairWord], int] = {}
+                for (nux, nuy), s in du.items():
+                    c, e, mx, my = pair_mul(nux, nuy, vx, vy)
+                    key = (e, (mx, my))
+                    rhs[key] = rhs.get(key, 0) + s * c
+                for (nvx, nvy), s in dv.items():
+                    c, e, mx, my = pair_mul(ux, uy, nvx, nvy)
+                    key = (e, (mx, my))
+                    rhs[key] = rhs.get(key, 0) + sign * s * c
+                rhs = {k: v for k, v in rhs.items() if v}
+                yield f"graded Leibniz at {pairs((ux, uy))} * {pairs((vx, vy))}" \
+                    if lhs != rhs and rational(lhs) != rational(rhs) else None
 
-    # degree-0 commutation relation, exhaustively at the exponent cap
-    E = caps.max_exponent
-    for a in range(E + 1):
-        for b in range(E + 1):
-            for c in range(E + 1):
-                for d in range(E + 1):
-                    cases += 1
-                    sign, e, mx, my = pair_mul((a,), (b,), (c,), (d,))
-                    if (mx, my) != ((a + c,), (b + d,)) or \
-                            sign * qpow(e) != qpow(b * c):
-                        return failed("dga-laws",
-                                      f"commutation at x^{a} y^{b} * x^{c} y^{d}",
-                                      cases)
-    return passed("dga-laws", cases)
+    def associativity():
+        # bounded triples; integer exponent/sign bookkeeping for both
+        # association orders, with the merged words built both ways
+        rich = [(dsum, lsum, wx, wy, word_letters(wx), word_letters(wy),
+                 word_degree(wx), word_degree(wy))
+                for dsum, lsum, wx, wy in pair_words]
+        max_deg = caps.max_degree
+        for d1, l1, ux, uy, lux, luy, dux, duy in rich:
+            if l1 > _LETTER_BUDGET:
+                break
+            for d2, l2, vx, vy, lvx, lvy, dvx, dvy in rich:
+                if l1 + l2 > _LETTER_BUDGET:
+                    break
+                if d1 + d2 > max_deg:
+                    continue
+                uvx = word_mul(ux, vx)
+                uvy = word_mul(uy, vy)
+                for d3, l3, wx, wy, lwx, lwy, dwx, dwy in rich:
+                    if l1 + l2 + l3 > _LETTER_BUDGET:
+                        break
+                    if d1 + d2 + d3 > max_deg:
+                        continue
+                    exp_left = lvx * luy + lwx * (luy + lvy)
+                    exp_right = lwx * lvy + (lvx + lwx) * luy
+                    sign_left = (dvx * duy + dwx * (duy + dvy)) % 2
+                    sign_right = (dwx * dvy + (dvx + dwx) * duy) % 2
+                    if (exp_left != exp_right or sign_left != sign_right) and \
+                            qpow(exp_left) * (-1) ** sign_left != \
+                            qpow(exp_right) * (-1) ** sign_right:
+                        yield f"associativity at {pairs((ux, uy), (vx, vy), (wx, wy))}"
+                    elif word_mul(uvx, wx) != word_mul(ux, word_mul(vx, wx)) or \
+                            word_mul(uvy, wy) != word_mul(uy, word_mul(vy, wy)):
+                        yield ("word concatenation not associative at "
+                               f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
+                    else:
+                        yield None
+
+    def commutation():
+        # the degree-0 commutation relation, exhaustively at the exponent cap
+        for a, b, c, d in product(range(caps.max_exponent + 1), repeat=4):
+            sign, e, mx, my = pair_mul((a,), (b,), (c,), (d,))
+            yield None if (mx, my) == ((a + c,), (b + d,)) and \
+                sign * qpow(e) == qpow(b * c) \
+                else f"commutation at x^{a} y^{b} * x^{c} y^{d}"
+
+    count, failures = tally(unit_and_nilpotence(), 2)
+    if not failures:
+        more, failures = tally(chain(leibniz(), associativity(), commutation()))
+        count += more
+    if failures:
+        return failed("dga-laws", failures[None], count)
+    return passed("dga-laws", count)
 
 
 def check_derived_conditions(rmt: RightModuleTwist, caps: Caps) -> CheckResult:
@@ -606,70 +561,39 @@ def check_derived_conditions(rmt: RightModuleTwist, caps: Caps) -> CheckResult:
     Four consequences of the module twisting axioms plus invertibility:
     how the inverse interacts with multiplication on the polynomial side,
     with the left y-action, and with the algebra twist.  All are verified
-    directly on monomial triples within caps.
+    directly on monomial triples within caps; each triple counts four
+    cases, and every triple runs, to name each condition that fails.
     """
     twist = rmt.twist
     n = rmt.rank
-    E = caps.max_exponent
-    cases = 0
-    conditions: dict[str, str] = {}
+    exps = range(caps.max_exponent + 1)
+    cross, uncross = rmt.cross_word, rmt.uncross_word
 
-    def cross_vec(k: int, j: int, i: int) -> list[Fraction]:
-        vec = [Fraction(0)] * n
-        for c, l in rmt.cross_word(k, j, i):
-            vec[l] += c
-        return vec
+    def cases():
+        for k, j, i, e in product(range(n), exps, exps, exps):
+            failures = {}
+            # left x-multiplication absorbed by uncross-then-cross
+            if _vector(n, cross(k, j, e)) != _vector(n, _compose(
+                    uncross(i, k, j), lambda l: cross(l, j, i + e))):
+                failures["mul-exchange"] = f"x^{i} ⊗ f_{k + 1} y^{j} ⊗ x^{e}"
+            # uncrossing after the right y-action reduces to the inverse
+            # algebra-twist scale
+            if _vector(n, _compose(cross(k, j, i), lambda l: uncross(i, l, j + e))) \
+                    != _vector(n, [(twist.qpow(-i * e), k)]):
+                failures["y-action-exchange"] = f"f_{k + 1} y^{j} ⊗ x^{i} ⊗ y^{e}"
+            # uncross of a product of x-powers splits in two steps
+            if _vector(n, uncross(i + e, k, j)) != _vector(n, _compose(
+                    uncross(e, k, j), lambda l: uncross(i, l, j))):
+                failures["uncross-product"] = f"x^{i} * x^{e} ⊗ f_{k + 1} y^{j}"
+            # the crossed left y-action commutes with uncrossing
+            if [twist.qpow(i * e) * c for c in _vector(n, uncross(i, k, j + e))] \
+                    != _vector(n, uncross(i, k, j)):
+                failures["crossed-y-action"] = f"y^{e} ⊗ x^{i} ⊗ f_{k + 1} y^{j}"
+            yield failures or None
 
-    def uncross_vec(i: int, k: int, j: int) -> list[Fraction]:
-        vec = [Fraction(0)] * n
-        for c, l in rmt.uncross_word(i, k, j):
-            vec[l] += c
-        return vec
-
-    for k in range(n):
-        for j in range(E + 1):
-            for i in range(E + 1):
-                for e in range(E + 1):
-                    cases += 4
-                    # left x-multiplication absorbed by uncross-then-cross
-                    lhs = cross_vec(k, j, e)
-                    rhs = [Fraction(0)] * n
-                    for c, l in rmt.uncross_word(i, k, j):
-                        for c2, p in rmt.cross_word(l, j, i + e):
-                            rhs[p] += c * c2
-                    if lhs != rhs and "mul-exchange" not in conditions:
-                        conditions["mul-exchange"] = (
-                            f"x^{i} ⊗ f_{k + 1} y^{j} ⊗ x^{e}")
-                    # uncrossing after the right y-action reduces to the
-                    # inverse algebra-twist scale
-                    lhs2 = [Fraction(0)] * n
-                    for c, l in rmt.cross_word(k, j, i):
-                        for c2, p in rmt.uncross_word(i, l, j + e):
-                            lhs2[p] += c * c2
-                    rhs2 = [Fraction(0)] * n
-                    rhs2[k] = twist.qpow(-i * e)
-                    if lhs2 != rhs2 and "y-action-exchange" not in conditions:
-                        conditions["y-action-exchange"] = (
-                            f"f_{k + 1} y^{j} ⊗ x^{i} ⊗ y^{e}")
-                    # uncross of a product of x-powers splits in two steps
-                    lhs3 = uncross_vec(i + e, k, j)
-                    rhs3 = [Fraction(0)] * n
-                    for c, l in rmt.uncross_word(e, k, j):
-                        for c2, p in rmt.uncross_word(i, l, j):
-                            rhs3[p] += c * c2
-                    if lhs3 != rhs3 and "uncross-product" not in conditions:
-                        conditions["uncross-product"] = (
-                            f"x^{i} * x^{e} ⊗ f_{k + 1} y^{j}")
-                    # the crossed left y-action commutes with uncrossing
-                    lhs4 = [twist.qpow(i * e) * c for c in uncross_vec(i, k, j + e)]
-                    rhs4 = uncross_vec(i, k, j)
-                    if lhs4 != rhs4 and "crossed-y-action" not in conditions:
-                        conditions["crossed-y-action"] = (
-                            f"y^{e} ⊗ x^{i} ⊗ f_{k + 1} y^{j}")
-
-    name = "derived-compat"
-    if conditions:
-        cond, witness = next(iter(conditions.items()))
-        return failed(name, f"{cond} at {witness}", cases,
-                      failed_conditions=sorted(conditions))
-    return passed(name, cases)
+    count, failures = tally(cases(), 4, until=None)
+    if failures:
+        cond, witness = next(iter(failures.items()))
+        return failed("derived-compat", f"{cond} at {witness}", count,
+                      failed_conditions=sorted(failures))
+    return passed("derived-compat", count)

@@ -20,7 +20,7 @@ from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm
 from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from twistconn.product import ProductConnection, ProductVector, \
-    act_right_form, f_naive_to_free
+    act_right_form, f_naive_to_free, naive_vector
 from twistconn.runner import run_checks
 from twistconn.scenario import load_scenario
 
@@ -81,7 +81,7 @@ class TestFormSwap:
 class TestLeftAction:
     def test_unital(self):
         twist, rmt, lmt, pc, _ = canonical(2, m=1, n=1)
-        pv = pc.f_naive_basis(0, 1, 1) + ProductVector.e_basis(
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 1) + ProductVector.e_basis(
             1, 1, 0, ProductForm.monomial(2, 0))
         assert act_left(twist, rmt, lmt, ProductForm.unit(), pv) == pv
 
@@ -99,7 +99,7 @@ class TestLeftAction:
 
     def test_f_block_left_multiplication(self):
         twist, rmt, lmt, pc, _ = canonical(2)
-        pv = pc.f_naive_basis(0, 0, 1)
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 0, 1)
         out = act_left(twist, rmt, lmt, ProductForm.monomial(1, 0), pv)
         naive = f_naive_to_free(rmt, [ProductForm.monomial(1, 1)])
         assert list(out.f) == naive
@@ -131,7 +131,7 @@ class TestProductSwap:
 
     def test_linearity_in_one_form(self):
         twist, rmt, lmt, pc, ps = canonical(2)
-        pv = pc.f_naive_basis(0, 1, 1)
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 1)
         w1 = ProductForm.pair((1, 0), (1,))
         w2 = ProductForm.pair((2,), (0, 1))
         assert ps.apply(w1 + w2, pv) == ps.apply(w1, pv) + ps.apply(w2, pv)
@@ -277,7 +277,7 @@ class TestDenseSwap:
 
     def test_columns_match_per_call_evaluation(self):
         pc, ps = dense(2, self.S)
-        pv = pc.f_naive_basis(1, 1, 0) + pc.e_naive_basis(0, 0, 1)
+        pv = naive_vector(pc.m, pc.rmt, "f", 1, 1, 0) + naive_vector(pc.m, pc.rmt, "e", 0, 0, 1)
         w = ProductForm.pair((1, 0), (1,), 3) + ProductForm.pair((1,), (0, 1))
         columns: dict = {}
         first = ps.apply(w, pv, columns)

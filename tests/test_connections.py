@@ -42,7 +42,7 @@ class TestNabla:
             vec = conn.basis_vector(k)
             for exp in range(3):
                 a = Form.gen_power("x", exp)
-                lhs = conn.nabla(conn.scale_vector(vec, a))
+                lhs = conn.nabla([e * a for e in vec])
                 rhs = [w * a for w in conn.nabla(vec)]
                 rhs[k] = rhs[k] + a.d()
                 assert lhs == rhs
@@ -60,7 +60,7 @@ class TestNabla:
 class TestCurvature:
     def test_grassmann_flat(self):
         conn = ModuleConnection.grassmann("x", 2)
-        assert conn.is_flat_matrix
+        assert all(e.is_zero for row in conn.curvature_matrix() for e in row)
         vec = [form("x^2 + 1"), form("x")]
         assert all(w.is_zero for w in conn.curvature_apply(vec))
 
@@ -80,7 +80,7 @@ class TestCurvature:
         for exp in range(4):
             a = Form.gen_power("x", exp)
             vec = [Form.gen_power("x", 1)]
-            lhs = conn.curvature_apply(conn.scale_vector(vec, a))
+            lhs = conn.curvature_apply([e * a for e in vec])
             rhs = [w * a for w in conn.curvature_apply(vec)]
             assert lhs == rhs
 

@@ -1,0 +1,137 @@
+"""Fail paths of the checks whose loops count several cases per step or keep
+going after a failure to fill ``detail``.
+
+Each pin is the full ``to_dict()`` of a check under one corrupted kernel:
+verdict, cases, witness and detail.  The unit loop of ``twist-axioms`` is
+pinned in tests/test_twist.py.
+"""
+
+import pytest
+
+import twistconn.twist as twist_module
+from twistconn.bimodule import (FormSwap, ProductSwap, check_swap_compat_e,
+                                check_swap_compat_f, check_swap_cross_morphisms)
+from twistconn.forms import Caps, Form, parse_form
+from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
+                             RightModuleTwist, check_derived_conditions,
+                             check_dga_laws, check_lift_compat,
+                             check_twist_axioms)
+
+KERNEL = twist_module.word_twist
+Q2 = AlgebraTwist(2)
+
+
+def kernel_with(monkeypatch, extra_sign=None, extra_exponent=None):
+    """word_twist with a sign or an exponent term added, from the degrees."""
+    def mutant(wy, wx):
+        sign, e = KERNEL(wy, wx)
+        dx, dy = len(wx) - 1, len(wy) - 1
+        if extra_sign is not None:
+            sign *= extra_sign(dx, dy)
+        if extra_exponent is not None:
+            e += extra_exponent(dx, dy)
+        return sign, e
+
+    monkeypatch.setattr(twist_module, "word_twist", mutant)
+
+
+class TestWordKernel:
+    def test_fast_path_product_right(self, monkeypatch):
+        kernel_with(monkeypatch, extra_exponent=lambda dx, dy: (dx * dy) ** 2)
+        assert check_twist_axioms(Q2, Caps(1, 3)).to_dict() == {
+            "name": "twist-axioms", "verdict": "fail", "cases": 906,
+            "witness": "product-right: b=dy, a=dx, a'=dx",
+            "detail": {"failed_axioms": ["product-right"]}}
+
+    def test_fast_path_product_left(self, monkeypatch):
+        kernel_with(monkeypatch, extra_exponent=lambda dx, dy: dy * dy * dx)
+        assert check_twist_axioms(Q2, Caps(1, 3)).to_dict() == {
+            "name": "twist-axioms", "verdict": "fail", "cases": 906,
+            "witness": "product-left: b=dy, b'=dy, a=dx",
+            "detail": {"failed_axioms": ["product-left"]}}
+
+    def test_exponent_off_by_one(self, monkeypatch):
+        # the unit law fails on the second pair word; its loop counts 2 a word
+        kernel_with(monkeypatch, extra_exponent=lambda dx, dy: int(dx > 0))
+        assert check_dga_laws(Q2, Caps(1, 1)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": 10,
+            "witness": "unit law at (dx, 1)"}
+        assert check_lift_compat(Q2, Caps(1, 1)).to_dict() == {
+            "name": "lift-compat", "verdict": "fail", "cases": 4,
+            "witness": "d on x-side at (1, x): 2 dx ⊗ 1 != dx ⊗ 1"}
+
+    def test_without_koszul_sign(self, monkeypatch):
+        kernel_with(monkeypatch, extra_sign=lambda dx, dy: -1 if dx * dy % 2
+                    else 1)
+        assert check_dga_laws(Q2, Caps(1, 1)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": 65,
+            "witness": "graded Leibniz at (1, y) * (dx, 1)"}
+        assert check_lift_compat(Q2, Caps(1, 1)).to_dict() == {
+            "name": "lift-compat", "verdict": "fail", "cases": 18,
+            "witness": "d on y-side at (y, dx): 2 dx ⊗ dy != -2 dx ⊗ dy"}
+        assert check_twist_axioms(Q2, Caps(2, 2)).to_dict() == {
+            "name": "twist-axioms", "verdict": "pass", "cases": 3534}
+
+
+@pytest.mark.parametrize("s", [[[2, 1], [1, 1]], [[2, 1], [3, 2]]])
+class TestDerivedConditions:
+    """derived-compat counts 4 cases a step and runs every step."""
+
+    def test_cross_without_q_power(self, monkeypatch, s):
+        def cross(self, k, own, other, sign=1):
+            row = self.matrix_power(sign * other)[k]
+            return [(row[l], l) for l in range(self.rank) if row[l]]
+
+        monkeypatch.setattr(ModuleTwist, "cross", cross)
+        result = check_derived_conditions(RightModuleTwist(Q2, s), Caps(2, 2))
+        assert result.to_dict() == {
+            "name": "derived-compat", "verdict": "fail", "cases": 216,
+            "witness": "y-action-exchange at f_1 y^0 ⊗ x^1 ⊗ y^1",
+            "detail": {"failed_conditions": ["crossed-y-action",
+                                             "y-action-exchange"]}}
+
+    def test_cross_without_inverse_power(self, monkeypatch, s):
+        def cross(self, k, own, other, sign=1):
+            q = self.twist.qpow(sign * own * other)
+            row = self.matrix_power(other)[k]
+            return [(q * row[l], l) for l in range(self.rank) if row[l]]
+
+        monkeypatch.setattr(ModuleTwist, "cross", cross)
+        result = check_derived_conditions(RightModuleTwist(Q2, s), Caps(2, 2))
+        assert result.to_dict() == {
+            "name": "derived-compat", "verdict": "fail", "cases": 216,
+            "witness": "mul-exchange at x^1 ⊗ f_1 y^0 ⊗ x^0",
+            "detail": {"failed_conditions": ["mul-exchange",
+                                             "y-action-exchange"]}}
+
+
+@pytest.mark.parametrize("q", [2, -3])
+@pytest.mark.parametrize("value", ["t dt", "dt t"])
+def test_swap_equation_fails(q, value):
+    """A factor swap that adds a letter fails its equation; the equation
+    loop runs to its end and the morphism loop fills the detail."""
+    twist = AlgebraTwist(q)
+    rmt = RightModuleTwist(twist, [[2, 1], [3, 2]])
+    lmt = LeftModuleTwist(twist, [[1, 2], [1, 3]])
+
+    def swap(gen):
+        zero = Form.zero(gen)
+        return FormSwap(gen, 2, [[parse_form(gen, value.replace("t", gen)), zero],
+                                 [zero, Form.d_gen(gen)]])
+
+    ps = ProductSwap(twist, rmt, lmt, swap("x"), swap("y"))
+    caps = Caps(1, 1)
+    assert check_swap_compat_e(ps, caps).to_dict() == {
+        "name": "swap-compat-e", "verdict": "fail", "cases": 528,
+        "witness": "y^1 ⊗ dx ⊗ e_1",
+        "detail": {"equation": "fail", "left_morphism": "fail",
+                   "right_morphism": "pass", "equivalence_agrees": True}}
+    assert check_swap_compat_f(ps, caps).to_dict() == {
+        "name": "swap-compat-f", "verdict": "fail", "cases": 528,
+        "witness": "dy ⊗ f_1 ⊗ x^1",
+        "detail": {"equation": "fail", "left_morphism": "pass",
+                   "right_morphism": "fail", "equivalence_agrees": True}}
+    assert check_swap_cross_morphisms(ps, caps).to_dict() == {
+        "name": "swap-cross-morphisms", "verdict": "pass", "cases": 1024,
+        "detail": {"yform_eblock_left": "pass", "yform_eblock_right": "pass",
+                   "xform_fblock_left": "pass", "xform_fblock_right": "pass"}}

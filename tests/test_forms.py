@@ -82,18 +82,6 @@ class TestDifferential:
                     assert (u * v) * t == u * (v * t)
 
 
-class TestGradeInvolution:
-    def test_degree_zero_fixed(self):
-        assert w("x", 1).grade_involution() == w("x", 1)
-
-    def test_degree_one_negated(self):
-        assert w("x", 0, 0).grade_involution() == -w("x", 0, 0)
-
-    def test_even_degrees_fixed(self):
-        u = w("x", 2) + w("x", 0, 0, 0)
-        assert u.grade_involution() == u
-
-
 class TestEnumeration:
     def test_degree_zero(self):
         assert enumerate_words(0, 1) == [(0,), (1,)]

@@ -117,3 +117,53 @@ class TestConnectionCompatWitnesses:
         assert verdict(right) == ("pass", 32 * rank, None)
         assert verdict(left) == ("pass", 16 * rank, None)
 
+
+
+NON_SYMMETRIC_S = [[2, 1], [3, 2]]
+
+
+@pytest.mark.parametrize("q", QS)
+class TestNonSymmetricS:
+    """The right-side pins again with a non-symmetric S.
+
+    A symmetric S cannot tell a row of S^i from a column, so each right-side
+    witness above is repeated with S = [[2, 1], [3, 2]].
+    """
+
+    def rmt(self, q):
+        return RightModuleTwist(AlgebraTwist(q), NON_SYMMETRIC_S)
+
+    def test_right_broken_multiplicativity(self, q):
+        rmt = self.rmt(q)
+
+        def broken(k, j, i):
+            terms = rmt.cross_word(k, j, i)
+            return [(2 * c, l) for c, l in terms] if i >= 2 else terms
+
+        assert verdict(check_right_module_twist(rmt, CAPS, twist_map=broken)) == (
+            "fail", MULT_R[2], "multiplicativity at f_1 y^0 ⊗ x^1 * x^1")
+
+    def test_right_wrong_q(self, q):
+        wrong = RightModuleTwist(AlgebraTwist(3 * q), NON_SYMMETRIC_S).cross_word
+        assert verdict(check_right_module_twist(self.rmt(q), CAPS,
+                                                twist_map=wrong)) == (
+            "fail", WRONG_Q_R[2], "module action at f_1 y^0 * y^1 ⊗ x^1")
+
+    def test_right_passes_unbroken(self, q):
+        assert verdict(check_right_module_twist(self.rmt(q), CAPS)) == (
+            "pass", 2 * 129, None)
+
+    @pytest.mark.parametrize("text", ["dy", "y dy"])
+    def test_connection_compat(self, q, text):
+        rmt = self.rmt(q)
+        conn_f = ModuleConnection("y", 2, potential("y", text, 2))
+        result = check_twist_connection_compat(rmt.twist, rmt, conn_f, CAPS)
+        assert verdict(result) == (
+            "fail", 3, "f_1 y^0 ⊗ x^1: twist-then-connect differs from "
+            "connect-then-twist (q-weight mismatch)")
+
+    def test_grassmann_compat_passes(self, q):
+        rmt = self.rmt(q)
+        result = check_twist_connection_compat(
+            rmt.twist, rmt, ModuleConnection.grassmann("y", 2), CAPS)
+        assert verdict(result) == ("pass", 32 * 2, None)

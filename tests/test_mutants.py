@@ -25,15 +25,20 @@ def scenario(q, s):
                          f"max_degree: 1\n[S]\n{rows}[T]\n1 2\n1 3\n")
 
 
-def red_checks(q, s):
-    """Names of the checks that fail when every check runs ungated."""
+def red_results(q, s):
+    """The results that fail when every check runs ungated, in run order."""
     sc = scenario(q, s)
     objs = runner.build_objects(sc)
     report = Report(config=sc.config_echo())
     by_name = {check.name: check for check in runner.CHECKS}
     for name in runner.resolve_checks(list(KNOWN_CHECKS)):
         report.add(by_name[name].run(objs, sc, report))
-    return {r.name for r in report.results if r.failed}
+    return [r for r in report.results if r.failed]
+
+
+def red_checks(q, s):
+    """Names of the checks that fail when every check runs ungated."""
+    return {r.name for r in red_results(q, s)}
 
 
 class _Inverse:
@@ -140,3 +145,101 @@ def test_unmutated_runtime_passes_every_check(q, s):
 def test_mutant_turns_checks_red(monkeypatch, mutate, s, red, q):
     mutate(monkeypatch)
     assert red_checks(q, s) == red
+
+
+def red(name, cases, witness, **detail):
+    """The to_dict() of a failed result."""
+    out = {"name": name, "verdict": "fail", "cases": cases, "witness": witness}
+    if detail:
+        out["detail"] = detail
+    return out
+
+
+def morphisms(e_left="pass", e_right="pass", f_left="pass", f_right="pass"):
+    """The detail of swap-cross-morphisms: y-form/e-block, x-form/f-block."""
+    return {"yform_eblock_left": e_left, "yform_eblock_right": e_right,
+            "xform_fblock_left": f_left, "xform_fblock_right": f_right}
+
+
+def compat(equation="pass", left="pass", right="pass", agrees=True):
+    """The detail of swap-compat-e/f."""
+    return {"equation": equation, "left_morphism": left,
+            "right_morphism": right, "equivalence_agrees": agrees}
+
+
+_LEFT_Y_E = "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ e_1 x^0 ⊗ y^0"
+
+# every red result of each row, the same at q = 2 and q = -3: verdict,
+# cases, witness and detail of each check that turns red
+RED_RESULTS = {
+    (left_with_t_inverse, str(SYMMETRIC_S)): [
+        red("swap-cross-morphisms", 1024, _LEFT_Y_E, **morphisms(e_left="fail")),
+        red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
+    ],
+    (left_with_s_forward, str(SYMMETRIC_S)): [
+        red("swap-compat-f", 528, "left: x ⊗ 1 . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+            **compat(left="fail")),
+        red("swap-cross-morphisms", 1024,
+            "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
+            **morphisms(f_left="fail")),
+        red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
+    ],
+    (right_normal_base_sign_flipped, str(SYMMETRIC_S)): [
+        red("swap-compat-e", 528, "equation and left-morphism verdicts "
+            "disagree: left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
+            **compat(left="fail", agrees=False)),
+        red("swap-compat-f", 528, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+            **compat(left="fail")),
+        red("swap-cross-morphisms", 1024, _LEFT_Y_E,
+            **morphisms(e_left="fail", f_left="fail")),
+        red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
+    ],
+    (right_normal_recursion_sign_flipped, str(SYMMETRIC_S)): [
+        red("swap-compat-e", 528, "equation and left-morphism verdicts "
+            "disagree: left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
+            **compat(left="fail", agrees=False)),
+        red("swap-compat-f", 528, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+            **compat(left="fail")),
+        red("swap-cross-morphisms", 1024, _LEFT_Y_E,
+            **morphisms(e_left="fail", f_left="fail")),
+    ],
+    # both conditions of the y-form/e-block piece fail, so that piece stops
+    # at the end of the basis vector where the second one failed
+    (dropped_q, str(SYMMETRIC_S)): [
+        red("swap-cross-morphisms", 536,
+            "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ e_1 x^1 ⊗ y^0",
+            **morphisms(e_left="fail", e_right="fail")),
+        red("bimodule-theorem", 10, "1 ⊗ y . (e_1 x^1 ⊗ y^0)"),
+    ],
+    (free_to_naive_transposed, str(SYMMETRIC_S)): [],
+    (free_to_naive_transposed, str(NON_SYMMETRIC_S)): [
+        red("leibniz", 35, "leibniz fails at x^0 ⊗ f_1 y^0 acted by x ⊗ 1"),
+        red("quantum-plane-report", 0,
+            "symbolic display did not match the computed connection"),
+        red("swap-compat-f", 528, "equation and right-morphism verdicts "
+            "disagree: right: (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0 . x ⊗ 1",
+            **compat(right="fail", agrees=False)),
+        red("swap-cross-morphisms", 520,
+            "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
+            **morphisms(f_left="fail", f_right="fail")),
+        red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("q", [2, -3])
+@pytest.mark.parametrize("mutate, s, red_names", ROWS,
+                         ids=[f"{row[0].__name__}-S{row[1]}" for row in ROWS])
+def test_mutant_red_results(monkeypatch, mutate, s, red_names, q):
+    mutate(monkeypatch)
+    expected = RED_RESULTS[(mutate, str(s))]
+    assert [r.to_dict() for r in red_results(q, s)] == expected
+    assert {d["name"] for d in expected} == red_names
+
+
+def test_right_normal_matches_recursion():
+    """The two-term normal form equals the defining recursion."""
+    recursion = _normal_form(1, -1)
+    for a in range(7):
+        for b in range(7):
+            assert bimodule._right_normal(a, b) == recursion(a, b)

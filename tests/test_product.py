@@ -17,7 +17,7 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_curvature_formula, check_flatness,
                                check_twist_connection_compat,
                                check_twist_independence, curvature_formula_rhs,
-                               f_free_to_naive, f_naive_to_free,
+                               f_free_to_naive, f_naive_to_free, naive_vector,
                                quantum_plane_report, random_degree0_vector,
                                reduced_presentation)
 from twistconn.scenario import load_scenario_file
@@ -88,13 +88,13 @@ class TestRightAction:
 
     def test_f_block_plain_x(self):
         pc = grassmann_pc(Q2)
-        pv = pc.f_naive_basis(0, 0, 0)
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 0, 0)
         out = act_right(Q2, pv, ProductForm.monomial(1, 0))
         assert f_free_to_naive(pc.rmt, out.f)[0] == ProductForm.monomial(1, 0)
 
     def test_f_block_crossing_picks_up_q(self):
         pc = grassmann_pc(Q2)
-        pv = pc.f_naive_basis(0, 0, 1)  # 1 ⊗ f_1 y
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 0, 1)  # 1 ⊗ f_1 y
         out = act_right(Q2, pv, ProductForm.monomial(1, 0))
         assert out.f[0] == ProductForm.monomial(1, 1, 2)
 
@@ -105,7 +105,7 @@ class TestRightAction:
 
     def test_associative_unital(self):
         pc = grassmann_pc(Q2, n=2, matrix=UT)
-        pv = pc.f_naive_basis(0, 1, 1)
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 1)
         w1 = ProductForm.monomial(1, 0)
         w2 = ProductForm.monomial(0, 2)
         lhs = act_right(Q2, act_right(Q2, pv, w1), w2)
@@ -119,19 +119,19 @@ class TestBlockMaps:
         pc = grassmann_pc(Q2, m=2)
         coords = [ProductForm.monomial(2, 1), ProductForm.monomial(0, 3)]
         pv = ProductVector(coords, [ProductForm.zero()])
-        out = pc.nabla1(pv)
-        assert list(out.e) == [c.d() for c in coords]
+        out = pc.nabla(pv)
+        assert list(out.e) == pc.nabla_e_block(coords) == [c.d() for c in coords]
         assert all(w.is_zero for w in out.f)
 
     def test_first_block_unit_kernel(self):
         pc = grassmann_pc(Q2)
-        out = pc.nabla1(ProductVector.e_basis(1, 1, 0))
-        assert out.is_zero
+        out = pc.nabla_e_block(ProductVector.e_basis(1, 1, 0).e)
+        assert all(w.is_zero for w in out)
 
     def test_first_block_y_coordinate(self):
         pc = grassmann_pc(Q2)
         pv = ProductVector.e_basis(1, 1, 0, ProductForm.monomial(0, 1))
-        assert pc.nabla1(pv).e[0] == ProductForm.pair((0,), (0, 0))
+        assert pc.nabla_e_block(pv.e)[0] == ProductForm.pair((0,), (0, 0))
 
     def test_second_block_generator_formula(self):
         # x ⊗ (y^{i_1}, y^{i_2}) for the product of Grassmann connections
@@ -150,7 +150,7 @@ class TestBlockMaps:
 
     def test_second_block_unit_kernel(self):
         pc = grassmann_pc(Q2)
-        assert pc.nabla2(pc.f_naive_basis(0, 0, 0)).is_zero
+        assert pc.nabla2(naive_vector(pc.m, pc.rmt, "f", 0, 0, 0)).is_zero
 
     def test_second_block_rescaling_form(self):
         # x^j ⊗ f_1 b picks up b(q^{-j} y) next to d(x^j)
@@ -179,7 +179,7 @@ class TestProductNabla:
 
     def test_zero_maps_to_zero(self):
         pc = potential_pc(Q2)
-        assert pc.nabla(pc.zero_vector()).is_zero
+        assert pc.nabla(ProductVector.zero(pc.m, pc.n)).is_zero
 
     def test_classical_specialization(self):
         # q = 1 with identity mixing agrees with the untwisted formula
@@ -205,13 +205,13 @@ class TestProductNabla:
 class TestCurvature:
     def test_flat_product(self):
         pc = grassmann_pc(Q2, n=2, matrix=UT)
-        for label, pv in [("e", pc.e_naive_basis(0, 1, 2)),
-                          ("f", pc.f_naive_basis(1, 2, 1))]:
+        for label, pv in [("e", naive_vector(pc.m, pc.rmt, "e", 0, 1, 2)),
+                          ("f", naive_vector(pc.m, pc.rmt, "f", 1, 2, 1))]:
             assert pc.curvature(pv).is_zero, label
 
     def test_single_potential_value(self):
         pc = potential_pc(Q2)
-        out = pc.curvature(pc.e_naive_basis(0, 0, 1))
+        out = pc.curvature(naive_vector(pc.m, pc.rmt, "e", 0, 0, 1))
         expected = ProductForm(
             {(wv, (1,)): c
              for wv, c in parse_form("x", "dx dx + x dx x dx").terms.items()})
@@ -220,7 +220,7 @@ class TestCurvature:
 
     def test_f_only_input_stays_flat(self):
         pc = potential_pc(Q2)
-        assert pc.curvature(pc.f_naive_basis(0, 1, 2)).is_zero
+        assert pc.curvature(naive_vector(pc.m, pc.rmt, "f", 0, 1, 2)).is_zero
 
     def test_block_diagonal(self):
         twist = AlgebraTwist(2)
@@ -228,9 +228,9 @@ class TestCurvature:
         conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
         conn_f = ModuleConnection("y", 1, [[parse_form("y", "y dy y")]])
         pc = ProductConnection(twist, rmt, conn_e, conn_f)
-        out_e = pc.curvature(pc.e_naive_basis(0, 1, 1))
+        out_e = pc.curvature(naive_vector(pc.m, pc.rmt, "e", 0, 1, 1))
         assert all(w.is_zero for w in out_e.f)
-        out_f = pc.curvature(pc.f_naive_basis(0, 1, 1))
+        out_f = pc.curvature(naive_vector(pc.m, pc.rmt, "f", 0, 1, 1))
         assert all(w.is_zero for w in out_f.e)
 
     def test_formula_rhs_matches(self):
@@ -351,7 +351,7 @@ class TestTheoremChecks:
 class TestReducedPresentation:
     def test_exhibits_inverse_q_powers(self):
         pc = grassmann_pc(Q2)
-        pv = pc.f_naive_basis(0, 1, 0)
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 0)
         out = pc.nabla(pv)
         reduced = reduced_presentation(Q2, pc.rmt, out)
         # the dx-carrying term sits over 1 ⊗ f_1 with no rescaling here

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from twistconn.forms import Caps, Form, enumerate_words, word_degree
-from twistconn.tdga import (ProductForm, embed_x, embed_y, enumerate_pairs,
-                            enumerate_monomials)
+from twistconn.forms import (Caps, Form, enumerate_words, iter_word_tuples,
+                             word_degree)
+from twistconn.tdga import ProductForm, embed_x, embed_y, enumerate_monomials
 from twistconn.twist import AlgebraTwist
 
 from oracles import untwisted_mul
@@ -37,7 +37,7 @@ class TestMultiply:
         assert Q2.mul(u, one) == u
 
     def test_associativity_bounded(self):
-        pairs = enumerate_pairs(Caps(1, 2), total_degree=2)
+        pairs = list(iter_word_tuples(2, Caps(1, 2)))
         small = [p for p in pairs if sum(p[0]) + sum(p[1]) <= 2]
         for a in small:
             for b in small:
@@ -58,7 +58,7 @@ class TestMultiply:
 
     def test_untwisted_at_q_one(self):
         twist = AlgebraTwist(1)
-        pairs = enumerate_pairs(Caps(2, 2), total_degree=2)
+        pairs = list(iter_word_tuples(2, Caps(2, 2)))
         for p1 in pairs:
             u = ProductForm({p1: Fraction(1)})
             for p2 in pairs:
@@ -80,11 +80,11 @@ class TestDifferential:
         assert u.d() == ProductForm.pair((0, 0), (0, 0))
 
     def test_nilpotent(self):
-        for pair in enumerate_pairs(Caps(2, 2)):
+        for pair in iter_word_tuples(2, Caps(2, 2)):
             assert ProductForm({pair: Fraction(1)}).d().d().is_zero
 
     def test_graded_leibniz(self):
-        pairs = enumerate_pairs(Caps(2, 2), total_degree=2)
+        pairs = list(iter_word_tuples(2, Caps(2, 2)))
         for p1 in pairs:
             u = ProductForm({p1: Fraction(1)})
             sign = -1 if (word_degree(p1[0]) + word_degree(p1[1])) % 2 else 1

@@ -112,7 +112,7 @@ class TestRightModuleTwist:
     def test_matches_recursive_oracle(self, q, matrix):
         twist = AlgebraTwist(q)
         rmt = RightModuleTwist(twist, matrix, rank=2)
-        s = [list(row) for row in rmt.matrix]
+        s = [list(row) for row in rmt.matrix_power(1)]
         memo = {}
         for k in range(2):
             for j in range(4):
@@ -194,6 +194,17 @@ class TestCheckers:
         assert "product-left" in result.detail["failed_axioms"]
         assert result.cases == 178
         assert result.witness == "product-right: b=y, a=x, a'=x"
+
+    def test_unit_failure_counts_only_the_failing_word(self):
+        # the unit loop stops at its first failing word: 2 cases for the
+        # word 1, then 1 case for each product loop
+        result = check_twist_axioms(
+            Q2, Caps(1, 1), cross=lambda y, x: Q2.cross(y, x).scale(3))
+        assert result.to_dict() == {
+            "name": "twist-axioms", "verdict": "fail", "cases": 4,
+            "witness": "unit: 1 ⊗ 1 -> 3 1 ⊗ 1",
+            "detail": {"failed_axioms": ["product-left", "product-right",
+                                         "unit"]}}
 
     def test_kernel_without_koszul_sign_fails_product_checks(self, monkeypatch):
         # dga-laws and the runtime lift share the word kernel, so a kernel
