@@ -4,6 +4,11 @@
 --caps 1,1`` stdout of the CLI and ``exit_codes.json`` its exit code.  A
 refactor must leave both unchanged; a deliberate change of behaviour
 regenerates the files and says so in CHANGES.md.
+
+The benchmark's golden ``theorem`` runs (``perfbench/golden/theorem.json``,
+read only) replay here too: potential_e_q2 at its shipped caps with seeded
+random vectors, the byte guard of ``leibniz`` and ``curvature-formula``
+beyond caps 1,1.
 """
 
 import json
@@ -20,6 +25,8 @@ SCENARIOS = ("bad_hypothesis_q2", "bimodule_q2", "classical_q1",
 SUBCOMMANDS = ("check-axioms", "check-hypotheses", "theorem", "curvature",
                "report", "check-bimodule", "run")
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+THEOREM_RUNS = json.loads(
+    (ROOT / "perfbench" / "golden" / "theorem.json").read_text())["runs"]
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
@@ -36,3 +43,13 @@ def test_golden_set_is_complete():
     assert sorted(EXIT_CODES) == sorted(f"{s}.{c}" for s in SCENARIOS
                                         for c in SUBCOMMANDS)
     assert sorted(p.stem for p in GOLDEN.glob("*.*.json")) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("run", [THEOREM_RUNS[0], THEOREM_RUNS[-1]],
+                         ids=lambda run: run["input"])
+def test_benchmark_theorem_run(run, capsys):
+    code = main(["theorem", "--scenario",
+                 str(ROOT / "scenarios" / "potential_e_q2.cfg"),
+                 *run["input"].split(), "--format", "json"])
+    assert capsys.readouterr().out == run["stdout"]
+    assert code == run["exit"]

@@ -13,7 +13,9 @@ import pytest
 
 from test_bimodule import NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from twistconn import bimodule, product, runner
+from twistconn.forms import word_differential
 from twistconn.reports import Report
+from twistconn.tdga import ProductForm, add_column
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
@@ -25,15 +27,18 @@ def scenario(q, s):
                          f"max_degree: 1\n[S]\n{rows}[T]\n1 2\n1 3\n")
 
 
-def red_results(q, s):
+def ungated_red(sc):
     """The results that fail when every check runs ungated, in run order."""
-    sc = scenario(q, s)
     objs = runner.build_objects(sc)
     report = Report(config=sc.config_echo())
     by_name = {check.name: check for check in runner.CHECKS}
     for name in runner.resolve_checks(list(KNOWN_CHECKS)):
         report.add(by_name[name].run(objs, sc, report))
     return [r for r in report.results if r.failed]
+
+
+def red_results(q, s):
+    return ungated_red(scenario(q, s))
 
 
 def red_checks(q, s):
@@ -117,6 +122,43 @@ def free_to_naive_transposed(monkeypatch):
         monkeypatch.setattr(module, "f_free_to_naive", transposed)
 
 
+def _inverse_twist_term(rmt, coords):
+    """The inverse-twist term d(x^i) ⊗ f_l y^j of ∇ on degree-0 free
+    f-coordinates, in free coordinates (written here, apart from the kernel)."""
+    out = []
+    for form in product.f_free_to_naive(rmt, coords):
+        acc = {}
+        for (wx, wy), c in form.terms.items():
+            add_column(acc, c, [((w, wy), s) for w, s in word_differential(wx).items()])
+        out.append(ProductForm(acc))
+    return product.f_naive_to_free(rmt, out)
+
+
+# the second block of ∇: the inverse-twist term dropped
+def inverse_twist_dropped(monkeypatch):
+    block = product.ProductConnection.nabla_f_block
+
+    def dropped(self, coords):
+        return [a - b for a, b in
+                zip(block(self, coords), _inverse_twist_term(self.rmt, coords))]
+
+    monkeypatch.setattr(product.ProductConnection, "nabla_f_block", dropped)
+
+
+# ∇ negated on the f-block coordinates of degree >= 1
+def f_rest_negated(monkeypatch):
+    block = product.ProductConnection._potential_block
+
+    def negated(self, conn, coords):
+        out = block(self, conn, coords)
+        return [-w for w in out] if conn is self.conn_f else out
+
+    monkeypatch.setattr(product.ProductConnection, "_potential_block", negated)
+
+
+NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",
+                "quantum-plane-report", "bimodule-theorem"}
+
 ROWS = [
     (left_with_t_inverse, SYMMETRIC_S,
      {"swap-cross-morphisms", "bimodule-theorem"}),
@@ -130,6 +172,12 @@ ROWS = [
     (free_to_naive_transposed, NON_SYMMETRIC_S,
      {"leibniz", "quantum-plane-report", "swap-compat-f",
       "swap-cross-morphisms", "bimodule-theorem"}),
+    (inverse_twist_dropped, SYMMETRIC_S, NABLA_CHECKS),
+    (inverse_twist_dropped, NON_SYMMETRIC_S, NABLA_CHECKS),
+    # survives every check here: no y-side potential with nonzero
+    # curvature (see test_f_rest_negated_turns_curvature_formula_red)
+    (f_rest_negated, SYMMETRIC_S, set()),
+    (f_rest_negated, NON_SYMMETRIC_S, set()),
 ]
 
 
@@ -168,6 +216,15 @@ def compat(equation="pass", left="pass", right="pass", agrees=True):
 
 
 _LEFT_Y_E = "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ e_1 x^0 ⊗ y^0"
+
+_INVERSE_TWIST_DROPPED = [
+    red("leibniz", 35, "leibniz fails at x^0 ⊗ f_1 y^0 acted by x ⊗ 1"),
+    red("curvature-formula", 12, "curvature formula fails at x^1 ⊗ f_1 y^1"),
+    red("flatness", 12, "nonzero curvature at x^1 ⊗ f_1 y^1"),
+    red("quantum-plane-report", 0,
+        "symbolic display did not match the computed connection"),
+    red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
+]
 
 # every red result of each row, the same at q = 2 and q = -3: verdict,
 # cases, witness and detail of each check that turns red
@@ -224,6 +281,10 @@ RED_RESULTS = {
             **morphisms(f_left="fail", f_right="fail")),
         red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
     ],
+    (inverse_twist_dropped, str(SYMMETRIC_S)): _INVERSE_TWIST_DROPPED,
+    (inverse_twist_dropped, str(NON_SYMMETRIC_S)): _INVERSE_TWIST_DROPPED,
+    (f_rest_negated, str(SYMMETRIC_S)): [],
+    (f_rest_negated, str(NON_SYMMETRIC_S)): [],
 }
 
 
@@ -237,9 +298,30 @@ def test_mutant_red_results(monkeypatch, mutate, s, red_names, q):
     assert {d["name"] for d in expected} == red_names
 
 
+# a y-side potential with nonzero curvature: ∇ of degree >= 1 f-coordinates
+# enters the curvature through the second application of ∇
+Y_POTENTIAL = ("q: 1\nm: 1\nn: 1\nmax_exponent: 2\nmax_degree: 2\n"
+               "[potential_F]\n(1,1): y dy\n")
+
+
+def y_potential_red_results():
+    return [r.to_dict() for r in ungated_red(load_scenario(Y_POTENTIAL))]
+
+
+def test_f_rest_negated_turns_curvature_formula_red(monkeypatch):
+    clean = y_potential_red_results()
+    assert [d["name"] for d in clean] == ["bimodule-connection-y",
+                                          "bimodule-theorem"]
+    f_rest_negated(monkeypatch)
+    mutated = y_potential_red_results()
+    assert mutated == [red("curvature-formula", 10, "curvature formula fails "
+                           "at x^0 ⊗ f_1 y^0")] + clean
+
+
 def test_right_normal_matches_recursion():
     """The two-term normal form equals the defining recursion."""
     recursion = _normal_form(1, -1)
     for a in range(7):
         for b in range(7):
             assert bimodule._right_normal(a, b) == recursion(a, b)
+

@@ -1,13 +1,18 @@
 """Scenario parsing, validation, and the check runner."""
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twistconn.cli import main
 from twistconn.forms import Caps
 from twistconn.scenario import (KNOWN_CHECKS, Scenario, ScenarioError,
                                 load_scenario)
-from twistconn.runner import CHECKS, resolve_checks, run_checks
+from twistconn.runner import CHECKS, build_objects, resolve_checks, run_checks
 
 MINIMAL = """
 q: 2
@@ -233,3 +238,54 @@ checks: report
         assert report.find("quantum-plane-report").passed
         payload = report.payloads["quantum-plane"]
         assert payload["grassmann_display"]["verified"]
+
+
+# lines of scenario text that are well formed on their own ...
+KEYS = ("q: 2", "q: -3/2", "m: 1", "m: 2", "n: 1", "n: 2", "max_exponent: 1",
+        "max_degree: 1", "seed: 3", "checks: axioms, hypotheses",
+        "f_exponents: 2", "f_exponents: 1 2", "remark_power: 3")
+SECTIONS = ("[S]", "[S_alt]", "[T]", "[potential_E]", "[potential_F]",
+            "[phi]", "[psi]")
+BODIES = ("1 0", "0 1", "1 1", "2 1", "1", "(1,1): x dx", "(1,1): dy",
+          "(2,1): y dy", "(1,2): dx", "# a comment", "")
+# ... and broken ones: bad values, unknown keys and sections, bad rows and
+# entries
+BROKEN = (
+    "q: 0", "q: 1/0", "q: abc", "q:", "m: 0", "m: -1", "n: x",
+    "max_exponent: 0", "max_exponent: 1.5", "max_degree: -2", "seed: x",
+    "checks: nope", "f_exponents: -1", "remark_power: x", "foo: 1", "q 2",
+    ":", "[bogus]", "[S", "0 0", "1/2 x", "(1,2): dx -", "(3,3): dx",
+    "(1,1): x", "(1,1) dx", "(0,1): dy")
+VOCABULARY = KEYS + SECTIONS + BODIES + BROKEN
+
+lines = st.one_of(st.sampled_from(VOCABULARY),
+                  st.text(st.characters(blacklist_categories=("Cs",)),
+                          max_size=12))
+# distinct keys, then distinct sections with well-formed bodies: these load
+# far more often than shuffled lines
+laid_out = st.tuples(
+    st.lists(st.sampled_from(KEYS), unique_by=lambda k: k.split(":")[0]),
+    st.lists(st.tuples(st.sampled_from(SECTIONS),
+                       st.lists(st.sampled_from(BODIES), max_size=3)),
+             unique_by=lambda sec: sec[0], max_size=4),
+).map(lambda ks: list(ks[0]) + [line for head, body in ks[1]
+                                for line in (head, *body)])
+scenario_texts = st.one_of(laid_out, st.lists(st.sampled_from(VOCABULARY),
+                                              max_size=12),
+                           st.lists(lines, max_size=12)).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_texts)
+def test_arbitrary_text_loads_builds_or_exits_2(text):
+    """Scenario text either loads and builds, or raises ScenarioError, on
+    which the CLI exits 2."""
+    try:
+        scenario = load_scenario(text)
+    except ScenarioError:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert main(["check-axioms", "--scenario", str(path)]) == 2
+        return
+    build_objects(scenario)
