@@ -34,8 +34,9 @@ from .forms import Caps, Form, Word, UNIT_WORD, render_word, word_degree, \
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, add_column, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
-from .product import ProductConnection, ProductVector, _connection_compat, \
-    act_right_form, f_free_to_naive, f_naive_to_free, iter_naive_basis
+from .product import _ONE, Column, ProductConnection, ProductVector, Term, \
+    _connection_compat, act_right_form, f_free_to_naive, f_naive_to_free, \
+    flat_terms, flat_vector, iter_naive_basis, sum_columns
 
 
 class FormSwap:
@@ -141,40 +142,8 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
 
 
 # ---------------------------------------------------------------------------
-# flat term tables and operator columns
+# operator columns over flat terms
 # ---------------------------------------------------------------------------
-
-# A module element as one flat table: (slot, pair-word) -> coefficient, with
-# the e-block slots first, then the f-block.  A column is the image of one
-# flat term under a linear operator, as a tuple of (term, coefficient).
-Term = tuple[int, PairWord]
-Column = tuple[tuple[Term, Fraction], ...]
-
-_ONE = Fraction(1)
-
-
-def flat_terms(pv: ProductVector) -> dict[Term, Fraction]:
-    """The flat term table of pv."""
-    return {(s, w): c for s, coord in enumerate(pv.e + pv.f)
-            for w, c in coord.terms.items()}
-
-
-def flat_vector(flat: dict[Term, Fraction], m: int, n: int) -> ProductVector:
-    """The module element with flat term table ``flat`` (no zero entries)."""
-    coords: list[dict[PairWord, Fraction]] = [{} for _ in range(m + n)]
-    for (s, w), c in flat.items():
-        coords[s][w] = c
-    forms = [ProductForm(t) for t in coords]
-    return ProductVector(forms[:m], forms[m:])
-
-
-def sum_columns(terms, column) -> dict[Term, Fraction]:
-    """Σ c · column(t) over the (t, c) of ``terms``, as one flat table."""
-    out: dict[Term, Fraction] = {}
-    for t, c in terms:
-        add_column(out, c, column(t))
-    return out
-
 
 class Columns:
     """Per-check cache of operator columns over flat terms.

@@ -17,7 +17,9 @@ f-block goes through the inverse module twist exactly as the construction
 prescribes (the two routes agree precisely when the compatibility
 hypothesis between the module twist and the second connection holds, which
 is what `check_twist_connection_compat` decides).  Higher-degree
-coordinates extend by nabla(s . w) = nabla(s) . w + s . dw.
+coordinates extend by nabla(s . w) = nabla(s) . w + s . dw.  Each flat
+term (slot, pair-word) has its image computed once per connection and kept,
+so nabla is a sum of cached columns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .forms import Caps, Form, Word, UNIT_WORD, word_differential, \
     word_letters
 from .reports import CheckResult, inadmissible, run_cases
 from .tdga import PairWord, ProductForm, add_column, embed_x, embed_y, \
-    enumerate_monomials
+    enumerate_monomials, pair_degree
 from .twist import AlgebraTwist, ModuleTwist, RightModuleTwist, \
     check_right_module_twist
 
@@ -92,6 +94,38 @@ class ProductVector:
             if not w.is_zero:
                 parts.append(f"f_{k + 1}: {w}")
         return "; ".join(parts) if parts else "0"
+
+
+# A module element as one flat table: (slot, pair-word) -> coefficient, with
+# the e-block slots first, then the f-block.  A column is the image of one
+# flat term under a linear operator, as a tuple of (term, coefficient).
+Term = tuple[int, PairWord]
+Column = tuple[tuple[Term, Fraction], ...]
+
+_ONE = Fraction(1)
+
+
+def flat_terms(pv: ProductVector) -> dict[Term, Fraction]:
+    """The flat term table of pv."""
+    return {(s, w): c for s, coord in enumerate(pv.e + pv.f)
+            for w, c in coord.terms.items()}
+
+
+def flat_vector(flat: dict[Term, Fraction], m: int, n: int) -> ProductVector:
+    """The module element with flat term table ``flat`` (no zero entries)."""
+    coords: list[dict[PairWord, Fraction]] = [{} for _ in range(m + n)]
+    for (s, w), c in flat.items():
+        coords[s][w] = c
+    forms = [ProductForm(t) for t in coords]
+    return ProductVector(forms[:m], forms[m:])
+
+
+def sum_columns(terms, column) -> dict[Term, Fraction]:
+    """Σ c · column(t) over the (t, c) of ``terms``, as one flat table."""
+    out: dict[Term, Fraction] = {}
+    for t, c in terms:
+        add_column(out, c, column(t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +230,8 @@ class ProductConnection:
         self.rmt = rmt
         self.conn_e = conn_e
         self.conn_f = conn_f
+        # ∇ of each flat term, kept like the factor connections' monomials
+        self._columns: dict[Term, Column] = {}
 
     @property
     def m(self) -> int:
@@ -215,62 +251,57 @@ class ProductConnection:
         if pv.ranks != (self.m, self.n):
             raise ValueError(f"rank mismatch: {pv.ranks} != {(self.m, self.n)}")
 
-    # -- the two degree-0 blocks -----------------------------------------
-    def _potential_block(self, conn: ModuleConnection, coords) -> list[ProductForm]:
-        """Differential plus the embedded potential of ``conn``, slotwise."""
-        embed = embed_x if conn.gen == "x" else embed_y
-        out = []
-        for k in range(conn.rank):
-            acc = coords[k].d()
-            for l in range(conn.rank):
-                entry = conn.potential[k][l]
-                if not entry.is_zero and not coords[l].is_zero:
-                    acc = acc + self.twist.mul(embed(entry), coords[l])
-            out.append(acc)
-        return out
-
-    def nabla_e_block(self, coords) -> list[ProductForm]:
-        """First block of the connection: potential of E plus differential."""
-        return self._potential_block(self.conn_e, coords)
-
-    def nabla_f_block(self, coords) -> list[ProductForm]:
-        """Second block on degree-0 coordinates, via the inverse module twist.
-
-        Computed in naive coordinates exactly as constructed: the factor
-        connection acts inside A ⊗ F, and the differential of the
-        x-polynomial is carried back through the inverse twist.
-        """
-        for w in coords:
-            if not w.is_homogeneous(0):
-                raise ValueError("second block is defined on degree-0 input")
-        naive = f_free_to_naive(self.rmt, coords)
-        out = [ProductForm.zero() for _ in range(self.n)]
-        for l in range(self.n):
-            for (wx, wy), c in naive[l].terms.items():
-                # factor-connection term: x^i ⊗ nabla_F(f_l y^j)
-                for p, eta in enumerate(self.conn_f.nabla_monomial(l, wy[0])):
-                    out[p] = out[p] + x_tensor(wx, eta, c)
-                # inverse-twist term: d(x^i) ⊗ f_l y^j
-                out[l] = out[l] + ProductForm(
-                    {(w, wy): c * s for w, s in word_differential(wx).items()})
-        return f_naive_to_free(self.rmt, out)
-
-    def nabla2(self, pv: ProductVector) -> ProductVector:
-        """Second block map on a degree-0 f-block element."""
-        self._check_ranks(pv)
-        return ProductVector([ProductForm.zero()] * self.m,
-                             self.nabla_f_block(pv.f))
-
     def nabla(self, pv: ProductVector) -> ProductVector:
-        """The product connection, extended to all form degrees."""
+        """The product connection, extended to all form degrees: the sum of
+        the ∇ columns of pv's flat terms."""
         self._check_ranks(pv)
-        e_out = self.nabla_e_block(pv.e)
-        f_deg0 = [w.degree_part(0) for w in pv.f]
-        f_rest = [w - d0 for w, d0 in zip(pv.f, f_deg0)]
-        f_out = self.nabla_f_block(f_deg0)
-        rest = self._potential_block(self.conn_f, f_rest)
-        f_out = [a + b for a, b in zip(f_out, rest)]
-        return ProductVector(e_out, f_out)
+        return flat_vector(sum_columns(flat_terms(pv).items(), self.column),
+                           self.m, self.n)
+
+    def column(self, t: Term) -> Column:
+        """∇ of the flat term t, computed on first use and then kept."""
+        col = self._columns.get(t)
+        if col is None:
+            col = self._columns[t] = tuple(self._nabla_term(*t).items())
+        return col
+
+    def _nabla_term(self, slot: int, pair: PairWord) -> dict[Term, Fraction]:
+        """∇ of one flat term: the kernel of :meth:`nabla`.
+
+        An e-term, or an f-term of degree >= 1, gets its differential plus
+        the embedded potential of its factor.  A degree-0 f-term goes
+        through the inverse module twist exactly as constructed: in naive
+        coordinates the factor connection acts inside A ⊗ F, and the
+        differential of the x-polynomial is carried back by the inverse
+        twist.
+        """
+        m, one = self.m, ProductForm({pair: _ONE})
+        if slot >= m and pair_degree(pair) == 0:
+            coords = [ProductForm()] * self.n
+            coords[slot - m] = one
+            naive: list[dict[PairWord, Fraction]] = [{} for _ in range(self.n)]
+            for l, w in enumerate(f_free_to_naive(self.rmt, coords)):
+                for (wx, wy), c in w.terms.items():
+                    # factor-connection term: x^i ⊗ nabla_F(f_l y^j)
+                    for p, eta in enumerate(self.conn_f.nabla_monomial(l, wy[0])):
+                        add_column(naive[p], c, [((wx, v), cv)
+                                                 for v, cv in eta.terms.items()])
+                    # inverse-twist term: d(x^i) ⊗ f_l y^j
+                    add_column(naive[l], c, [((u, wy), s) for u, s
+                                             in word_differential(wx).items()])
+            free = f_naive_to_free(self.rmt, [ProductForm(t) for t in naive])
+            return {(m + k, w): c for k, form in enumerate(free)
+                    for w, c in form.terms.items()}
+        conn, embed, base = (self.conn_e, embed_x, 0) if slot < m \
+            else (self.conn_f, embed_y, m)
+        out = {(slot, w): c for w, c in one.d().terms.items()}
+        for k, row in enumerate(conn.potential):
+            entry = row[slot - base]
+            if not entry.is_zero:
+                image = self.twist.mul(embed(entry), one)
+                add_column(out, 1, [((base + k, w), c)
+                                    for w, c in image.terms.items()])
+        return out
 
     def curvature(self, pv: ProductVector) -> ProductVector:
         """nabla twice on a degree-0 element."""
@@ -434,21 +465,26 @@ def _theorem_inputs(pc: ProductConnection, caps: Caps, seed: int, count: int):
 
 def check_connection_leibniz(pc: ProductConnection, caps: Caps,
                              seed: int = 0) -> CheckResult:
-    """Right Leibniz rule of the product connection on bounded bases."""
+    """Right Leibniz rule of the product connection on bounded bases:
+    nabla(v . w) = nabla(v) . w + v . dw, with nabla(v) taken once per input
+    and nabla(v . w) summed from the connection's columns."""
     twist = pc.twist
     monomials = [ProductForm.pair(wx, wy)
                  for wx, wy in enumerate_monomials(caps.max_exponent)]
 
-    def leibniz_holds(pv: ProductVector, w: ProductForm) -> bool:
-        lhs = pc.nabla(act_right(twist, pv, w))
-        rhs = act_right_form(twist, pc.nabla(pv), w) + \
-            act_right_form(twist, pv, w.d())
-        return lhs == rhs
+    def cases():
+        for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
+            nabla = pc.nabla(pv)
+            for w in monomials:
+                lhs = sum_columns(flat_terms(act_right(twist, pv, w)).items(),
+                                  pc.column)
+                rhs = flat_terms(act_right_form(twist, nabla, w))
+                add_column(rhs, 1,
+                           flat_terms(act_right_form(twist, pv, w.d())).items())
+                yield None if lhs == rhs \
+                    else f"leibniz fails at {label} acted by {w}"
 
-    return run_cases("leibniz", (
-        None if leibniz_holds(pv, w) else f"leibniz fails at {label} acted by {w}"
-        for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM)
-        for w in monomials))
+    return run_cases("leibniz", cases())
 
 
 def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVector:
@@ -552,13 +588,13 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps, compat: CheckResult,
     payload: dict = {}
 
     def on_x_power(j: int, polys: list[Form]) -> tuple[ProductVector, bool]:
-        """gr.nabla2 on x^j ⊗ (b_1, ..., b_n), and whether it equals
+        """gr.nabla on x^j ⊗ (b_1, ..., b_n), and whether it equals
         sum_k x^j ⊗ f_k ⊗ 1 ⊗ d(b_k) plus the inverse-twist terms, the free
         normal forms of sum_l (S^-j)[k][l] (1 ⊗ f_l b_k(q^-j y)) . (d(x^j) ⊗ 1).
         """
         naive = [twist.mul(ProductForm.monomial(j, 0), embed_y(b)) for b in polys]
-        computed = gr.nabla2(ProductVector([ProductForm.zero()] * pc.m,
-                                           f_naive_to_free(rmt, naive)))
+        computed = gr.nabla(ProductVector([ProductForm.zero()] * pc.m,
+                                          f_naive_to_free(rmt, naive)))
         dxj = ProductForm({(w, UNIT_WORD): Fraction(s) for w, s in
                            word_differential((j,)).items()})
         expected = f_naive_to_free(rmt, [x_tensor((j,), b.d()) for b in polys])
@@ -572,8 +608,8 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps, compat: CheckResult,
     computed, grassmann_matches = on_x_power(
         1, [Form.gen_power("y", ik) for ik in f_exponents])
 
-    vec = ", ".join(f"{_q_power_str(-ik) or '1'} y^{ik}".replace("y^1", "y")
-                    for ik in f_exponents)
+    vec = ", ".join(f"{_q_power_str(-ik) or '1'} "
+                    + ("y" if ik == 1 else f"y^{ik}") for ik in f_exponents)
     gr_display = (f"nabla_gr(x ⊗ f) = "
                   + " + ".join(f"x ⊗ f_{k + 1} ⊗ 1 ⊗ d(y^{ik})"
                                for k, ik in enumerate(f_exponents))

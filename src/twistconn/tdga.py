@@ -72,10 +72,6 @@ class ProductForm:
             return len(degs) <= 1
         return degs <= {degree}
 
-    def degree_part(self, degree: int) -> "ProductForm":
-        return ProductForm({p: c for p, c in self.terms.items()
-                            if pair_degree(p) == degree})
-
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other: "ProductForm") -> "ProductForm":
         terms = dict(self.terms)

@@ -15,7 +15,7 @@ from test_bimodule import NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from twistconn import bimodule, product, runner
 from twistconn.forms import word_differential
 from twistconn.reports import Report
-from twistconn.tdga import ProductForm, add_column
+from twistconn.tdga import ProductForm, add_column, pair_degree
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
@@ -134,26 +134,34 @@ def _inverse_twist_term(rmt, coords):
     return product.f_naive_to_free(rmt, out)
 
 
-# the second block of ∇: the inverse-twist term dropped
+# ∇ of degree-0 f-terms without the inverse-twist term
 def inverse_twist_dropped(monkeypatch):
-    block = product.ProductConnection.nabla_f_block
+    kernel = product.ProductConnection._nabla_term
 
-    def dropped(self, coords):
-        return [a - b for a, b in
-                zip(block(self, coords), _inverse_twist_term(self.rmt, coords))]
+    def dropped(self, slot, pair):
+        out = kernel(self, slot, pair)
+        if slot >= self.m and pair_degree(pair) == 0:
+            coords = [ProductForm()] * self.n
+            coords[slot - self.m] = ProductForm({pair: 1})
+            term = _inverse_twist_term(self.rmt, coords)
+            add_column(out, -1, [((self.m + k, w), c) for k, form in
+                                 enumerate(term) for w, c in form.terms.items()])
+        return out
 
-    monkeypatch.setattr(product.ProductConnection, "nabla_f_block", dropped)
+    monkeypatch.setattr(product.ProductConnection, "_nabla_term", dropped)
 
 
 # ∇ negated on the f-block coordinates of degree >= 1
 def f_rest_negated(monkeypatch):
-    block = product.ProductConnection._potential_block
+    kernel = product.ProductConnection._nabla_term
 
-    def negated(self, conn, coords):
-        out = block(self, conn, coords)
-        return [-w for w in out] if conn is self.conn_f else out
+    def negated(self, slot, pair):
+        out = kernel(self, slot, pair)
+        if slot >= self.m and pair_degree(pair) >= 1:
+            return {t: -c for t, c in out.items()}
+        return out
 
-    monkeypatch.setattr(product.ProductConnection, "_potential_block", negated)
+    monkeypatch.setattr(product.ProductConnection, "_nabla_term", negated)
 
 
 NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistconn import product, runner
 from twistconn.connections import ModuleConnection
@@ -17,10 +19,11 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_curvature_formula, check_flatness,
                                check_twist_connection_compat,
                                check_twist_independence, curvature_formula_rhs,
-                               f_free_to_naive, f_naive_to_free, naive_vector,
+                               f_free_to_naive, f_naive_to_free, flat_vector,
+                               naive_vector,
                                quantum_plane_report, random_degree0_vector,
                                reduced_presentation)
-from twistconn.scenario import load_scenario_file
+from twistconn.scenario import load_scenario, load_scenario_file
 
 from oracles import classical_product_nabla
 
@@ -115,23 +118,25 @@ class TestRightAction:
 
 
 class TestBlockMaps:
+    """nabla on inputs of one block: the e-block, then the f-block."""
+
     def test_first_block_grassmann_is_differential(self):
         pc = grassmann_pc(Q2, m=2)
         coords = [ProductForm.monomial(2, 1), ProductForm.monomial(0, 3)]
         pv = ProductVector(coords, [ProductForm.zero()])
         out = pc.nabla(pv)
-        assert list(out.e) == pc.nabla_e_block(coords) == [c.d() for c in coords]
+        assert list(out.e) == [c.d() for c in coords]
         assert all(w.is_zero for w in out.f)
 
     def test_first_block_unit_kernel(self):
         pc = grassmann_pc(Q2)
-        out = pc.nabla_e_block(ProductVector.e_basis(1, 1, 0).e)
-        assert all(w.is_zero for w in out)
+        out = pc.nabla(ProductVector.e_basis(1, 1, 0))
+        assert all(w.is_zero for w in out.e)
 
     def test_first_block_y_coordinate(self):
         pc = grassmann_pc(Q2)
         pv = ProductVector.e_basis(1, 1, 0, ProductForm.monomial(0, 1))
-        assert pc.nabla_e_block(pv.e)[0] == ProductForm.pair((0,), (0, 0))
+        assert pc.nabla(pv).e[0] == ProductForm.pair((0,), (0, 0))
 
     def test_second_block_generator_formula(self):
         # x ⊗ (y^{i_1}, y^{i_2}) for the product of Grassmann connections
@@ -139,7 +144,7 @@ class TestBlockMaps:
         exponents = [1, 2]
         naive = [ProductForm.monomial(1, ik) for ik in exponents]
         pv = ProductVector([ProductForm.zero()], f_naive_to_free(pc.rmt, naive))
-        out = pc.nabla2(pv)
+        out = pc.nabla(pv)
         for k, ik in enumerate(exponents):
             d_y = Form.gen_power("y", ik).d()
             expected = ProductForm({((1,), wv): c for wv, c in d_y.terms.items()})
@@ -150,7 +155,7 @@ class TestBlockMaps:
 
     def test_second_block_unit_kernel(self):
         pc = grassmann_pc(Q2)
-        assert pc.nabla2(naive_vector(pc.m, pc.rmt, "f", 0, 0, 0)).is_zero
+        assert pc.nabla(naive_vector(pc.m, pc.rmt, "f", 0, 0, 0)).is_zero
 
     def test_second_block_rescaling_form(self):
         # x^j ⊗ f_1 b picks up b(q^{-j} y) next to d(x^j)
@@ -158,7 +163,7 @@ class TestBlockMaps:
         b = parse_form("y", "1 + y^2")
         naive = [Q2.mul(ProductForm.monomial(2, 0), embed_y(b))]
         pv = ProductVector([ProductForm.zero()], f_naive_to_free(pc.rmt, naive))
-        out = pc.nabla2(pv)
+        out = pc.nabla(pv)
         dx2 = ProductForm({(wv, (0,)): c
                            for wv, c in Form.gen_power("x", 2).d().terms.items()})
         scaled = b.scaled_generator(Fraction(1, 4))
@@ -200,6 +205,42 @@ class TestProductNabla:
                 conn_e.potential, conn_f.potential, list(pv.e), list(pv.f))
             assert list(out.e) == e_cl
             assert list(out.f) == f_cl
+
+
+# dense S and T and a potential on each side; T does not enter ∇
+DENSE = load_scenario("q: -3/2\nm: 2\nn: 2\nmax_exponent: 2\nmax_degree: 2\n"
+                      "[S]\n2 1\n3 2\n[T]\n1 2\n1 3\n"
+                      "[potential_E]\n(1,1): x dx\n(2,1): dx\n(1,2): dx x\n"
+                      "[potential_F]\n(1,2): y dy\n(2,2): dy\n(2,1): dy y^2\n")
+# one connection for every draw, so that its column table fills up
+FILLED = runner.build_objects(DENSE).pc
+
+
+def words(degree):
+    return st.tuples(*[st.integers(0, 2)] * (degree + 1))
+
+
+# pair-words of total degree 0 to 2
+pairs = st.integers(0, 2).flatmap(lambda dx: st.tuples(
+    words(dx), st.integers(0, 2 - dx).flatmap(words)))
+vectors = st.dictionaries(
+    st.tuples(st.integers(0, 3), pairs),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)]),
+    max_size=6).map(lambda flat: flat_vector(flat, 2, 2))
+
+
+class TestColumns:
+    """nabla sums cached per-term columns: the table never changes a result."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(vectors)
+    def test_filled_table_equals_fresh_connection(self, pv):
+        assert FILLED.nabla(pv) == runner.build_objects(DENSE).pc.nabla(pv)
+
+    @settings(max_examples=80, deadline=None)
+    @given(vectors, vectors)
+    def test_additive(self, a, b):
+        assert FILLED.nabla(a + b) == FILLED.nabla(a) + FILLED.nabla(b)
 
 
 class TestCurvature:
@@ -408,6 +449,14 @@ class TestQuantumPlaneReport:
         report = runner.run_checks(scenario, ["report"])
         assert report.find("quantum-plane-report").passed
         assert len(calls) == 1
+
+    def test_display_keeps_multi_digit_exponents(self):
+        scenario = load_scenario("q: 2\nm: 1\nn: 1\nmax_exponent: 1\n"
+                                 "max_degree: 1\nf_exponents: 12\n")
+        report = runner.run_checks(scenario, ["report"])
+        display = report.payloads["quantum-plane"]["grassmann_display"]
+        assert display["formula"].endswith(" + 1 ⊗ (q^-12 y^12) ⊗ dx ⊗ 1")
+        assert display["verified"]
 
     def test_potential_scenario_reports_verdict(self):
         twist = AlgebraTwist(2)
