@@ -15,8 +15,8 @@ from test_bimodule import NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from twistconn import bimodule, product, runner
 from twistconn.forms import word_differential
 from twistconn.reports import Report
-from twistconn.tdga import ProductForm, add_column, pair_degree
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
+from twistconn.tdga import ProductForm, add_column, pair_degree
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
 
@@ -332,4 +332,3 @@ def test_right_normal_matches_recursion():
     for a in range(7):
         for b in range(7):
             assert bimodule._right_normal(a, b) == recursion(a, b)
-

@@ -20,9 +20,8 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_twist_connection_compat,
                                check_twist_independence, curvature_formula_rhs,
                                f_free_to_naive, f_naive_to_free, flat_vector,
-                               naive_vector,
-                               quantum_plane_report, random_degree0_vector,
-                               reduced_presentation)
+                               naive_vector, quantum_plane_report,
+                               random_degree0_vector, reduced_presentation)
 from twistconn.scenario import load_scenario, load_scenario_file
 
 from oracles import classical_product_nabla
