@@ -29,14 +29,14 @@ from fractions import Fraction
 from functools import partial
 
 from .connections import ModuleConnection
-from .forms import Caps, Form, Word, UNIT_WORD, render_word, word_degree, \
-    word_differential, word_letters, word_mul
+from .forms import Caps, Form, Word, UNIT_WORD, add_column, render_word, \
+    word_degree, word_differential, word_letters, word_mul
 from .reports import CheckResult, failed, passed, run_cases, tally
-from .tdga import PairWord, ProductForm, add_column, enumerate_monomials
+from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
 from .product import _ONE, Column, ProductConnection, ProductVector, Term, \
     _connection_compat, act_right_form, f_free_to_naive, f_naive_to_free, \
-    flat_terms, flat_vector, iter_naive_basis, sum_columns
+    iter_naive_basis, sum_columns
 
 
 class FormSwap:
@@ -222,13 +222,12 @@ def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
     """Left action of a degree-0 algebra element on the product module."""
     if not w.is_homogeneous(0):
         raise ValueError("left action needs a degree-0 element")
-    m, n = pv.ranks
     out: dict[Term, Fraction] = {}
     for (wx, wy), c in w.terms.items():
-        for t, cv in flat_terms(pv).items():
+        for t, cv in pv.terms.items():
             add_column(out, c * cv,
-                       _left_term(twist, rmt, lmt, m, wx[0], wy[0], t))
-    return flat_vector(out, m, n)
+                       _left_term(twist, rmt, lmt, pv.m, wx[0], wy[0], t))
+    return ProductVector.from_terms(out, pv.m, pv.n)
 
 
 def _monomials(caps: Caps) -> list[tuple[int, int, ProductForm]]:
@@ -245,7 +244,7 @@ def check_bimodule_axiom(twist: AlgebraTwist, rmt: RightModuleTwist,
 
     def cases():
         for label, pv in iter_naive_basis(m, rmt, caps):
-            terms = flat_terms(pv).items()
+            terms = pv.terms.items()
             for il, jl, wl in monos:
                 left = partial(ops.left, il, jl)
                 moved = sum_columns(terms, left).items()
@@ -318,9 +317,9 @@ class ProductSwap:
         ops = Columns(self.twist, self.rmt, self.lmt, self.m, columns)
         out: dict[Term, Fraction] = {}
         for pair, c in one_form.terms.items():
-            for t, cw in flat_terms(pv).items():
+            for t, cw in pv.terms.items():
                 add_column(out, c * cw, self.column(ops, pair, t))
-        return flat_vector(out, self.m, self.n)
+        return ProductVector.from_terms(out, self.m, self.n)
 
     def column(self, ops: Columns, pair: PairWord, t: Term) -> Column:
         """Swap of one basis tensor: normalize the 1-form to generators.
@@ -361,14 +360,15 @@ class ProductSwap:
 
     def _naive(self, t: Term) -> dict[Term, Fraction]:
         """A free f-block term in naive coordinates (f-slots count from 0)."""
-        coords = flat_vector({(t[0] - self.m, t[1]): _ONE}, 0, self.n).f
-        return flat_terms(ProductVector((), f_free_to_naive(self.rmt, coords)))
+        coords = ProductVector.from_terms({(t[0] - self.m, t[1]): _ONE},
+                                          0, self.n).f
+        return ProductVector((), f_free_to_naive(self.rmt, coords)).terms
 
     def _free(self, naive: dict[Term, Fraction]) -> dict[Term, Fraction]:
         """Naive f-block terms back to free flat terms (f-slots after e)."""
-        coords = flat_vector(naive, 0, self.n).f
-        return flat_terms(ProductVector([ProductForm()] * self.m,
-                                        f_naive_to_free(self.rmt, coords)))
+        coords = ProductVector.from_terms(naive, 0, self.n).f
+        return ProductVector([ProductForm()] * self.m,
+                             f_naive_to_free(self.rmt, coords)).terms
 
     # -- generator inputs -------------------------------------------------
     def _generator_x(self, cc: int, t: Term, ops: Columns) -> dict[Term, Fraction]:
@@ -534,7 +534,7 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
                  else (f"x^{t} ⊗ {render_word('y', w)}", ((t,), w))
                  for w in _one_form_words_x(caps) for t in range(E + 1)]
 
-    basis = [(label, flat_terms(pv).items())
+    basis = [(label, pv.terms.items())
              for label, pv in iter_naive_basis(ps.m, ps.rmt, caps, blocks=block)]
 
     ops = Columns(twist, ps.rmt, ps.lmt, ps.m)
@@ -595,12 +595,11 @@ def check_bimodule_theorem(pc: ProductConnection, ps: ProductSwap,
 
     def cases():
         for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
-            nabla = flat_terms(pc.nabla(pv)).items()
+            nabla = pc.nabla(pv).terms.items()
             for i, j, w in monos:
-                lhs = flat_terms(pc.nabla(act_left(ps.twist, ps.rmt, ps.lmt, w, pv)))
+                lhs = pc.nabla(act_left(ps.twist, ps.rmt, ps.lmt, w, pv)).terms
                 rhs = sum_columns(nabla, partial(ops.left, i, j))
-                add_column(rhs, 1,
-                           flat_terms(ps.apply(w.d(), pv, ops.table)).items())
+                add_column(rhs, 1, ps.apply(w.d(), pv, ops.table).terms.items())
                 yield None if lhs == rhs else f"{w} . ({label})"
 
     return run_cases("bimodule-theorem", cases())

@@ -12,7 +12,9 @@ the graded Leibniz rule with d(t^n) = sum_{a+b=n-1} t^a dt t^b.
 
 Elements are sparse rational sums of words over a fixed generator symbol
 ('x' or 'y').  All values are immutable by convention and all arithmetic is
-exact.
+exact.  ``Terms`` is the one sparse table type of the package, for words
+here, for pair-words in ``tdga`` and for flat module terms in ``product``;
+``add_column`` is its one summation step.
 """
 
 from __future__ import annotations
@@ -109,23 +111,147 @@ def iter_word_tuples(count: int, caps: Caps) -> Iterator[tuple[Word, ...]]:
     yield from rec((), caps.max_degree)
 
 
-class Form:
-    """A sparse exact-coefficient element of the calculus over k[gen].
+def add_column(acc: dict, c: Fraction, column) -> None:
+    """acc += c · column over (key, coefficient) pairs, dropping the terms
+    that cancel.
 
-    ``terms`` maps exponent words to nonzero Fractions; the zero element is
-    the empty table.  Elements may be inhomogeneous; graded operations act
-    componentwise.
+    The one summation step of sparse term tables; for c = 1 it adds the
+    column as it is, with no rational product.
+    """
+    if c != 1:
+        column = [(t, c * v) for t, v in column]
+    for t, v in column:
+        old = acc.get(t)
+        if old is None:
+            acc[t] = v
+        else:
+            v += old
+            if v:
+                acc[t] = v
+            else:
+                del acc[t]
+
+
+class Terms:
+    """A sparse exact linear combination of basis keys.
+
+    ``terms`` maps each key to a nonzero Fraction; the zero element is the
+    empty table.  Elements may be inhomogeneous; graded operations act
+    componentwise.  A subclass supplies its keys' degree (``key_degree``),
+    differential (``key_differential``, as (key, coefficient) pairs) and
+    rendering (``render_key``), what else tells its values apart (``kind``)
+    and how to build a value of its own kind (``_like``); everything else
+    is written here once.
     """
 
-    __slots__ = ("gen", "terms")
+    __slots__ = ("terms",)
+
+    kind = None
+
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = {
+            k: c if type(c) is Fraction else Fraction(c)
+            for k, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms: dict):
+        return type(self)(terms)
+
+    def _require_kind(self, other: "Terms") -> None:
+        if type(other) is not type(self) or other.kind != self.kind:
+            raise ValueError(f"{type(self).__name__} mismatch: "
+                             f"{self.kind!r} vs {other.kind!r}")
+
+    # ---- structure ----------------------------------------------------
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degrees(self) -> set[int]:
+        return {self.key_degree(k) for k in self.terms}
+
+    def is_homogeneous(self, degree: int | None = None) -> bool:
+        degs = self.degrees()
+        if degree is None:
+            return len(degs) <= 1
+        return degs <= {degree}
+
+    # ---- arithmetic ---------------------------------------------------
+    def __add__(self, other):
+        self._require_kind(other)
+        terms = dict(self.terms)
+        add_column(terms, 1, other.terms.items())
+        return self._like(terms)
+
+    def __sub__(self, other):
+        self._require_kind(other)
+        terms = dict(self.terms)
+        add_column(terms, -1, other.terms.items())
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else None)
+
+    def __rmul__(self, c):
+        if isinstance(c, (int, Fraction)):
+            return self.scale(c)
+        return NotImplemented
+
+    def d(self):
+        """The differential: the sum of each key's differential."""
+        out: dict = {}
+        for k, c in self.terms.items():
+            add_column(out, c, self.key_differential(k))
+        return self._like(out)
+
+    # ---- comparisons / rendering --------------------------------------
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.kind == self.kind \
+            and other.terms == self.terms
+
+    def __hash__(self):
+        return hash((self.kind, frozenset(self.terms.items())))
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items(),
+                      key=lambda kv: (self.key_degree(kv[0]), kv[0]))
+
+    def __str__(self) -> str:
+        return render_terms(
+            [(c, self.render_key(k)) for k, c in self.sorted_terms()])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.kind!r}, {self.terms!r})"
+
+
+class Form(Terms):
+    """A sparse exact-coefficient element of the calculus over k[gen]: a
+    table from exponent words to nonzero Fractions."""
+
+    __slots__ = ("gen",)
 
     def __init__(self, gen: str, terms: dict[Word, Fraction] | None = None):
         self.gen = gen
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c if type(c) is Fraction else Fraction(c)
+        super().__init__(terms)
+
+    def _like(self, terms: dict) -> "Form":
+        return Form(self.gen, terms)
+
+    @property
+    def kind(self) -> str:
+        return self.gen
+
+    key_degree = staticmethod(word_degree)
+
+    @staticmethod
+    def key_differential(word: Word):
+        return word_differential(word).items()
+
+    def render_key(self, word: Word) -> str:
+        return render_word(self.gen, word)
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -148,78 +274,15 @@ class Form:
     def d_gen(cls, gen: str) -> "Form":
         return cls(gen, {(0, 0): Fraction(1)})
 
-    # ---- structure ----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set[int]:
-        return {word_degree(w) for w in self.terms}
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = self.degrees()
-        if degree is None:
-            return len(degs) <= 1
-        return degs <= {degree}
-
-    def _require_same_gen(self, other: "Form") -> None:
-        if self.gen != other.gen:
-            raise ValueError(f"generator mismatch: {self.gen!r} vs {other.gen!r}")
-
-    # ---- arithmetic ---------------------------------------------------
-    def __add__(self, other: "Form") -> "Form":
-        self._require_same_gen(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            c2 = terms.get(w, Fraction(0)) + c
-            if c2:
-                terms[w] = c2
-            elif w in terms:
-                del terms[w]
-        return Form(self.gen, terms)
-
-    def __neg__(self) -> "Form":
-        return Form(self.gen, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
-
-    def scale(self, c) -> "Form":
-        c = Fraction(c)
-        if not c:
-            return Form.zero(self.gen)
-        return Form(self.gen, {w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "Form":
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
+    # ---- product ------------------------------------------------------
     def __mul__(self, other) -> "Form":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._require_same_gen(other)
+        self._require_kind(other)
         terms: dict[Word, Fraction] = {}
         for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = word_mul(u, v)
-                c = terms.get(w, Fraction(0)) + cu * cv
-                if c:
-                    terms[w] = c
-                elif w in terms:
-                    del terms[w]
-        return Form(self.gen, terms)
-
-    def d(self) -> "Form":
-        """Universal differential (graded Leibniz, d^2 = 0)."""
-        terms: dict[Word, Fraction] = {}
-        for w, c in self.terms.items():
-            for nw, sign in word_differential(w).items():
-                v = terms.get(nw, Fraction(0)) + sign * c
-                if v:
-                    terms[nw] = v
-                elif nw in terms:
-                    del terms[nw]
+            add_column(terms, cu, [(word_mul(u, v), cv)
+                                   for v, cv in other.terms.items()])
         return Form(self.gen, terms)
 
     def scaled_generator(self, factor: Fraction) -> "Form":
@@ -227,24 +290,6 @@ class Form:
         if not self.is_homogeneous(0) and not self.is_zero:
             raise ValueError("generator substitution needs a degree-0 element")
         return Form(self.gen, {w: c * factor ** w[0] for w, c in self.terms.items()})
-
-    # ---- comparisons / rendering --------------------------------------
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Form) and self.gen == other.gen
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.gen, frozenset(self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (word_degree(kv[0]), kv[0]))
-
-    def __str__(self) -> str:
-        return render_terms(
-            [(c, render_word(self.gen, w)) for w, c in self.sorted_terms()])
-
-    def __repr__(self) -> str:
-        return f"Form({self.gen!r}, {self.terms!r})"
 
 
 def render_word(gen: str, word: Word) -> str:

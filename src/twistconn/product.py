@@ -29,95 +29,101 @@ from fractions import Fraction
 from itertools import product
 
 from .connections import ModuleConnection
-from .forms import Caps, Form, Word, UNIT_WORD, word_differential, \
-    word_letters
+from .forms import Caps, Form, Terms, Word, UNIT_WORD, add_column, \
+    word_differential, word_letters
 from .reports import CheckResult, inadmissible, run_cases
-from .tdga import PairWord, ProductForm, add_column, embed_x, embed_y, \
+from .tdga import PairWord, ProductForm, embed_x, embed_y, \
     enumerate_monomials, pair_degree
 from .twist import AlgebraTwist, ModuleTwist, RightModuleTwist, \
     check_right_module_twist
 
 
-class ProductVector:
-    """Free-basis coordinates of an element of (E ⊗ B) + (A ⊗ F)."""
-
-    __slots__ = ("e", "f")
-
-    def __init__(self, e, f):
-        self.e: tuple[ProductForm, ...] = tuple(e)
-        self.f: tuple[ProductForm, ...] = tuple(f)
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "ProductVector":
-        return cls([ProductForm.zero()] * m, [ProductForm.zero()] * n)
-
-    @classmethod
-    def e_basis(cls, m: int, n: int, k: int,
-                coord: ProductForm | None = None) -> "ProductVector":
-        e = [ProductForm.zero()] * m
-        e[k] = coord if coord is not None else ProductForm.unit()
-        return cls(e, [ProductForm.zero()] * n)
-
-    @property
-    def ranks(self) -> tuple[int, int]:
-        return len(self.e), len(self.f)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(w.is_zero for w in self.e) and all(w.is_zero for w in self.f)
-
-    def is_degree(self, degree: int) -> bool:
-        return all(w.is_homogeneous(degree) for w in self.e) and \
-            all(w.is_homogeneous(degree) for w in self.f)
-
-    def __add__(self, other: "ProductVector") -> "ProductVector":
-        return ProductVector([a + b for a, b in zip(self.e, other.e)],
-                             [a + b for a, b in zip(self.f, other.f)])
-
-    def __sub__(self, other: "ProductVector") -> "ProductVector":
-        return ProductVector([a - b for a, b in zip(self.e, other.e)],
-                             [a - b for a, b in zip(self.f, other.f)])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ProductVector)
-                and self.e == other.e and self.f == other.f)
-
-    def __repr__(self):
-        return f"ProductVector(e={list(self.e)!r}, f={list(self.f)!r})"
-
-    def render(self) -> str:
-        parts = []
-        for k, w in enumerate(self.e):
-            if not w.is_zero:
-                parts.append(f"e_{k + 1}: {w}")
-        for k, w in enumerate(self.f):
-            if not w.is_zero:
-                parts.append(f"f_{k + 1}: {w}")
-        return "; ".join(parts) if parts else "0"
-
-
-# A module element as one flat table: (slot, pair-word) -> coefficient, with
-# the e-block slots first, then the f-block.  A column is the image of one
-# flat term under a linear operator, as a tuple of (term, coefficient).
+# A flat term of the module is (slot, pair-word), with the e-block slots
+# first, then the f-block.  A column is the image of one flat term under a
+# linear operator, as a tuple of (term, coefficient).
 Term = tuple[int, PairWord]
 Column = tuple[tuple[Term, Fraction], ...]
 
 _ONE = Fraction(1)
 
 
-def flat_terms(pv: ProductVector) -> dict[Term, Fraction]:
-    """The flat term table of pv."""
-    return {(s, w): c for s, coord in enumerate(pv.e + pv.f)
-            for w, c in coord.terms.items()}
+class ProductVector(Terms):
+    """Free-basis coordinates of an element of (E ⊗ B) + (A ⊗ F), as one
+    flat table from terms (slot, pair-word) to nonzero Fractions.
 
+    ``e`` and ``f`` are read-only views, one ProductForm per slot.  There
+    is no ``d``: the componentwise differential of free coordinates is not
+    the product connection.
+    """
 
-def flat_vector(flat: dict[Term, Fraction], m: int, n: int) -> ProductVector:
-    """The module element with flat term table ``flat`` (no zero entries)."""
-    coords: list[dict[PairWord, Fraction]] = [{} for _ in range(m + n)]
-    for (s, w), c in flat.items():
-        coords[s][w] = c
-    forms = [ProductForm(t) for t in coords]
-    return ProductVector(forms[:m], forms[m:])
+    __slots__ = ("m", "n")
+
+    d = None
+
+    def __init__(self, e, f):
+        e, f = tuple(e), tuple(f)
+        super().__init__({(s, w): c for s, coord in enumerate(e + f)
+                          for w, c in coord.terms.items()})
+        self.m, self.n = len(e), len(f)
+
+    @classmethod
+    def from_terms(cls, terms: dict[Term, Fraction], m: int,
+                   n: int) -> "ProductVector":
+        """The element of ranks (m, n) with flat term table ``terms``, which
+        holds no zero and is kept as it is (the sums of columns build such
+        tables)."""
+        pv = cls.__new__(cls)
+        pv.terms, pv.m, pv.n = terms, m, n
+        return pv
+
+    def _like(self, terms: dict) -> "ProductVector":
+        return ProductVector.from_terms(terms, self.m, self.n)
+
+    @staticmethod
+    def key_degree(t: Term) -> int:
+        return pair_degree(t[1])
+
+    @classmethod
+    def zero(cls, m: int, n: int) -> "ProductVector":
+        return cls.from_terms({}, m, n)
+
+    @classmethod
+    def e_basis(cls, m: int, n: int, k: int,
+                coord: ProductForm | None = None) -> "ProductVector":
+        coord = coord if coord is not None else ProductForm.unit()
+        return cls.from_terms({(k, w): c for w, c in coord.terms.items()}, m, n)
+
+    @property
+    def ranks(self) -> tuple[int, int]:
+        return self.m, self.n
+
+    kind = ranks
+
+    def is_degree(self, degree: int) -> bool:
+        return self.is_homogeneous(degree)
+
+    def _slots(self) -> list[ProductForm]:
+        coords: list[dict[PairWord, Fraction]] = [{} for _ in range(self.m + self.n)]
+        for (s, w), c in self.terms.items():
+            coords[s][w] = c
+        return [ProductForm(t) for t in coords]
+
+    @property
+    def e(self) -> tuple[ProductForm, ...]:
+        return tuple(self._slots()[:self.m])
+
+    @property
+    def f(self) -> tuple[ProductForm, ...]:
+        return tuple(self._slots()[self.m:])
+
+    def __str__(self) -> str:
+        names = [f"e_{k + 1}" for k in range(self.m)] + \
+            [f"f_{k + 1}" for k in range(self.n)]
+        parts = [f"{name}: {w}" for name, w in zip(names, self._slots())
+                 if not w.is_zero]
+        return "; ".join(parts) if parts else "0"
+
+    render = __str__
 
 
 def sum_columns(terms, column) -> dict[Term, Fraction]:
@@ -135,16 +141,12 @@ def sum_columns(terms, column) -> dict[Term, Fraction]:
 def _spread(rmt: RightModuleTwist, coords, power) -> list[ProductForm]:
     """Each term wx ⊗ wy of slot l, spread over the slots by row l of
     S^{power(wx)}: the one kernel of both f-coordinate changes."""
-    n = rmt.rank
-    out: list[dict[PairWord, Fraction]] = [{} for _ in range(n)]
+    out: dict[Term, Fraction] = {}
     for l, w in enumerate(coords):
-        for (wx, wy), c in w.terms.items():
-            row = rmt.matrix_power(power(wx))[l]
-            for k in range(n):
-                if row[k]:
-                    key = (wx, wy)
-                    out[k][key] = out[k].get(key, Fraction(0)) + c * row[k]
-    return [ProductForm(t) for t in out]
+        for pair, c in w.terms.items():
+            add_column(out, c, [((k, pair), r) for k, r in
+                                enumerate(rmt.matrix_power(power(pair[0]))[l]) if r])
+    return list(ProductVector.from_terms(out, 0, rmt.rank).f)
 
 
 def f_free_to_naive(rmt: RightModuleTwist, coords) -> list[ProductForm]:
@@ -177,9 +179,14 @@ def act_right(twist: AlgebraTwist, pv: ProductVector, w: ProductForm) -> Product
 
 def act_right_form(twist: AlgebraTwist, pv: ProductVector,
                    w: ProductForm) -> ProductVector:
-    """Right multiplication by an arbitrary form (the right calculus action)."""
-    return ProductVector([twist.mul(c, w) for c in pv.e],
-                         [twist.mul(c, w) for c in pv.f])
+    """Right multiplication by an arbitrary form (the right calculus action):
+    each slot's terms times w, in that slot."""
+    slots: dict[int, dict[PairWord, Fraction]] = {}
+    for (s, pair), c in pv.terms.items():
+        slots.setdefault(s, {})[pair] = c
+    return ProductVector.from_terms(
+        {(s, p): c for s, coord in slots.items()
+         for p, c in twist.mul(ProductForm(coord), w).terms.items()}, pv.m, pv.n)
 
 
 def e_matrix_image(twist: AlgebraTwist, coords, matrix) -> list[ProductForm]:
@@ -255,8 +262,8 @@ class ProductConnection:
         """The product connection, extended to all form degrees: the sum of
         the ∇ columns of pv's flat terms."""
         self._check_ranks(pv)
-        return flat_vector(sum_columns(flat_terms(pv).items(), self.column),
-                           self.m, self.n)
+        return ProductVector.from_terms(
+            sum_columns(pv.terms.items(), self.column), self.m, self.n)
 
     def column(self, t: Term) -> Column:
         """∇ of the flat term t, computed on first use and then kept."""
@@ -279,19 +286,19 @@ class ProductConnection:
         if slot >= m and pair_degree(pair) == 0:
             coords = [ProductForm()] * self.n
             coords[slot - m] = one
-            naive: list[dict[PairWord, Fraction]] = [{} for _ in range(self.n)]
+            naive: dict[Term, Fraction] = {}
             for l, w in enumerate(f_free_to_naive(self.rmt, coords)):
                 for (wx, wy), c in w.terms.items():
                     # factor-connection term: x^i ⊗ nabla_F(f_l y^j)
                     for p, eta in enumerate(self.conn_f.nabla_monomial(l, wy[0])):
-                        add_column(naive[p], c, [((wx, v), cv)
-                                                 for v, cv in eta.terms.items()])
+                        add_column(naive, c, [((p, (wx, v)), cv)
+                                              for v, cv in eta.terms.items()])
                     # inverse-twist term: d(x^i) ⊗ f_l y^j
-                    add_column(naive[l], c, [((u, wy), s) for u, s
-                                             in word_differential(wx).items()])
-            free = f_naive_to_free(self.rmt, [ProductForm(t) for t in naive])
-            return {(m + k, w): c for k, form in enumerate(free)
-                    for w, c in form.terms.items()}
+                    add_column(naive, c, [((l, (u, wy)), s) for u, s
+                                          in word_differential(wx).items()])
+            free = ProductVector.from_terms(naive, 0, self.n).f
+            return ProductVector([ProductForm()] * m,
+                                 f_naive_to_free(self.rmt, free)).terms
         conn, embed, base = (self.conn_e, embed_x, 0) if slot < m \
             else (self.conn_f, embed_y, m)
         out = {(slot, w): c for w, c in one.d().terms.items()}
@@ -331,15 +338,15 @@ def reduced_presentation(twist: AlgebraTwist, rmt: RightModuleTwist,
     the mixing matrix from the keys.
     """
     out: dict[tuple, Fraction] = {}
-    for k, w in enumerate(pv.e):
-        add_column(out, 1, [(("e", k, pair), c) for pair, c in w.terms.items()])
-    for k, w in enumerate(pv.f):
-        for (wx, wy), c in w.terms.items():
-            i, u = wx[0], ((0,) + wx[1:] if len(wx) > 1 else UNIT_WORD)
-            j, v = wy[0], ((0,) + wy[1:] if len(wy) > 1 else UNIT_WORD)
-            add_column(out, c * twist.qpow(-j * word_letters(u)),
-                       [(("f", l, i, j, u, v), r)
-                        for l, r in enumerate(rmt.matrix_power(i)[k]) if r])
+    for (s, (wx, wy)), c in pv.terms.items():
+        if s < pv.m:
+            out[("e", s, (wx, wy))] = c
+            continue
+        i, u = wx[0], ((0,) + wx[1:] if len(wx) > 1 else UNIT_WORD)
+        j, v = wy[0], ((0,) + wy[1:] if len(wy) > 1 else UNIT_WORD)
+        add_column(out, c * twist.qpow(-j * word_letters(u)),
+                   [(("f", l, i, j, u, v), r)
+                    for l, r in enumerate(rmt.matrix_power(i)[s - pv.m]) if r])
     return out
 
 
@@ -476,11 +483,9 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
         for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
             nabla = pc.nabla(pv)
             for w in monomials:
-                lhs = sum_columns(flat_terms(act_right(twist, pv, w)).items(),
-                                  pc.column)
-                rhs = flat_terms(act_right_form(twist, nabla, w))
-                add_column(rhs, 1,
-                           flat_terms(act_right_form(twist, pv, w.d())).items())
+                lhs = pc.nabla(act_right(twist, pv, w))
+                rhs = act_right_form(twist, nabla, w) + \
+                    act_right_form(twist, pv, w.d())
                 yield None if lhs == rhs \
                     else f"leibniz fails at {label} acted by {w}"
 

@@ -313,12 +313,10 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps,
         out: dict[PairWord, Fraction] = {}
         for pair, c in p.terms.items():
             other = pair[1 - side]
-            if len(other) % 2 == 0:
-                c = -c
-            for nw, s in word_differential(pair[side]).items():
-                key = (nw, other) if side == 0 else (other, nw)
-                v = _times(c, s)
-                out[key] = out[key] + v if key in out else v
+            c = c if len(other) % 2 else -c
+            add_column(out, 1, [((nw, other) if side == 0 else (other, nw),
+                                 _times(c, s))
+                                for nw, s in word_differential(pair[side]).items()])
         return ProductForm(out)
 
     def cases():

@@ -13,8 +13,7 @@ from twistconn.bimodule import (Columns, FormSwap, ProductSwap, act_left,
                                 check_left_twist_connection_compat,
                                 check_swap_pair_compatible, check_swap_compat_e,
                                 check_swap_compat_f,
-                                check_swap_cross_morphisms, flat_terms,
-                                flat_vector, sum_columns)
+                                check_swap_cross_morphisms, sum_columns)
 from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.tdga import ProductForm
@@ -319,8 +318,8 @@ class TestFlatColumns:
 
     def image(self, column, vector, c=1):
         """c · vector, mapped term by term through cached columns."""
-        terms = [(t, c * v) for t, v in flat_terms(vector).items()]
-        return flat_vector(sum_columns(terms, column), 2, 2)
+        terms = [(t, c * v) for t, v in vector.terms.items()]
+        return ProductVector.from_terms(sum_columns(terms, column), 2, 2)
 
     @given(degree0_vectors, one_form_words)
     @settings(max_examples=60, deadline=None)

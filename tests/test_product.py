@@ -19,8 +19,7 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_curvature_formula, check_flatness,
                                check_twist_connection_compat,
                                check_twist_independence, curvature_formula_rhs,
-                               f_free_to_naive, f_naive_to_free, flat_vector,
-                               naive_vector, quantum_plane_report,
+                               f_free_to_naive, f_naive_to_free, naive_vector, quantum_plane_report,
                                random_degree0_vector, reduced_presentation)
 from twistconn.scenario import load_scenario, load_scenario_file
 
@@ -225,7 +224,7 @@ pairs = st.integers(0, 2).flatmap(lambda dx: st.tuples(
 vectors = st.dictionaries(
     st.tuples(st.integers(0, 3), pairs),
     st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)]),
-    max_size=6).map(lambda flat: flat_vector(flat, 2, 2))
+    max_size=6).map(lambda flat: ProductVector.from_terms(flat, 2, 2))
 
 
 class TestColumns:
