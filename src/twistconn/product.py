@@ -522,40 +522,39 @@ def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:
         for label, pv in iter_naive_basis(pc.m, pc.rmt, caps)))
 
 
-def check_twist_independence(twist: AlgebraTwist, conn_e: ModuleConnection,
-                             conn_f: ModuleConnection, rmt1: RightModuleTwist,
-                             rmt2: RightModuleTwist, caps: Caps,
-                             axioms1: CheckResult,
+def check_twist_independence(pc: ProductConnection, rmt2: RightModuleTwist,
+                             caps: Caps, axioms1: CheckResult,
                              compat1: CheckResult) -> CheckResult:
     """Curvature tables agree for two admissible module twists.
 
-    ``axioms1`` and ``compat1`` are the first twist's results of
-    :func:`check_right_module_twist` and :func:`check_twist_connection_compat`
-    at ``caps``; the second twist is decided here, once the first is
-    admissible.
+    ``pc`` is the run's connection, with the first twist; its ∇ columns
+    serve this check too.  ``axioms1`` and ``compat1`` are the first twist's
+    results of :func:`check_right_module_twist` and
+    :func:`check_twist_connection_compat` at ``caps``; the second twist is
+    decided here, once the first is admissible.
     """
     name = "independence"
+    twist = pc.twist
 
     def admissibility():
         yield "first", axioms1, compat1
         yield "second", check_right_module_twist(rmt2, caps), \
-            check_twist_connection_compat(twist, rmt2, conn_f, caps)
+            check_twist_connection_compat(twist, rmt2, pc.conn_f, caps)
 
     for tag, axioms, compat in admissibility():
         if not (axioms.passed and compat.passed):
             why = axioms.witness if not axioms.passed else compat.witness
             return inadmissible(name, f"inadmissible pair: {tag} twist: {why}")
 
-    pc1 = ProductConnection(twist, rmt1, conn_e, conn_f)
-    pc2 = ProductConnection(twist, rmt2, conn_e, conn_f)
-    m = conn_e.rank
+    pc2 = ProductConnection(twist, rmt2, pc.conn_e, pc.conn_f)
     return run_cases(name, (
-        None if reduced_presentation(twist, rmt1, pc1.curvature(pv1)) ==
+        None if reduced_presentation(twist, pc.rmt, pc.curvature(pv1)) ==
         reduced_presentation(twist, rmt2, pc2.curvature(pv2))
         else f"{block}-input {label}"
         for block in "ef"
-        for (label, pv1), (_, pv2) in zip(iter_naive_basis(m, rmt1, caps, block),
-                                          iter_naive_basis(m, rmt2, caps, block))))
+        for (label, pv1), (_, pv2) in zip(
+            iter_naive_basis(pc.m, pc.rmt, caps, block),
+            iter_naive_basis(pc.m, rmt2, caps, block))))
 
 
 # ---------------------------------------------------------------------------

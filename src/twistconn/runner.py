@@ -72,8 +72,7 @@ def _independence(o: BuiltObjects, s: Scenario, report: Report) -> CheckResult:
         return inadmissible("independence",
                             "no alternate mixing matrix ([S_alt]) given")
     # the group prerequisites have decided the first twist's admissibility
-    return check_twist_independence(o.twist, o.conn_e, o.conn_f, o.rmt,
-                                    o.rmt_alt, s.caps,
+    return check_twist_independence(o.pc, o.rmt_alt, s.caps,
                                     report.find("right-module-twist"),
                                     report.find("f-connection-compat"))
 

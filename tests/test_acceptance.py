@@ -122,8 +122,9 @@ def test_criterion_05_twist_independence():
     conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
     conn_f = ModuleConnection.grassmann("y", 2)
     rmt1 = RightModuleTwist(twist, rank=2)
+    pc = ProductConnection(twist, rmt1, conn_e, conn_f)
     result = check_twist_independence(
-        twist, conn_e, conn_f, rmt1, RightModuleTwist(twist, UT), PRODUCT_CAPS,
+        pc, RightModuleTwist(twist, UT), PRODUCT_CAPS,
         check_right_module_twist(rmt1, PRODUCT_CAPS),
         check_twist_connection_compat(twist, rmt1, conn_f, PRODUCT_CAPS))
     report_line(5, f"curvature independent of the module twist "

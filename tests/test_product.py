@@ -326,8 +326,8 @@ class TestTheoremChecks:
         conn_e = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
         conn_f = ModuleConnection.grassmann("y", 2)
         rmt1 = RightModuleTwist(Q2, rank=2)
-        rmt2 = RightModuleTwist(Q2, UT)
-        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2, CAPS,
+        pc = ProductConnection(Q2, rmt1, conn_e, conn_f)
+        result = check_twist_independence(pc, RightModuleTwist(Q2, UT), CAPS,
                                           *first_twist(rmt1, conn_f, CAPS))
         assert result.passed
 
@@ -350,8 +350,8 @@ class TestTheoremChecks:
         # the curvature is the identity, so the tables see the inputs
         monkeypatch.setattr(ProductConnection, "curvature", lambda pc, pv: pv)
         monkeypatch.setattr(product, "reduced_presentation", tagged)
-        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt2,
-                                          Caps(2, 1),
+        pc = ProductConnection(Q2, rmt1, conn_e, conn_f)
+        result = check_twist_independence(pc, rmt2, Caps(2, 1),
                                           *first_twist(rmt1, conn_f, Caps(2, 1)))
         assert (result.verdict, result.witness, result.cases) == \
             ("fail", witness, cases)
@@ -360,7 +360,8 @@ class TestTheoremChecks:
         conn_e = ModuleConnection.grassmann("x", 1)
         conn_f = ModuleConnection("y", 1, [[Form.d_gen("y")]])
         rmt1 = RightModuleTwist(Q2, rank=1)
-        result = check_twist_independence(Q2, conn_e, conn_f, rmt1, rmt1, CAPS,
+        pc = ProductConnection(Q2, rmt1, conn_e, conn_f)
+        result = check_twist_independence(pc, rmt1, CAPS,
                                           *first_twist(rmt1, conn_f, CAPS))
         assert result.verdict == "inadmissible"
         assert "inadmissible pair" in result.witness
@@ -385,6 +386,30 @@ class TestTheoremChecks:
         report = runner.run_checks(scenario, ["independence"])
         assert report.find("independence").passed
         assert [len(seen) for seen in calls.values()] == [2, 2]
+
+    def test_independence_uses_the_runs_connection(self, monkeypatch):
+        # the first twist's curvature comes from the run's connection, so
+        # the ∇ columns that curvature-formula cached serve it too
+        built, passed_pc = [], []
+        build, check = runner.build_objects, runner.check_twist_independence
+
+        def recorded_build(scenario):
+            built.append(build(scenario))
+            return built[-1]
+
+        def recorded_check(pc, *rest):
+            passed_pc.append(pc)
+            return check(pc, *rest)
+
+        monkeypatch.setattr(runner, "build_objects", recorded_build)
+        monkeypatch.setattr(runner, "check_twist_independence", recorded_check)
+        scenario = load_scenario_file(
+            Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
+        scenario.caps = Caps(1, 1)
+        report = runner.run_checks(scenario, ["theorem", "independence"])
+        assert report.find("independence").passed
+        assert len(built) == 1 and passed_pc == [built[0].pc]
+        assert passed_pc[0]._columns
 
 
 class TestReducedPresentation:
