@@ -520,11 +520,11 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
 
     Each case compares two sides as flat term tables, each a sum of cached
     columns: w·ω ⊗ pv against w · swap(ω ⊗ pv) on the left, and
-    ω ⊗ pv·w against swap(ω ⊗ pv) · w on the right.  A step is one basis
-    vector under one 1-form, two cases per monomial w; a side is not
-    compared again once it failed, and the loop stops after the step where
-    both have failed.  Returns the cases and the witness of each failed
-    side ("left", "right").
+    ω ⊗ pv·w against swap(ω ⊗ pv) · w on the right.  A case is one such
+    comparison, per 1-form, basis vector, monomial w and side; a side is
+    not compared again once it failed, and the loop stops at the second
+    failure.  Returns the cases and the witness of each failed side
+    ("left", "right").
     """
     twist = ps.twist
     E = caps.max_exponent
@@ -539,7 +539,7 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
 
     ops = Columns(twist, ps.rmt, ps.lmt, ps.m)
 
-    def steps():
+    def comparisons():
         done: set[str] = set()
         for flabel, pair in one_forms:
             # w·ω is one pair-word with a coefficient, whatever pv is
@@ -549,22 +549,25 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
             swap = partial(ps.column, ops, pair)
             for plabel, terms in basis:
                 base = sum_columns(terms, swap).items()
-                found = {}
                 for i, j, w, wpair, wc in products:
                     if "left" not in done:
                         lhs = sum_columns([(t, wc * c) for t, c in terms],
                                           partial(ps.column, ops, wpair))
                         if lhs != sum_columns(base, partial(ops.left, i, j)):
-                            found["left"] = f"left: {w} . ({flabel}) ⊗ {plabel}"
+                            done.add("left")
+                            yield {"left": f"left: {w} . ({flabel}) ⊗ {plabel}"}
+                        else:
+                            yield None
                     if "right" not in done:
                         right = partial(ops.right, i, j)
                         lhs = sum_columns(sum_columns(terms, right).items(), swap)
                         if lhs != sum_columns(base, right):
-                            found["right"] = f"right: ({flabel}) ⊗ {plabel} . {w}"
-                    done.update(found)
-                yield found or None
+                            done.add("right")
+                            yield {"right": f"right: ({flabel}) ⊗ {plabel} . {w}"}
+                        else:
+                            yield None
 
-    return tally(steps(), 2 * len(monos), until=2)
+    return tally(comparisons(), until=2)
 
 
 def check_swap_cross_morphisms(ps: ProductSwap, caps: Caps) -> CheckResult:

@@ -122,12 +122,12 @@ def test_swap_equation_fails(q, value):
     ps = ProductSwap(twist, rmt, lmt, swap("x"), swap("y"))
     caps = Caps(1, 1)
     assert check_swap_compat_e(ps, caps).to_dict() == {
-        "name": "swap-compat-e", "verdict": "fail", "cases": 528,
+        "name": "swap-compat-e", "verdict": "fail", "cases": 274,
         "witness": "y^1 ⊗ dx ⊗ e_1",
         "detail": {"equation": "fail", "left_morphism": "fail",
                    "right_morphism": "pass", "equivalence_agrees": True}}
     assert check_swap_compat_f(ps, caps).to_dict() == {
-        "name": "swap-compat-f", "verdict": "fail", "cases": 528,
+        "name": "swap-compat-f", "verdict": "fail", "cases": 275,
         "witness": "dy ⊗ f_1 ⊗ x^1",
         "detail": {"equation": "fail", "left_morphism": "pass",
                    "right_morphism": "fail", "equivalence_agrees": True}}

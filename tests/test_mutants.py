@@ -259,40 +259,40 @@ _KOSZUL_SIGN_DROPPED = [
 # cases, witness and detail of each check that turns red
 RED_RESULTS = {
     (left_with_t_inverse, str(SYMMETRIC_S)): [
-        red("swap-cross-morphisms", 1024, _LEFT_Y_E, **morphisms(e_left="fail")),
+        red("swap-cross-morphisms", 770, _LEFT_Y_E, **morphisms(e_left="fail")),
         red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
     ],
     (left_with_s_forward, str(SYMMETRIC_S)): [
-        red("swap-compat-f", 528, "left: x ⊗ 1 . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+        red("swap-compat-f", 275, "left: x ⊗ 1 . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
             **compat(left="fail")),
-        red("swap-cross-morphisms", 1024,
+        red("swap-cross-morphisms", 771,
             "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
             **morphisms(f_left="fail")),
         red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
     ],
     (right_normal_base_sign_flipped, str(SYMMETRIC_S)): [
-        red("swap-compat-e", 528, "equation and left-morphism verdicts "
+        red("swap-compat-e", 275, "equation and left-morphism verdicts "
             "disagree: left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
             **compat(left="fail", agrees=False)),
-        red("swap-compat-f", 528, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+        red("swap-compat-f", 274, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
             **compat(left="fail")),
-        red("swap-cross-morphisms", 1024, _LEFT_Y_E,
+        red("swap-cross-morphisms", 517, _LEFT_Y_E,
             **morphisms(e_left="fail", f_left="fail")),
         red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
     ],
     (right_normal_recursion_sign_flipped, str(SYMMETRIC_S)): [
-        red("swap-compat-e", 528, "equation and left-morphism verdicts "
+        red("swap-compat-e", 275, "equation and left-morphism verdicts "
             "disagree: left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
             **compat(left="fail", agrees=False)),
-        red("swap-compat-f", 528, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+        red("swap-compat-f", 274, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
             **compat(left="fail")),
-        red("swap-cross-morphisms", 1024, _LEFT_Y_E,
+        red("swap-cross-morphisms", 517, _LEFT_Y_E,
             **morphisms(e_left="fail", f_left="fail")),
     ],
     # both conditions of the y-form/e-block piece fail, so that piece stops
-    # at the end of the basis vector where the second one failed
+    # at the comparison where the second one failed
     (dropped_q, str(SYMMETRIC_S)): [
-        red("swap-cross-morphisms", 536,
+        red("swap-cross-morphisms", 525,
             "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ e_1 x^1 ⊗ y^0",
             **morphisms(e_left="fail", e_right="fail")),
         red("bimodule-theorem", 10, "1 ⊗ y . (e_1 x^1 ⊗ y^0)"),
@@ -302,10 +302,10 @@ RED_RESULTS = {
         red("leibniz", 35, "leibniz fails at x^0 ⊗ f_1 y^0 acted by x ⊗ 1"),
         red("quantum-plane-report", 0,
             "symbolic display did not match the computed connection"),
-        red("swap-compat-f", 528, "equation and right-morphism verdicts "
+        red("swap-compat-f", 275, "equation and right-morphism verdicts "
             "disagree: right: (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0 . x ⊗ 1",
             **compat(right="fail", agrees=False)),
-        red("swap-cross-morphisms", 520,
+        red("swap-cross-morphisms", 518,
             "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
             **morphisms(f_left="fail", f_right="fail")),
         red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
