@@ -28,9 +28,10 @@ M^{sign·other}, where ``own`` is the exponent on the module's side and
 arguments in ``cross_word`` (and ``uncross_word``, which only the right
 side needs), and one checker decides the twisting axioms of either side.
 
-Checkers verify the defining axioms exhaustively on bounded bases and
-accept pluggable maps with the same call signature, so deliberately
-corrupted maps can be exercised.
+Checkers verify the defining axioms exhaustively on bounded bases.  They
+call the maps of the objects they are given (only ``check_twist_axioms``
+also takes a pluggable lift), so a corrupted map is exercised by replacing
+the method on one instance.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class AlgebraTwist:
         sign, e = word_twist(wy, wx)
         return self.qpow(e) if sign > 0 else -self.qpow(e)
 
-    def uncross_coeff(self, wx: Word, wy: Word) -> Fraction:
-        sign, e = word_twist(wy, wx)
-        return self.qpow(-e) if sign > 0 else -self.qpow(-e)
-
     # ---- element level -------------------------------------------------
     def cross(self, yform: Form, xform: Form) -> ProductForm:
         """Lifted twisting map: y-forms move right, x-forms move left."""
@@ -105,16 +102,6 @@ class AlgebraTwist:
             for wx, cx in xform.terms.items():
                 out[(wx, wy)] = _times(_times(self.cross_coeff(wy, wx), cy), cx)
         return ProductForm(out)
-
-    def uncross(self, xform: Form, yform: Form) -> dict[tuple[Word, Word], Fraction]:
-        """Inverse crossing; keys are (y-word, x-word) pairs."""
-        if yform.gen != "y" or xform.gen != "x":
-            raise ValueError("uncross expects (x-form, y-form)")
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for wx, cx in xform.terms.items():
-            for wy, cy in yform.terms.items():
-                out[(wy, wx)] = _times(_times(self.uncross_coeff(wx, wy), cy), cx)
-        return out
 
     def mul(self, u: ProductForm, v: ProductForm) -> ProductForm:
         """Twisted product (u_x ⊗ u_y)(v_x ⊗ v_y) via the lift."""
@@ -295,13 +282,12 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
     return passed("twist-axioms", cases)
 
 
-def check_lift_compat(twist: AlgebraTwist, caps: Caps,
-                      cross: CrossFn | None = None) -> CheckResult:
+def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     """Differential compatibility of the lift on bounded word pairs.
 
     Each word pair counts two cases, d on the y-side and d on the x-side.
     """
-    fn = cross or twist.cross
+    fn = twist.cross
     # each word's form and differential, built once per check
     forms = {gen: {w: (Form.word(gen, w), Form(gen, word_differential(w)))
                    for w in enumerate_words(caps.max_degree, caps.max_exponent)}
@@ -333,16 +319,14 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps,
     return run_cases("lift-compat", cases(), 2)
 
 
-def check_right_module_twist(rmt: RightModuleTwist, caps: Caps,
-                             twist_map: ModuleTwistFn | None = None) -> CheckResult:
+def check_right_module_twist(rmt: RightModuleTwist, caps: Caps) -> CheckResult:
     """Unitality and the two right module twisting conditions."""
-    return _check_module_twist(rmt, caps, "right", twist_map or rmt.cross_word)
+    return _check_module_twist(rmt, caps, "right", rmt.cross_word)
 
 
-def check_left_module_twist(lmt: LeftModuleTwist, caps: Caps,
-                            twist_map: ModuleTwistFn | None = None) -> CheckResult:
+def check_left_module_twist(lmt: LeftModuleTwist, caps: Caps) -> CheckResult:
     """Mirror checks for the left module twisting map."""
-    fn = twist_map or lmt.cross_word
+    fn = lmt.cross_word
     return _check_module_twist(lmt, caps, "left",
                                lambda k, own, other: fn(other, k, own))
 
