@@ -193,7 +193,7 @@ class Terms:
 
     def scale(self, c):
         c = Fraction(c)
-        return self._like({k: c * v for k, v in self.terms.items()} if c else None)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):

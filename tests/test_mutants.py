@@ -164,16 +164,15 @@ def f_rest_negated(monkeypatch):
     monkeypatch.setattr(product.ProductConnection, "_nabla_term", negated)
 
 
-# the product differential without the Koszul sign (-1)^{deg u} on the y-part
+# the product differential without the Koszul sign (-1)^{deg u} on the
+# y-part, in the key differential the shared Terms.d sums
 def koszul_sign_dropped(monkeypatch):
-    def unsigned(self):
-        out = {}
-        for (wx, wy), c in self.terms.items():
-            add_column(out, c, [((w, wy), s) for w, s in word_differential(wx).items()])
-            add_column(out, c, [((wx, w), s) for w, s in word_differential(wy).items()])
-        return ProductForm(out)
+    def unsigned(pair):
+        wx, wy = pair
+        return [((w, wy), s) for w, s in word_differential(wx).items()] + \
+            [((wx, w), s) for w, s in word_differential(wy).items()]
 
-    monkeypatch.setattr(ProductForm, "d", unsigned)
+    monkeypatch.setattr(ProductForm, "key_differential", staticmethod(unsigned))
 
 
 NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",
