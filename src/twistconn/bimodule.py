@@ -35,8 +35,8 @@ from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
 from .product import _ONE, Column, ProductConnection, ProductVector, Term, \
-    _connection_compat, act_right_form, f_free_to_naive, f_naive_to_free, \
-    iter_naive_basis, sum_columns
+    _connection_compat, f_free_to_naive, iter_naive_basis, \
+    naive_terms_to_free, sum_columns
 
 
 class FormSwap:
@@ -364,12 +364,6 @@ class ProductSwap:
                                           0, self.n).f
         return ProductVector((), f_free_to_naive(self.rmt, coords)).terms
 
-    def _free(self, naive: dict[Term, Fraction]) -> dict[Term, Fraction]:
-        """Naive f-block terms back to free flat terms (f-slots after e)."""
-        coords = ProductVector.from_terms(naive, 0, self.n).f
-        return ProductVector([ProductForm()] * self.m,
-                             f_naive_to_free(self.rmt, coords)).terms
-
     # -- generator inputs -------------------------------------------------
     def _generator_x(self, cc: int, t: Term, ops: Columns) -> dict[Term, Fraction]:
         """Swap of d(x^cc) ⊗ 1 past one flat term."""
@@ -384,7 +378,7 @@ class ProductSwap:
         for (k, (wxk, wyk)), c in self._naive(t).items():
             add_column(out, c, [((k, (word_mul(w, wxk), wyk)), s)
                                 for w, s in word_differential((cc,)).items()])
-        return self._free(out)
+        return naive_terms_to_free(self.rmt, self.m, out)
 
     def _generator_y(self, i: int, cc: int, t: Term,
                      ops: Columns) -> dict[Term, Fraction]:
@@ -407,7 +401,7 @@ class ProductSwap:
             add_column(out, twist.qpow(cc * wxk[0]) * c,
                        [((p, ((i + wxk[0],), w)), cw) for (p, w), cw
                         in self._factor_swap("y", cc, k, wyk, ops)])
-        return self._free(out)
+        return naive_terms_to_free(self.rmt, self.m, out)
 
 
 # ---------------------------------------------------------------------------

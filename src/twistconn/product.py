@@ -165,6 +165,14 @@ def f_naive_to_free(rmt: RightModuleTwist, coords) -> list[ProductForm]:
     return _spread(rmt, coords, lambda wx: -word_letters(wx))
 
 
+def naive_terms_to_free(rmt: RightModuleTwist, m: int,
+                        naive: dict[Term, Fraction]) -> dict[Term, Fraction]:
+    """:func:`f_naive_to_free` on flat terms: naive f-block terms (f-slots
+    count from 0) to free flat terms (f-slots after the m e-slots)."""
+    coords = ProductVector.from_terms(naive, 0, rmt.rank).f
+    return ProductVector([ProductForm()] * m, f_naive_to_free(rmt, coords)).terms
+
+
 def x_tensor(wx: Word, yform: Form, c=1) -> ProductForm:
     """c · (x-word ⊗ y-form)."""
     return ProductForm({(wx, w): c * cw for w, cw in yform.terms.items()})
@@ -296,9 +304,7 @@ class ProductConnection:
                     # inverse-twist term: d(x^i) ⊗ f_l y^j
                     add_column(naive, c, [((l, (u, wy)), s) for u, s
                                           in word_differential(wx).items()])
-            free = ProductVector.from_terms(naive, 0, self.n).f
-            return ProductVector([ProductForm()] * m,
-                                 f_naive_to_free(self.rmt, free)).terms
+            return naive_terms_to_free(self.rmt, m, naive)
         conn, embed, base = (self.conn_e, embed_x, 0) if slot < m \
             else (self.conn_f, embed_y, m)
         out = {(slot, w): c for w, c in one.d().terms.items()}
