@@ -26,17 +26,23 @@ identity of the product connection with respect to the assembled swap.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from typing import Callable
 
 from .connections import ModuleConnection
-from .forms import Caps, Form, Word, UNIT_WORD, add_column, render_word, \
-    word_degree, word_differential, word_letters, word_mul
+from .forms import Caps, ColumnTable, Form, Word, UNIT_WORD, add_column, \
+    add_scaled, from_scaled, render_word, scaled_equal, sum_scaled, \
+    to_scaled, word_degree, word_differential, word_letters, word_mul
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
-from .product import _ONE, Column, ProductConnection, ProductVector, Term, \
+from .product import _ONE, ProductConnection, ProductVector, Term, \
     _connection_compat, f_free_to_naive, iter_naive_basis, \
-    naive_terms_to_free, sum_columns
+    naive_terms_to_free
+
+# a column as integer numerators over one positive denominator, and a
+# linear operator as the function from a flat term to its column
+ScaledColumn = tuple[int, tuple[tuple[Term, int], ...]]
+Operator = Callable[[Term], ScaledColumn]
 
 
 class FormSwap:
@@ -145,50 +151,44 @@ def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
 # operator columns over flat terms
 # ---------------------------------------------------------------------------
 
-class Columns:
+class Columns(ColumnTable):
     """Per-check cache of operator columns over flat terms.
 
     ``table`` maps an operator tag to that operator's columns by input
     term: ("L", i, j) is act_left(x^i ⊗ y^j, ·), ("R", i, j) is
     act_right_form(·, x^i ⊗ y^j), ("S", pair) the swap of a 1-form
     pair-word, ("Gx", cc) and ("Gy", i, cc) the generator images and
-    ("F", gen, cc) the factor-swap images, by (slot, word).  It also
-    maps each stored term to itself, so that equal terms in different
-    columns share one tuple.  A check creates one table and drops it at
-    its end.  Each column is computed once, by the kernel its public
-    operator runs per term (:func:`_left_term`, ``AlgebraTwist.mul``,
-    :meth:`ProductSwap.column`), and every later use only sums columns.
+    ("F", gen, cc) the factor-swap images, by (slot, word); ("N",) and
+    ("B",) change one f-block term from free to naive coordinates and
+    back.  A check creates one table and drops it at its end.  Each column
+    is computed once, by the kernel its public operator runs per term
+    (:func:`_left_term`, ``AlgebraTwist.mul``, :meth:`ProductSwap.columns`,
+    ``f_free_to_naive``, ``f_naive_to_free``), and kept as a scaled column
+    (integer numerators over one denominator, see ``forms.add_scaled``);
+    every later use only sums columns, over the integers.
     """
 
     def __init__(self, twist: AlgebraTwist, rmt: RightModuleTwist,
                  lmt: LeftModuleTwist, m: int, table: dict | None = None):
+        super().__init__(table)
         self.twist, self.rmt, self.lmt, self.m = twist, rmt, lmt, m
-        self.table = {} if table is None else table
 
-    def get(self, tag: tuple, t, make):
-        """The column of operator ``tag`` on ``t``; ``make()`` gives it once."""
-        cols = self.table.get(tag)
-        if cols is None:
-            cols = self.table[tag] = {}
-        col = cols.get(t)
-        if col is None:
-            col = cols[t] = make()
-        return col
+    def left(self, i: int, j: int) -> Operator:
+        """act_left(x^i ⊗ y^j, ·) on flat terms."""
+        def make(t):
+            c, pairs = _left_term(self.twist, self.rmt, self.lmt, self.m,
+                                  i, j, t)
+            return self.store(*to_scaled(pairs, c))
+        return self.operator(("L", i, j), make)
 
-    def store(self, terms) -> Column:
-        intern = self.table.setdefault
-        return tuple((intern(t, t), c) for t, c in terms)
-
-    def left(self, i: int, j: int, t: Term) -> Column:
-        return self.get(("L", i, j), t, lambda: self.store(_left_term(
-            self.twist, self.rmt, self.lmt, self.m, i, j, t)))
-
-    def right(self, i: int, j: int, t: Term) -> Column:
-        def make():
-            product = self.twist.mul(ProductForm({t[1]: _ONE}),
-                                     ProductForm.monomial(i, j))
-            return self.store(((t[0], p), c) for p, c in product.terms.items())
-        return self.get(("R", i, j), t, make)
+    def right(self, i: int, j: int) -> Operator:
+        """act_right_form(·, x^i ⊗ y^j) on flat terms."""
+        def make(t):
+            product = self.twist.mul(ProductForm.from_terms({t[1]: _ONE}),
+                                     ProductForm.from_terms({((i,), (j,)): _ONE}))
+            return self.store(*to_scaled(((t[0], p), c)
+                                         for p, c in product.terms.items()))
+        return self.operator(("R", i, j), make)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +197,23 @@ class Columns:
 
 def _left_term(twist: AlgebraTwist, rmt: RightModuleTwist,
                lmt: LeftModuleTwist, m: int, i: int, j: int,
-               t: Term) -> list[tuple[Term, Fraction]]:
+               t: Term) -> tuple[Fraction, list[tuple[Term, Fraction]]]:
     """x^i ⊗ y^j times one flat term, the kernel of the left action.
 
-    One pair-word product, spread over the slots by row k of T^j (e-block
-    slot k) or of S^{-i} (f-block slot k).
+    One pair-word product, with its coefficient c, spread over the slots
+    by row k of T^j (e-block slot k) or of S^{-i} (f-block slot k): the
+    value is c times the returned (term, row entry) pairs.
     """
     slot, (vx, vy) = t
     sign, e = word_twist((j,), vx)
     c = twist.qpow(e)
-    if sign < 0:
-        c = -c
     pair = ((i + vx[0],) + vx[1:], word_mul((j,), vy))
     if slot < m:
         base, row = 0, lmt.matrix_power(j)[slot]
     else:
         base, row = m, rmt.matrix_power(-i)[slot - m]
-    return [((base + l, pair), r if c == 1 else c * r)
-            for l, r in enumerate(row) if r]
+    return -c if sign < 0 else c, [((base + l, pair), r)
+                                   for l, r in enumerate(row) if r]
 
 
 def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
@@ -225,8 +224,8 @@ def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
     out: dict[Term, Fraction] = {}
     for (wx, wy), c in w.terms.items():
         for t, cv in pv.terms.items():
-            add_column(out, c * cv,
-                       _left_term(twist, rmt, lmt, pv.m, wx[0], wy[0], t))
+            cl, column = _left_term(twist, rmt, lmt, pv.m, wx[0], wy[0], t)
+            add_column(out, c * cv * cl, column)
     return ProductVector.from_terms(out, pv.m, pv.n)
 
 
@@ -244,14 +243,14 @@ def check_bimodule_axiom(twist: AlgebraTwist, rmt: RightModuleTwist,
 
     def cases():
         for label, pv in iter_naive_basis(m, rmt, caps):
-            terms = pv.terms.items()
+            terms = to_scaled(pv.terms.items())
             for il, jl, wl in monos:
-                left = partial(ops.left, il, jl)
-                moved = sum_columns(terms, left).items()
+                left = ops.left(il, jl)
+                moved = sum_scaled(terms, left)
                 for ir, jr, wr in monos:
-                    right = partial(ops.right, ir, jr)
-                    lhs = sum_columns(sum_columns(terms, right).items(), left)
-                    yield None if lhs == sum_columns(moved, right) \
+                    right = ops.right(ir, jr)
+                    lhs = sum_scaled(sum_scaled(terms, right), left)
+                    yield None if scaled_equal(lhs, sum_scaled(moved, right)) \
                         else f"{label} between {wl} and {wr}"
 
     return run_cases("bimodule-axiom", cases())
@@ -315,93 +314,114 @@ class ProductSwap:
         if not pv.is_degree(0):
             raise ValueError("swap needs a degree-0 module element")
         ops = Columns(self.twist, self.rmt, self.lmt, self.m, columns)
-        out: dict[Term, Fraction] = {}
+        acc: dict[Term, int] = {}
+        den = 1
         for pair, c in one_form.terms.items():
+            swap = self.columns(ops, pair)
             for t, cw in pv.terms.items():
-                add_column(out, c * cw, self.column(ops, pair, t))
-        return ProductVector.from_terms(out, self.m, self.n)
+                cc = c * cw
+                d, col = swap(t)
+                den = add_scaled(acc, den, cc.numerator, cc.denominator * d, col)
+        return ProductVector.from_terms(from_scaled(den, acc), self.m, self.n)
 
-    def column(self, ops: Columns, pair: PairWord, t: Term) -> Column:
-        """Swap of one basis tensor: normalize the 1-form to generators.
+    def columns(self, ops: Columns, pair: PairWord) -> Operator:
+        """The swap of the 1-form pair-word ``pair`` ⊗ (flat term): normalize
+        the 1-form to generators.
 
         Trailing scalars move across the balanced tensor onto the module
         argument, so the column is the sum of co · G(cc) ∘ L(scalar) over
         the generator shapes, each factor a cached column.
         """
-        def make():
-            acc: dict[Term, Fraction] = {}
+        def make(t):
+            acc: dict[Term, int] = {}
+            den = 1
             wx, wy = pair
+            # (generator tag, scalar moved onto the module, coefficient)
             if word_degree(wx) == 1:
-                for cc, tail, co in _right_normal(wx[0], wx[1]):
-                    for t2, v in ops.left(tail, wy[0], t):
-                        add_column(acc, co * v,
-                                   self._generator(ops, ("Gx", cc), t2))
+                shapes = [(("Gx", cc), (tail, wy[0]), co)
+                          for cc, tail, co in _right_normal(wx[0], wx[1])]
             else:
-                for cc, tail, co in _right_normal(wy[0], wy[1]):
-                    for t2, v in ops.left(0, tail, t):
-                        add_column(acc, co * v,
-                                   self._generator(ops, ("Gy", wx[0], cc), t2))
-            return ops.store(acc.items())
-        return ops.get(("S", pair), t, make)
+                shapes = [(("Gy", wx[0], cc), (0, tail), co)
+                          for cc, tail, co in _right_normal(wy[0], wy[1])]
+            for tag, scalar, co in shapes:
+                ld, left = ops.left(*scalar)(t)
+                generator = self._generator(ops, tag)
+                for t2, v in left:
+                    gd, col = generator(t2)
+                    den = add_scaled(acc, den, co * v, ld * gd, col)
+            return ops.store(den, acc)
+        return ops.operator(("S", pair), make)
 
-    def _generator(self, ops: Columns, tag: tuple, t: Term) -> Column:
-        def make():
-            image = self._generator_x(tag[1], t, ops) if tag[0] == "Gx" \
-                else self._generator_y(tag[1], tag[2], t, ops)
-            return ops.store(image.items())
-        return ops.get(tag, t, make)
+    def _generator(self, ops: Columns, tag: tuple) -> Operator:
+        def make(t):
+            return ops.store(*(self._generator_x(tag[1], t, ops) if tag[0] == "Gx"
+                               else self._generator_y(tag[1], tag[2], t, ops)))
+        return ops.operator(tag, make)
 
     def _factor_swap(self, gen: str, cc: int, k: int, word: Word,
-                     ops: Columns) -> tuple[tuple[tuple[int, Word], Fraction], ...]:
+                     ops: Columns) -> ScaledColumn:
         """The factor swap of d(gen^cc) past e_k·word, cached."""
-        return ops.get(("F", gen, cc), (k, word), lambda: tuple(_swap_image(
-            self.swap_e if gen == "x" else self.swap_f,
-            Form.gen_power(gen, cc).d(), k, word)))
+        swap = self.swap_e if gen == "x" else self.swap_f
+        image = ops.operator(("F", gen, cc), lambda kw: ops.store(*to_scaled(
+            _swap_image(swap, Form.gen_power(gen, cc).d(), *kw))))
+        return image((k, word))
 
-    def _naive(self, t: Term) -> dict[Term, Fraction]:
-        """A free f-block term in naive coordinates (f-slots count from 0)."""
-        coords = ProductVector.from_terms({(t[0] - self.m, t[1]): _ONE},
-                                          0, self.n).f
-        return ProductVector((), f_free_to_naive(self.rmt, coords)).terms
+    def _naive(self, t: Term, ops: Columns) -> ScaledColumn:
+        """A free f-block term in naive coordinates (f-slots count from 0),
+        cached."""
+        naive = ops.operator(("N",), lambda t: ops.store(*to_scaled(
+            f_free_to_naive(self.rmt, {(t[0] - self.m, t[1]): _ONE}).items())))
+        return naive(t)
+
+    def _free(self, ops: Columns, naive) -> tuple[int, dict]:
+        """Σ (c/den) · (naive term u in free coordinates) over the (u, c,
+        den) of ``naive``, each u converted once and cached."""
+        acc: dict[Term, int] = {}
+        den = 1
+        free = ops.operator(("B",), lambda u: ops.store(*to_scaled(
+            naive_terms_to_free(self.rmt, self.m, {u: _ONE}).items())))
+        for u, c, d in naive:
+            bd, col = free(u)
+            den = add_scaled(acc, den, c, d * bd, col)
+        return den, acc
 
     # -- generator inputs -------------------------------------------------
-    def _generator_x(self, cc: int, t: Term, ops: Columns) -> dict[Term, Fraction]:
-        """Swap of d(x^cc) ⊗ 1 past one flat term."""
+    def _generator_x(self, cc: int, t: Term, ops: Columns) -> tuple[int, dict]:
+        """Swap of d(x^cc) ⊗ 1 past one flat term, as a scaled table."""
         slot, (wx, wy) = t
         if slot < self.m:
             # e-block: the e-factor swap acts on the x-form and the coordinate
-            return {(l, (w, wy)): c
-                    for (l, w), c in self._factor_swap("x", cc, slot, wx, ops)}
+            fd, image = self._factor_swap("x", cc, slot, wx, ops)
+            return fd, {(l, (w, wy)): c for (l, w), c in image}
         # f-block: d(x^cc) joins the naive x-power; two inverse twists
         # compose into one matrix power
-        out: dict[Term, Fraction] = {}
-        for (k, (wxk, wyk)), c in self._naive(t).items():
-            add_column(out, c, [((k, (word_mul(w, wxk), wyk)), s)
+        nd, naive = self._naive(t, ops)
+        return self._free(ops, [((k, (word_mul(w, wxk), wyk)), c * s, nd)
+                                for (k, (wxk, wyk)), c in naive
                                 for w, s in word_differential((cc,)).items()])
-        return naive_terms_to_free(self.rmt, self.m, out)
 
     def _generator_y(self, i: int, cc: int, t: Term,
-                     ops: Columns) -> dict[Term, Fraction]:
-        """Swap of x^i ⊗ d(y^cc) past one flat term."""
+                     ops: Columns) -> tuple[int, dict]:
+        """Swap of x^i ⊗ d(y^cc) past one flat term, as a scaled table."""
         twist = self.twist
         slot, (wx, wy) = t
-        out: dict[Term, Fraction] = {}
         if slot < self.m:
             # e-block: carry y^cc across with the left module twist, then d
             row = self.lmt.matrix_power(cc)[slot]
-            scale = twist.qpow(cc * wx[0])
-            for w, s in word_differential((cc,)).items():
-                pair = ((i + wx[0],), word_mul(w, wy))
-                add_column(out, scale * s,
-                           [((l, pair), r) for l, r in enumerate(row) if r])
-            return out
+            return to_scaled([((l, ((i + wx[0],), word_mul(w, wy))), s * r)
+                              for w, s in word_differential((cc,)).items()
+                              for l, r in enumerate(row) if r],
+                             twist.qpow(cc * wx[0]))
         # f-block: algebra twist past the scalar, then the f-factor swap,
         # in naive coordinates
-        for (k, (wxk, wyk)), c in self._naive(t).items():
-            add_column(out, twist.qpow(cc * wxk[0]) * c,
-                       [((p, ((i + wxk[0],), w)), cw) for (p, w), cw
-                        in self._factor_swap("y", cc, k, wyk, ops)])
-        return naive_terms_to_free(self.rmt, self.m, out)
+        nd, naive = self._naive(t, ops)
+        terms = []
+        for (k, (wxk, wyk)), c in naive:
+            q = twist.qpow(cc * wxk[0])
+            fd, image = self._factor_swap("y", cc, k, wyk, ops)
+            terms += [((p, ((i + wxk[0],), w)), q.numerator * c * cw,
+                       q.denominator * fd * nd) for (p, w), cw in image]
+        return self._free(ops, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +548,7 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
                  else (f"x^{t} ⊗ {render_word('y', w)}", ((t,), w))
                  for w in _one_form_words_x(caps) for t in range(E + 1)]
 
-    basis = [(label, pv.terms.items())
+    basis = [(label, to_scaled(pv.terms.items()))
              for label, pv in iter_naive_basis(ps.m, ps.rmt, caps, blocks=block)]
 
     ops = Columns(twist, ps.rmt, ps.lmt, ps.m)
@@ -540,22 +560,26 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
             products = [(i, j, w, *next(iter(twist.mul(
                 w, ProductForm({pair: _ONE})).terms.items())))
                 for i, j, w in monos]
-            swap = partial(ps.column, ops, pair)
+            swap = ps.columns(ops, pair)
             for plabel, terms in basis:
-                base = sum_columns(terms, swap).items()
+                den, table = terms
+                base = sum_scaled(terms, swap)
                 for i, j, w, wpair, wc in products:
                     if "left" not in done:
-                        lhs = sum_columns([(t, wc * c) for t, c in terms],
-                                          partial(ps.column, ops, wpair))
-                        if lhs != sum_columns(base, partial(ops.left, i, j)):
+                        lhs = sum_scaled(
+                            (den * wc.denominator,
+                             {t: wc.numerator * n for t, n in table.items()}),
+                            ps.columns(ops, wpair))
+                        if not scaled_equal(lhs, sum_scaled(
+                                base, ops.left(i, j))):
                             done.add("left")
                             yield {"left": f"left: {w} . ({flabel}) ⊗ {plabel}"}
                         else:
                             yield None
                     if "right" not in done:
-                        right = partial(ops.right, i, j)
-                        lhs = sum_columns(sum_columns(terms, right).items(), swap)
-                        if lhs != sum_columns(base, right):
+                        right = ops.right(i, j)
+                        lhs = sum_scaled(sum_scaled(terms, right), swap)
+                        if not scaled_equal(lhs, sum_scaled(base, right)):
                             done.add("right")
                             yield {"right": f"right: ({flabel}) ⊗ {plabel} . {w}"}
                         else:
@@ -592,11 +616,14 @@ def check_bimodule_theorem(pc: ProductConnection, ps: ProductSwap,
 
     def cases():
         for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
-            nabla = pc.nabla(pv).terms.items()
+            nabla = to_scaled(pc.nabla(pv).terms.items())
             for i, j, w in monos:
                 lhs = pc.nabla(act_left(ps.twist, ps.rmt, ps.lmt, w, pv)).terms
-                rhs = sum_columns(nabla, partial(ops.left, i, j))
-                add_column(rhs, 1, ps.apply(w.d(), pv, ops.table).terms.items())
-                yield None if lhs == rhs else f"{w} . ({label})"
+                den, rhs = sum_scaled(nabla, ops.left(i, j))
+                sden, swapped = to_scaled(
+                    ps.apply(w.d(), pv, ops.table).terms.items())
+                den = add_scaled(rhs, den, 1, sden, swapped.items())
+                yield None if scaled_equal(to_scaled(lhs.items()), (den, rhs)) \
+                    else f"{w} . ({label})"
 
     return run_cases("bimodule-theorem", cases())

@@ -14,11 +14,14 @@ Elements are sparse rational sums of words over a fixed generator symbol
 ('x' or 'y').  All values are immutable by convention and all arithmetic is
 exact.  ``Terms`` is the one sparse table type of the package, for words
 here, for pair-words in ``tdga`` and for flat module terms in ``product``;
-``add_column`` is its one summation step.
+``add_column`` is its one summation step.  ``ColumnTable`` memoizes the
+columns of linear operators integer-scaled, one denominator over integer
+numerators, and ``add_scaled`` is the summation step of those columns.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import cache
@@ -130,6 +133,108 @@ def add_column(acc: dict, c: Fraction, column) -> None:
                 acc[t] = v
             else:
                 del acc[t]
+
+
+# Integer-scaled tables.  A scaled table (den, table) stands for the table
+# {t: n / den}: den is a positive int and every n a nonzero int.  A scaled
+# column (den, ((t, n), ...)) is the same with the pairs in a tuple.  Sums
+# merge denominators by their lcm, so no rational is formed while summing.
+
+def add_scaled(acc: dict, den: int, c: int, cden: int, column) -> int:
+    """acc/den += (c/cden) · column over (key, integer) pairs; returns the
+    denominator of the sum, lcm(den, cden), to which acc is rescaled.
+
+    The integer counterpart of :func:`add_column`.
+    """
+    if cden != den:
+        lcm = math.lcm(den, cden)
+        if lcm != den:
+            scale = lcm // den
+            for t in acc:
+                acc[t] *= scale
+            den = lcm
+        c *= den // cden
+    for t, v in column:
+        v *= c
+        old = acc.get(t)
+        if old is None:
+            acc[t] = v
+        else:
+            v += old
+            if v:
+                acc[t] = v
+            else:
+                del acc[t]
+    return den
+
+
+def sum_scaled(table: tuple[int, dict], column) -> tuple[int, dict]:
+    """Σ (n/den) · column(t) over the scaled ``table``, where column(t) is
+    a scaled column, as one scaled table."""
+    den, terms = table
+    acc: dict = {}
+    d = 1
+    for t, n in terms.items():
+        cd, col = column(t)
+        d = add_scaled(acc, d, n, cd, col)
+    return d * den, acc
+
+
+def scaled_equal(a: tuple[int, dict], b: tuple[int, dict]) -> bool:
+    """Whether two scaled tables stand for the same table: the same keys,
+    and n_a · den_b == n_b · den_a at each key."""
+    (da, ta), (db, tb) = a, b
+    if da == db:
+        return ta == tb
+    return ta.keys() == tb.keys() and \
+        all(n * db == tb[t] * da for t, n in ta.items())
+
+
+def to_scaled(pairs, c=1) -> tuple[int, dict]:
+    """c times rational (key, coefficient) pairs with distinct keys and
+    nonzero coefficients, as a scaled table."""
+    pairs = [(t, v.numerator, v.denominator) for t, v in pairs]
+    den = math.lcm(*[d for _, _, d in pairs])
+    n = c.numerator
+    return den * c.denominator, {t: n * v * (den // d) for t, v, d in pairs}
+
+
+def from_scaled(den: int, table: dict) -> dict:
+    """A scaled table as a table of Fractions."""
+    return {t: Fraction(n, den) for t, n in table.items()}
+
+
+class ColumnTable:
+    """A memo of scaled columns, by operator tag and then by input key.
+
+    ``table`` also maps each stored key to itself, so that equal keys in
+    different columns share one object.  Callers give each operator a tag
+    that is not itself a key.
+    """
+
+    def __init__(self, table: dict | None = None):
+        self.table = {} if table is None else table
+
+    def operator(self, tag: tuple, make):
+        """Operator ``tag`` as a function from an input key to its column;
+        ``make(t)`` gives the column of t once."""
+        cols = self.table.get(tag)
+        if cols is None:
+            cols = self.table[tag] = {}
+
+        def column(t):
+            col = cols.get(t)
+            if col is None:
+                col = cols[t] = make(t)
+            return col
+        return column
+
+    def store(self, den: int, table: dict) -> tuple[int, tuple]:
+        """A scaled table as a scaled column, in lowest terms, with its keys
+        interned."""
+        g = math.gcd(den, *table.values())
+        intern = self.table.setdefault
+        return den // g, tuple([(intern(t, t), n // g) for t, n in table.items()])
 
 
 class Terms:

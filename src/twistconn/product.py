@@ -138,44 +138,40 @@ def sum_columns(terms, column) -> dict[Term, Fraction]:
 # coordinate changes and module actions
 # ---------------------------------------------------------------------------
 
-def _spread(rmt: RightModuleTwist, coords, power) -> list[ProductForm]:
-    """Each term wx ⊗ wy of slot l, spread over the slots by row l of
+def _spread(rmt: RightModuleTwist, table, power) -> dict[Term, Fraction]:
+    """Each f-block term (l, wx ⊗ wy) spread over the slots by row l of
     S^{power(wx)}: the one kernel of both f-coordinate changes."""
     out: dict[Term, Fraction] = {}
-    for l, w in enumerate(coords):
-        for pair, c in w.terms.items():
-            add_column(out, c, [((k, pair), r) for k, r in
-                                enumerate(rmt.matrix_power(power(pair[0]))[l]) if r])
-    return list(ProductVector.from_terms(out, 0, rmt.rank).f)
+    for (l, pair), c in table.items():
+        add_column(out, c, [((k, pair), r) for k, r in
+                            enumerate(rmt.matrix_power(power(pair[0]))[l]) if r])
+    return out
 
 
-def f_free_to_naive(rmt: RightModuleTwist, coords) -> list[ProductForm]:
-    """Free f-coordinates -> naive sums x^i ⊗ f_l y^j (degree 0 only)."""
-    if not all(w.is_homogeneous(0) for w in coords):
+def f_free_to_naive(rmt: RightModuleTwist, table) -> dict[Term, Fraction]:
+    """Free f-block terms -> naive terms x^i ⊗ f_l y^j (degree 0 only).
+
+    Both are flat term tables whose f-slots count from 0.
+    """
+    if any(pair_degree(pair) for _, pair in table):
         raise ValueError("naive conversion needs degree-0 coordinates")
-    return _spread(rmt, coords, lambda wx: wx[0])
+    return _spread(rmt, table, lambda wx: wx[0])
 
 
-def f_naive_to_free(rmt: RightModuleTwist, coords) -> list[ProductForm]:
-    """Naive f-coordinates of any degree -> free ones.
+def f_naive_to_free(rmt: RightModuleTwist, table) -> dict[Term, Fraction]:
+    """Naive f-block terms of any degree -> free ones (f-slots from 0).
 
     A term wx ⊗ f_l wy whose x-word has L letters goes back by row l of
     S^{-L}; on degree 0 this inverts :func:`f_free_to_naive`.
     """
-    return _spread(rmt, coords, lambda wx: -word_letters(wx))
+    return _spread(rmt, table, lambda wx: -word_letters(wx))
 
 
 def naive_terms_to_free(rmt: RightModuleTwist, m: int,
                         naive: dict[Term, Fraction]) -> dict[Term, Fraction]:
-    """:func:`f_naive_to_free` on flat terms: naive f-block terms (f-slots
-    count from 0) to free flat terms (f-slots after the m e-slots)."""
-    coords = ProductVector.from_terms(naive, 0, rmt.rank).f
-    return ProductVector([ProductForm()] * m, f_naive_to_free(rmt, coords)).terms
-
-
-def x_tensor(wx: Word, yform: Form, c=1) -> ProductForm:
-    """c · (x-word ⊗ y-form)."""
-    return ProductForm({(wx, w): c * cw for w, cw in yform.terms.items()})
+    """:func:`f_naive_to_free` with the f-slots moved after the m e-slots."""
+    return {(m + l, pair): c
+            for (l, pair), c in f_naive_to_free(rmt, naive).items()}
 
 
 def act_right(twist: AlgebraTwist, pv: ProductVector, w: ProductForm) -> ProductVector:
@@ -216,14 +212,15 @@ def f_matrix_image(rmt: RightModuleTwist, coords, matrix) -> list[ProductForm]:
     ``matrix`` holds y-forms (a potential or a curvature matrix) acting
     inside A ⊗ F on degree-0 f-coordinates.
     """
-    naive = f_free_to_naive(rmt, coords)
-    out = [ProductForm.zero() for _ in range(rmt.rank)]
-    for l in range(rmt.rank):
-        for (wx, wy), c in naive[l].terms.items():
-            y_pow = Form.gen_power("y", wy[0])
-            for p, row in enumerate(matrix):
-                out[p] = out[p] + x_tensor(wx, row[l] * y_pow, c)
-    return f_naive_to_free(rmt, out)
+    out: dict[Term, Fraction] = {}
+    for (l, (wx, wy)), c in f_free_to_naive(
+            rmt, ProductVector((), coords).terms).items():
+        y_pow = Form.gen_power("y", wy[0])
+        for p, row in enumerate(matrix):
+            add_column(out, c, [((p, (wx, w)), cw)
+                                for w, cw in (row[l] * y_pow).terms.items()])
+    return list(ProductVector.from_terms(f_naive_to_free(rmt, out), 0,
+                                         rmt.rank).f)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +287,20 @@ class ProductConnection:
         differential of the x-polynomial is carried back by the inverse
         twist.
         """
-        m, one = self.m, ProductForm({pair: _ONE})
+        m = self.m
         if slot >= m and pair_degree(pair) == 0:
-            coords = [ProductForm()] * self.n
-            coords[slot - m] = one
             naive: dict[Term, Fraction] = {}
-            for l, w in enumerate(f_free_to_naive(self.rmt, coords)):
-                for (wx, wy), c in w.terms.items():
-                    # factor-connection term: x^i ⊗ nabla_F(f_l y^j)
-                    for p, eta in enumerate(self.conn_f.nabla_monomial(l, wy[0])):
-                        add_column(naive, c, [((p, (wx, v)), cv)
-                                              for v, cv in eta.terms.items()])
-                    # inverse-twist term: d(x^i) ⊗ f_l y^j
-                    add_column(naive, c, [((l, (u, wy)), s) for u, s
-                                          in word_differential(wx).items()])
+            for (l, (wx, wy)), c in f_free_to_naive(
+                    self.rmt, {(slot - m, pair): _ONE}).items():
+                # factor-connection term: x^i ⊗ nabla_F(f_l y^j)
+                for p, eta in enumerate(self.conn_f.nabla_monomial(l, wy[0])):
+                    add_column(naive, c, [((p, (wx, v)), cv)
+                                          for v, cv in eta.terms.items()])
+                # inverse-twist term: d(x^i) ⊗ f_l y^j
+                add_column(naive, c, [((l, (u, wy)), s) for u, s
+                                      in word_differential(wx).items()])
             return naive_terms_to_free(self.rmt, m, naive)
+        one = ProductForm({pair: _ONE})
         conn, embed, base = (self.conn_e, embed_x, 0) if slot < m \
             else (self.conn_f, embed_y, m)
         out = {(slot, w): c for w, c in one.d().terms.items()}
@@ -326,12 +322,9 @@ class ProductConnection:
 def naive_vector(m: int, rmt: RightModuleTwist, block: str,
                  k: int, i: int, j: int) -> ProductVector:
     """e_k x^i ⊗ y^j (block "e") or x^i ⊗ f_k y^j (block "f"), free coordinates."""
-    n, mono = rmt.rank, ProductForm.monomial(i, j)
-    if block == "e":
-        return ProductVector.e_basis(m, n, k, mono)
-    naive = [ProductForm.zero()] * n
-    naive[k] = mono
-    return ProductVector([ProductForm.zero()] * m, f_naive_to_free(rmt, naive))
+    mono = {(k, ((i,), (j,))): _ONE}
+    return ProductVector.from_terms(
+        mono if block == "e" else naive_terms_to_free(rmt, m, mono), m, rmt.rank)
 
 
 def reduced_presentation(twist: AlgebraTwist, rmt: RightModuleTwist,
@@ -602,17 +595,22 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps, compat: CheckResult,
         sum_k x^j ⊗ f_k ⊗ 1 ⊗ d(b_k) plus the inverse-twist terms, the free
         normal forms of sum_l (S^-j)[k][l] (1 ⊗ f_l b_k(q^-j y)) . (d(x^j) ⊗ 1).
         """
-        naive = [twist.mul(ProductForm.monomial(j, 0), embed_y(b)) for b in polys]
-        computed = gr.nabla(ProductVector([ProductForm.zero()] * pc.m,
-                                          f_naive_to_free(rmt, naive)))
+        m = pc.m
+        naive = {(k, p): c for k, b in enumerate(polys) for p, c in
+                 twist.mul(ProductForm.monomial(j, 0), embed_y(b)).terms.items()}
+        computed = gr.nabla(ProductVector.from_terms(
+            naive_terms_to_free(rmt, m, naive), m, n))
         dxj = ProductForm({(w, UNIT_WORD): Fraction(s) for w, s in
                            word_differential((j,)).items()})
-        expected = f_naive_to_free(rmt, [x_tensor((j,), b.d()) for b in polys])
+        expected = naive_terms_to_free(rmt, m, {
+            (k, ((j,), w)): c for k, b in enumerate(polys)
+            for w, c in b.d().terms.items()})
         for k, b in enumerate(polys):
             piece = twist.mul(embed_y(b.scaled_generator(twist.qpow(-j))), dxj)
             for c, l in rmt.uncross_word(j, k, 0):
-                expected[l] = expected[l] + piece.scale(c)
-        return computed, list(computed.f) == expected
+                add_column(expected, c, [((m + l, p), v)
+                                         for p, v in piece.terms.items()])
+        return computed, computed.terms == expected
 
     # --- Grassmann display on x ⊗ (y^{i_1}, ..., y^{i_n}) -------------
     computed, grassmann_matches = on_x_power(

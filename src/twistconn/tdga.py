@@ -52,6 +52,15 @@ class ProductForm(Terms):
             [((wx, w), sign * s) for w, s in word_differential(wy).items()]
 
     @classmethod
+    def from_terms(cls, terms: dict[PairWord, Fraction]) -> "ProductForm":
+        """The element with table ``terms``, which holds only nonzero
+        Fractions and is kept as it is (the products of ``AlgebraTwist``
+        build such tables)."""
+        pf = cls.__new__(cls)
+        pf.terms = terms
+        return pf
+
+    @classmethod
     def zero(cls) -> "ProductForm":
         return cls()
 

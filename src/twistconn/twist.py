@@ -101,7 +101,7 @@ class AlgebraTwist:
         for wy, cy in yform.terms.items():
             for wx, cx in xform.terms.items():
                 out[(wx, wy)] = _times(_times(self.cross_coeff(wy, wx), cy), cx)
-        return ProductForm(out)
+        return ProductForm.from_terms(out)
 
     def mul(self, u: ProductForm, v: ProductForm) -> ProductForm:
         """Twisted product (u_x ⊗ u_y)(v_x ⊗ v_y) via the lift."""
@@ -125,7 +125,7 @@ class AlgebraTwist:
                         terms[key] = c
                     else:
                         del terms[key]
-        return ProductForm(terms)
+        return ProductForm.from_terms(terms)
 
 
 class ModuleTwist:

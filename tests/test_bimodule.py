@@ -1,6 +1,7 @@
 """Bimodule structure, the degree-1 swap, and the bimodule theorem."""
 
-from functools import partial
+from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,14 @@ from twistconn.bimodule import (Columns, FormSwap, ProductSwap, act_left,
                                 check_left_twist_connection_compat,
                                 check_swap_pair_compatible, check_swap_compat_e,
                                 check_swap_compat_f,
-                                check_swap_cross_morphisms, sum_columns)
+                                check_swap_cross_morphisms)
 from twistconn.connections import ModuleConnection
-from twistconn.forms import Caps, Form, parse_form
+from twistconn.forms import Caps, Form, from_scaled, parse_form, \
+    scaled_equal, sum_scaled, to_scaled
 from twistconn.tdga import ProductForm
 from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from twistconn.product import ProductConnection, ProductVector, \
-    act_right_form, f_naive_to_free, naive_vector
+    act_right_form, naive_terms_to_free, naive_vector
 from twistconn.runner import run_checks
 from twistconn.scenario import load_scenario
 
@@ -100,8 +102,7 @@ class TestLeftAction:
         twist, rmt, lmt, pc, _ = canonical(2)
         pv = naive_vector(pc.m, pc.rmt, "f", 0, 0, 1)
         out = act_left(twist, rmt, lmt, ProductForm.monomial(1, 0), pv)
-        naive = f_naive_to_free(rmt, [ProductForm.monomial(1, 1)])
-        assert list(out.f) == naive
+        assert out.terms == naive_terms_to_free(rmt, 1, {(0, ((1,), (1,))): 1})
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_actions_commute(self, q):
@@ -215,10 +216,12 @@ class TestBimoduleTheorem:
 
 SYMMETRIC_S = [[2, 1], [1, 1]]
 NON_SYMMETRIC_S = [[2, 1], [3, 2]]
+# det 2: S^{-1} has halves, which no unimodular S gives
+HALVING_S = [[2, 0], [1, 1]]
 
 
 def dense(q, s=SYMMETRIC_S):
-    """Rank 2 on both sides with dense unimodular S and T, flip swaps."""
+    """Rank 2 on both sides with S and dense unimodular T, flip swaps."""
     twist = AlgebraTwist(q)
     rmt = RightModuleTwist(twist, s)
     lmt = LeftModuleTwist(twist, [[1, 2], [1, 3]])
@@ -307,42 +310,99 @@ one_form_words = st.one_of(
     st.tuples(exponents.map(lambda t: (t,)), st.tuples(exponents, exponents)))
 
 
+@cache
+def swap_and_columns(q, s):
+    """The swap of :func:`dense` at (q, S) and one column table, which
+    serves every draw at that (q, S) as one check's table serves its cases."""
+    _, ps = dense(q, [list(row) for row in s])
+    return ps, Columns(ps.twist, ps.rmt, ps.lmt, ps.m)
+
+
+# the benchmark's integer and fractional q, and the q it never draws
+twists = st.tuples(
+    st.sampled_from([2, -3, Fraction(3, 2), Fraction(-2, 3)]),
+    st.sampled_from([tuple(map(tuple, s))
+                     for s in (NON_SYMMETRIC_S, HALVING_S)])).map(
+    lambda qs: swap_and_columns(*qs))
+
+
+def image(column, vector, c=1):
+    """c · vector, mapped term by term through cached scaled columns and
+    summed over the integers."""
+    table = to_scaled(vector.terms.items(), Fraction(c))
+    return ProductVector.from_terms(from_scaled(*sum_scaled(table, column)),
+                                    2, 2)
+
+
 class TestFlatColumns:
-    """Sums of cached columns equal the public operators on random input.
+    """Integer sums of cached columns equal the public operators on random
+    input; ``act_left`` and ``act_right_form`` sum Fractions."""
 
-    One table serves every draw, as one check's table serves every case;
-    the public operators run with no table of their own.
-    """
-    _, PS = dense(-3, NON_SYMMETRIC_S)
-    OPS = Columns(PS.twist, PS.rmt, PS.lmt, PS.m)
+    @given(twists, degree0_vectors, one_form_words)
+    @settings(max_examples=80, deadline=None)
+    def test_swap(self, swap, pv, pair):
+        ps, ops = swap
+        assert image(ps.columns(ops, pair), pv) == \
+            ps.apply(ProductForm({pair: 1}), pv)
 
-    def image(self, column, vector, c=1):
-        """c · vector, mapped term by term through cached columns."""
-        terms = [(t, c * v) for t, v in vector.terms.items()]
-        return ProductVector.from_terms(sum_columns(terms, column), 2, 2)
-
-    @given(degree0_vectors, one_form_words)
-    @settings(max_examples=60, deadline=None)
-    def test_swap(self, pv, pair):
-        assert self.image(partial(self.PS.column, self.OPS, pair), pv) == \
-            self.PS.apply(ProductForm({pair: 1}), pv)
-
-    @given(degree0_vectors, one_form_words, monomials, coeffs)
-    @settings(max_examples=60, deadline=None)
-    def test_left_action(self, pv, pair, ij, c):
+    @given(twists, degree0_vectors, one_form_words, monomials, coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_left_action(self, swap, pv, pair, ij, c):
+        ps, ops = swap
         w = ProductForm.monomial(*ij, c)
         # degree 0, and degree 1 as the swap's images are
-        for vector in (pv, self.PS.apply(ProductForm({pair: 1}), pv)):
-            assert self.image(partial(self.OPS.left, *ij), vector, c) == \
-                act_left(self.PS.twist, self.PS.rmt, self.PS.lmt, w, vector)
+        for vector in (pv, ps.apply(ProductForm({pair: 1}), pv)):
+            assert image(ops.left(*ij), vector, c) == \
+                act_left(ps.twist, ps.rmt, ps.lmt, w, vector)
 
-    @given(degree0_vectors, one_form_words, monomials, coeffs)
-    @settings(max_examples=60, deadline=None)
-    def test_right_action(self, pv, pair, ij, c):
+    @given(twists, degree0_vectors, one_form_words, monomials, coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_right_action(self, swap, pv, pair, ij, c):
+        ps, ops = swap
         w = ProductForm.monomial(*ij, c)
-        for vector in (pv, self.PS.apply(ProductForm({pair: 1}), pv)):
-            assert self.image(partial(self.OPS.right, *ij), vector, c) == \
-                act_right_form(self.PS.twist, vector, w)
+        for vector in (pv, ps.apply(ProductForm({pair: 1}), pv)):
+            assert image(ops.right(*ij), vector, c) == \
+                act_right_form(ps.twist, vector, w)
+
+    def test_halving_s_gives_fractional_columns(self):
+        ps, ops = swap_and_columns(Fraction(3, 2), tuple(map(tuple, HALVING_S)))
+        pv = naive_vector(2, ps.rmt, "f", 1, 1, 0)
+        assert {c.denominator for c in pv.terms.values()} == {1, 2}
+        den, _ = sum_scaled(to_scaled(pv.terms.items()),
+                            ps.columns(ops, ((1, 0), (1,))))
+        assert den > 1
+
+
+class TestScaledEqual:
+    """Two scaled tables are equal exactly when their values are."""
+
+    def test_same_value_over_other_denominators(self):
+        a = (2, {"u": 1, "v": -3})
+        b = (6, {"u": 3, "v": -9})
+        assert scaled_equal(a, b) and scaled_equal(b, a)
+        assert from_scaled(*a) == from_scaled(*b)
+
+    def test_one_numerator_off_by_one(self):
+        a = (2, {"u": 1, "v": -3})
+        for b in [(6, {"u": 3, "v": -8}), (6, {"u": 4, "v": -9}),
+                  (2, {"u": 1, "v": -2})]:
+            assert not scaled_equal(a, b) and not scaled_equal(b, a)
+
+    def test_keys_must_match(self):
+        assert not scaled_equal((2, {"u": 1}), (2, {"u": 1, "v": 2}))
+        assert not scaled_equal((1, {"u": 1}), (2, {"v": 2}))
+
+    @given(st.dictionaries(st.integers(0, 5), coeffs, min_size=1, max_size=4),
+           st.integers(1, 30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rescaled_tables(self, table, k, data):
+        den, nums = to_scaled(table.items())
+        assert from_scaled(den, nums) == table
+        rescaled = {t: k * n for t, n in nums.items()}
+        assert scaled_equal((den, nums), (k * den, rescaled))
+        t = data.draw(st.sampled_from(sorted(rescaled)))
+        rescaled[t] += 1
+        assert not scaled_equal((den, nums), (k * den, rescaled))
 
 
 class TestCheckNames:

@@ -7,12 +7,13 @@ catches would show a verdict that comes from code that does not fail when
 the runtime is wrong.
 """
 
+import math
 from functools import lru_cache
 
 import pytest
 
-from test_bimodule import NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
-from twistconn import bimodule, product, runner
+from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
+from twistconn import bimodule, forms, product, runner
 from twistconn.forms import word_differential
 from twistconn.reports import Report
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
@@ -122,16 +123,15 @@ def free_to_naive_transposed(monkeypatch):
         monkeypatch.setattr(module, "f_free_to_naive", transposed)
 
 
-def _inverse_twist_term(rmt, coords):
+def _inverse_twist_term(rmt, table):
     """The inverse-twist term d(x^i) ⊗ f_l y^j of ∇ on degree-0 free
-    f-coordinates, in free coordinates (written here, apart from the kernel)."""
-    out = []
-    for form in product.f_free_to_naive(rmt, coords):
-        acc = {}
-        for (wx, wy), c in form.terms.items():
-            add_column(acc, c, [((w, wy), s) for w, s in word_differential(wx).items()])
-        out.append(ProductForm(acc))
-    return product.f_naive_to_free(rmt, out)
+    f-block terms, in free coordinates, f-slots from 0 (written here, apart
+    from the kernel)."""
+    acc = {}
+    for (l, (wx, wy)), c in product.f_free_to_naive(rmt, table).items():
+        add_column(acc, c, [((l, (w, wy)), s)
+                            for w, s in word_differential(wx).items()])
+    return product.f_naive_to_free(rmt, acc)
 
 
 # ∇ of degree-0 f-terms without the inverse-twist term
@@ -141,11 +141,9 @@ def inverse_twist_dropped(monkeypatch):
     def dropped(self, slot, pair):
         out = kernel(self, slot, pair)
         if slot >= self.m and pair_degree(pair) == 0:
-            coords = [ProductForm()] * self.n
-            coords[slot - self.m] = ProductForm({pair: 1})
-            term = _inverse_twist_term(self.rmt, coords)
-            add_column(out, -1, [((self.m + k, w), c) for k, form in
-                                 enumerate(term) for w, c in form.terms.items()])
+            term = _inverse_twist_term(self.rmt, {(slot - self.m, pair): 1})
+            add_column(out, -1, [((self.m + l, w), c)
+                                 for (l, w), c in term.items()])
         return out
 
     monkeypatch.setattr(product.ProductConnection, "_nabla_term", dropped)
@@ -162,6 +160,31 @@ def f_rest_negated(monkeypatch):
         return out
 
     monkeypatch.setattr(product.ProductConnection, "_nabla_term", negated)
+
+
+def _unscaled_add(acc, den, c, cden, column):
+    """forms.add_scaled whose lcm merge does not rescale the accumulator."""
+    if cden != den:
+        lcm = math.lcm(den, cden)
+        c *= lcm // cden
+        den = lcm
+    for t, v in column:
+        v *= c
+        old = acc.get(t)
+        if old is None:
+            acc[t] = v
+        elif v + old:
+            acc[t] = v + old
+        else:
+            del acc[t]
+    return den
+
+
+# integer column sums: the accumulator keeps its old numerators over the
+# merged denominator
+def lcm_merge_unscaled(monkeypatch):
+    for module in (forms, bimodule):
+        monkeypatch.setattr(module, "add_scaled", _unscaled_add)
 
 
 # the product differential without the Koszul sign (-1)^{deg u} on the
@@ -201,6 +224,11 @@ ROWS = [
     # inputs, so only the curvature checks guard the product differential
     (koszul_sign_dropped, SYMMETRIC_S, {"curvature-formula", "flatness"}),
     (koszul_sign_dropped, NON_SYMMETRIC_S, {"curvature-formula", "flatness"}),
+    # survives every check here: at integer q with unimodular S and T every
+    # column has denominator 1, so no merge rescales (see
+    # test_lcm_merge_unscaled_turns_cross_morphisms_red)
+    (lcm_merge_unscaled, SYMMETRIC_S, set()),
+    (lcm_merge_unscaled, NON_SYMMETRIC_S, set()),
 ]
 
 
@@ -315,6 +343,8 @@ RED_RESULTS = {
     (f_rest_negated, str(NON_SYMMETRIC_S)): [],
     (koszul_sign_dropped, str(SYMMETRIC_S)): _KOSZUL_SIGN_DROPPED,
     (koszul_sign_dropped, str(NON_SYMMETRIC_S)): _KOSZUL_SIGN_DROPPED,
+    (lcm_merge_unscaled, str(SYMMETRIC_S)): [],
+    (lcm_merge_unscaled, str(NON_SYMMETRIC_S)): [],
 }
 
 
@@ -346,6 +376,17 @@ def test_f_rest_negated_turns_curvature_formula_red(monkeypatch):
     mutated = y_potential_red_results()
     assert mutated == [red("curvature-formula", 10, "curvature formula fails "
                            "at x^0 ⊗ f_1 y^0")] + clean
+
+
+def test_lcm_merge_unscaled_turns_cross_morphisms_red(monkeypatch):
+    """With S = [[2, 0], [1, 1]] (det 2) the f-block columns have
+    denominators, and the unscaled merge turns swap-cross-morphisms red."""
+    assert red_results(2, HALVING_S) == []
+    lcm_merge_unscaled(monkeypatch)
+    assert [r.to_dict() for r in red_results(2, HALVING_S)] == [
+        red("swap-cross-morphisms", 687,
+            "left: x ⊗ y . (dx ⊗ y^0) ⊗ x^1 ⊗ f_1 y^0",
+            **morphisms(f_left="fail", f_right="fail"))]
 
 
 def test_right_normal_matches_recursion():

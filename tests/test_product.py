@@ -19,7 +19,8 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
                                check_curvature_formula, check_flatness,
                                check_twist_connection_compat,
                                check_twist_independence, curvature_formula_rhs,
-                               f_free_to_naive, f_naive_to_free, naive_vector, quantum_plane_report,
+                               f_free_to_naive, f_naive_to_free, naive_terms_to_free,
+                               naive_vector, quantum_plane_report,
                                random_degree0_vector, reduced_presentation)
 from twistconn.scenario import load_scenario, load_scenario_file
 
@@ -55,30 +56,28 @@ class TestCoordinates:
         rmt = RightModuleTwist(Q2, UT)
         rng = random.Random(5)
         for _ in range(20):
-            coords = list(random_degree0_vector(rng, 0, 2, Caps(3, 1)).f)
-            naive = f_free_to_naive(rmt, coords)
-            assert f_naive_to_free(rmt, naive) == coords
+            free = random_degree0_vector(rng, 0, 2, Caps(3, 1)).terms
+            naive = f_free_to_naive(rmt, free)
+            assert f_naive_to_free(rmt, naive) == free
 
     def test_mixing_by_matrix_powers(self):
         rmt = RightModuleTwist(Q2, UT)
-        free = [ProductForm.monomial(2, 0), ProductForm.zero()]
-        naive = f_free_to_naive(rmt, free)
+        naive = f_free_to_naive(rmt, {(0, ((2,), (0,))): 1})
         # (S^2) row for slot 0 is (1, 2)
-        assert naive[0] == ProductForm.monomial(2, 0)
-        assert naive[1] == ProductForm.monomial(2, 0, 2)
+        assert naive == {(0, ((2,), (0,))): 1, (1, ((2,), (0,))): 2}
 
     def test_rejects_positive_degree(self):
         rmt = RightModuleTwist(Q2, rank=1)
         with pytest.raises(ValueError):
-            f_free_to_naive(rmt, [ProductForm.pair((0, 0), (0,))])
+            f_free_to_naive(rmt, {(0, ((0, 0), (0,))): 1})
 
     def test_one_form_goes_back_by_its_letters(self):
         # x dx ⊗ y has two x-letters, so slot 0 goes back by row 0 of S^{-2}
         rmt = RightModuleTwist(Q2, [[2, 1], [1, 1]])
         assert list(rmt.matrix_power(-2)[0]) == [2, -3]
-        term = ProductForm.pair((1, 0), (1,))
-        assert f_naive_to_free(rmt, [term, ProductForm.zero()]) == \
-            [term.scale(2), term.scale(-3)]
+        term = ((1, 0), (1,))
+        assert f_naive_to_free(rmt, {(0, term): 1}) == {(0, term): 2,
+                                                        (1, term): -3}
 
 
 class TestRightAction:
@@ -91,7 +90,8 @@ class TestRightAction:
         pc = grassmann_pc(Q2)
         pv = naive_vector(pc.m, pc.rmt, "f", 0, 0, 0)
         out = act_right(Q2, pv, ProductForm.monomial(1, 0))
-        assert f_free_to_naive(pc.rmt, out.f)[0] == ProductForm.monomial(1, 0)
+        f_block = ProductVector((), out.f).terms
+        assert f_free_to_naive(pc.rmt, f_block) == {(0, ((1,), (0,))): 1}
 
     def test_f_block_crossing_picks_up_q(self):
         pc = grassmann_pc(Q2)
@@ -140,8 +140,9 @@ class TestBlockMaps:
         # x ⊗ (y^{i_1}, y^{i_2}) for the product of Grassmann connections
         pc = grassmann_pc(Q2, n=2)
         exponents = [1, 2]
-        naive = [ProductForm.monomial(1, ik) for ik in exponents]
-        pv = ProductVector([ProductForm.zero()], f_naive_to_free(pc.rmt, naive))
+        naive = {(k, ((1,), (ik,))): 1 for k, ik in enumerate(exponents)}
+        pv = ProductVector.from_terms(naive_terms_to_free(pc.rmt, 1, naive),
+                                      1, 2)
         out = pc.nabla(pv)
         for k, ik in enumerate(exponents):
             d_y = Form.gen_power("y", ik).d()
@@ -159,8 +160,9 @@ class TestBlockMaps:
         # x^j ⊗ f_1 b picks up b(q^{-j} y) next to d(x^j)
         pc = grassmann_pc(Q2)
         b = parse_form("y", "1 + y^2")
-        naive = [Q2.mul(ProductForm.monomial(2, 0), embed_y(b))]
-        pv = ProductVector([ProductForm.zero()], f_naive_to_free(pc.rmt, naive))
+        naive = Q2.mul(ProductForm.monomial(2, 0), embed_y(b))
+        pv = ProductVector.from_terms(naive_terms_to_free(
+            pc.rmt, 1, {(0, p): c for p, c in naive.terms.items()}), 1, 1)
         out = pc.nabla(pv)
         dx2 = ProductForm({(wv, (0,)): c
                            for wv, c in Form.gen_power("x", 2).d().terms.items()})

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twistconn.forms import Form
 from twistconn.product import ProductVector
 from twistconn.tdga import ProductForm
+from twistconn.twist import AlgebraTwist
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 words = st.integers(0, 2).flatmap(
@@ -101,3 +102,21 @@ def test_equality_separates_generators_and_ranks(table, flat):
 
 def test_product_vector_has_no_differential():
     assert ProductVector.zero(1, 1).d is None
+
+
+twists = st.sampled_from([AlgebraTwist(q) for q in
+                          (2, -3, Fraction(3, 2), Fraction(-2, 3), 1, -1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(twists, st.dictionaries(pairs, coeffs, max_size=4),
+       st.dictionaries(pairs, coeffs, max_size=4),
+       st.dictionaries(words, coeffs, max_size=4),
+       st.dictionaries(words, coeffs, max_size=4))
+def test_twisted_products_keep_normal_tables(twist, u, v, wy, wx):
+    """mul and cross return their tables as built: only nonzero Fractions,
+    so the same value the normalizing constructor gives."""
+    for result in (twist.mul(ProductForm(u), ProductForm(v)),
+                   twist.cross(Form("y", wy), Form("x", wx))):
+        assert result == ProductForm(dict(result.terms))
+        assert all(type(c) is Fraction and c for c in result.terms.values())
