@@ -11,13 +11,21 @@ The zero potential gives the Grassmann connection, which is flat.  The same
 formula extends the connection to coordinates of any form degree, and the
 curvature is the square of that extension; on degree-0 vectors it acts by
 the right-linear curvature matrix d(potential) + potential * potential.
+
+Free modules carry the symmetric bimodule structure (a . e_k = e_k . a).
+A bimodule connection is a connection together with a swap map from
+1-forms-tensor-module to module-tensor-1-forms, specified by its values on
+d(gen) ⊗ e_k and extended by bimodule linearity; the classical choice is
+the flip.  The checkers here decide the identities of one factor; the
+product module's swap lives in ``bimodule``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .forms import Form
+from .forms import Caps, Form
+from .reports import CheckResult, run_cases
 
 Vector = list[Form]
 
@@ -104,3 +112,105 @@ class ModuleConnection:
             self._curvature = [[cols[k][l] for k in range(self.rank)]
                                for l in range(self.rank)]
         return self._curvature
+
+
+class FormSwap:
+    """Bimodule morphism on a free module, given on d(gen) ⊗ basis.
+
+    ``values[l][k]`` is the 1-form paired with e_l in the image of
+    d(gen) ⊗ e_k; extension to general inputs uses bimodule linearity
+    over the symmetric structure.  The classical flip has identity-times-dgen
+    values.
+    """
+
+    def __init__(self, gen: str, rank: int, values):
+        self.gen = gen
+        self.rank = rank
+        self.values = [list(row) for row in values]
+        if len(self.values) != rank or any(len(r) != rank for r in self.values):
+            raise ValueError("swap values must be a rank x rank matrix")
+        for row in self.values:
+            for entry in row:
+                if entry.gen != gen:
+                    raise ValueError("swap generator mismatch")
+                if not entry.is_zero and not entry.is_homogeneous(1):
+                    raise ValueError("swap values must be 1-forms")
+
+    @classmethod
+    def flip(cls, gen: str, rank: int) -> "FormSwap":
+        d = Form.d_gen(gen)
+        zero = Form.zero(gen)
+        return cls(gen, rank,
+                   [[d if i == j else zero for j in range(rank)]
+                    for i in range(rank)])
+
+    def apply(self, one_form: Form, coords) -> list[Form]:
+        """Swap a 1-form past a coordinate vector of degree-0 entries."""
+        if one_form.gen != self.gen:
+            raise ValueError("swap generator mismatch")
+        if not one_form.is_zero and not one_form.is_homogeneous(1):
+            raise ValueError("swap needs a homogeneous 1-form")
+        out = [Form.zero(self.gen) for _ in range(self.rank)]
+        for w, c in one_form.terms.items():
+            left = Form.word(self.gen, (w[0],), c)
+            right = Form.word(self.gen, (w[1],))
+            for k in range(self.rank):
+                if coords[k].is_zero:
+                    continue
+                tail = right * coords[k]
+                for l in range(self.rank):
+                    entry = self.values[l][k]
+                    if not entry.is_zero:
+                        out[l] = out[l] + left * entry * tail
+        return out
+
+
+def check_swap_pair_compatible(conn: ModuleConnection, swap: FormSwap,
+                               left_potential, caps: Caps) -> CheckResult:
+    """Whether a left-connection candidate matches the right connection.
+
+    The candidate is given by its coordinate formula (componentwise
+    differential plus a matrix of 1-forms multiplying from the left); it is
+    compatible when the swap map carries it onto the right connection on
+    every bounded basis vector.
+    """
+    gen = conn.gen
+    candidate = ModuleConnection(gen, conn.rank, left_potential)
+
+    def cases():
+        for k in range(conn.rank):
+            for i in range(caps.max_exponent + 1):
+                swapped = [Form.zero(gen) for _ in range(conn.rank)]
+                for l, left in enumerate(candidate.nabla_monomial(k, i)):
+                    if not left.is_zero:
+                        for p, res in enumerate(swap.apply(left,
+                                                           conn.basis_vector(l))):
+                            swapped[p] = swapped[p] + res
+                yield None if swapped == conn.nabla_monomial(k, i) \
+                    else f"left candidate differs at e_{k + 1} {gen}^{i}"
+
+    return run_cases(f"swap-pair-compatible-{gen}", cases(), generator=gen)
+
+
+def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
+                              caps: Caps) -> CheckResult:
+    """Defining identity of a bimodule connection on monomial inputs."""
+    if swap.gen != conn.gen or swap.rank != conn.rank:
+        raise ValueError("swap and connection must share module data")
+    gen = conn.gen
+    E = caps.max_exponent
+
+    def cases():
+        for c_exp in range(E + 1):
+            a = Form.gen_power(gen, c_exp)
+            da = a.d()
+            for k in range(conn.rank):
+                for i in range(E + 1):
+                    vec = conn.zero_vector()
+                    vec[k] = Form.gen_power(gen, i)
+                    rhs = [a * w + extra for w, extra in
+                           zip(conn.nabla_monomial(k, i), swap.apply(da, vec))]
+                    yield None if conn.nabla_monomial(k, c_exp + i) == rhs \
+                        else f"gen^{c_exp} . e_{k + 1} gen^{i}"
+
+    return run_cases(f"bimodule-connection-{gen}", cases(), generator=gen)

@@ -207,26 +207,33 @@ def from_scaled(den: int, table: dict) -> dict:
 class ColumnTable:
     """A memo of scaled columns, by operator tag and then by input key.
 
-    ``table`` also maps each stored key to itself, so that equal keys in
-    different columns share one object.  Callers give each operator a tag
-    that is not itself a key.
+    ``table`` maps a tag to the operator's pairs by input key and its
+    denominators other than 1, kept apart so that the common column with
+    denominator 1 costs no more than its pairs.  It also maps each stored
+    key to itself, so that equal keys in different columns share one
+    object.  Callers give each operator a tag that is not itself a key.
     """
 
     def __init__(self, table: dict | None = None):
         self.table = {} if table is None else table
 
     def operator(self, tag: tuple, make):
-        """Operator ``tag`` as a function from an input key to its column;
-        ``make(t)`` gives the column of t once."""
+        """Operator ``tag`` as a function from an input key to its scaled
+        column; ``make(t)`` gives the column of t once."""
         cols = self.table.get(tag)
         if cols is None:
-            cols = self.table[tag] = {}
+            cols = self.table[tag] = ({}, {})
+        pairs, dens = cols
 
         def column(t):
-            col = cols.get(t)
+            col = pairs.get(t)
             if col is None:
-                col = cols[t] = make(t)
-            return col
+                den, col = make(t)
+                pairs[t] = col
+                if den != 1:
+                    dens[t] = den
+                return den, col
+            return dens.get(t, 1), col
         return column
 
     def store(self, den: int, table: dict) -> tuple[int, tuple]:

@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .bimodule import (FormSwap, ProductSwap, check_bimodule_axiom,
-                       check_bimodule_connection, check_bimodule_theorem,
+from .bimodule import (ProductSwap, check_bimodule_axiom,
+                       check_bimodule_theorem,
                        check_left_twist_connection_compat, check_swap_compat_e,
                        check_swap_compat_f, check_swap_cross_morphisms)
-from .connections import ModuleConnection
+from .connections import FormSwap, ModuleConnection, check_bimodule_connection
 from .forms import Caps
 from .product import (ProductConnection, check_connection_leibniz,
                       check_curvature_formula, check_flatness,

@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from twistconn.bimodule import (FormSwap, ProductSwap, check_bimodule_axiom,
-                                check_bimodule_connection,
+from twistconn.bimodule import (ProductSwap, check_bimodule_axiom,
                                 check_bimodule_theorem,
                                 check_left_twist_connection_compat,
                                 check_swap_compat_e, check_swap_compat_f,
                                 check_swap_cross_morphisms)
-from twistconn.connections import ModuleConnection
+from twistconn.connections import (FormSwap, ModuleConnection,
+                                   check_bimodule_connection)
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.scenario import ScenarioError, load_scenario
 from twistconn.tdga import ProductForm

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistconn.bimodule import (Columns, FormSwap, ProductSwap, act_left,
+from twistconn.bimodule import (Columns, ProductSwap, act_left,
                                 check_bimodule_axiom,
-                                check_bimodule_connection,
                                 check_bimodule_theorem,
                                 check_left_twist_connection_compat,
-                                check_swap_pair_compatible, check_swap_compat_e,
-                                check_swap_compat_f,
+                                check_swap_compat_e, check_swap_compat_f,
                                 check_swap_cross_morphisms)
-from twistconn.connections import ModuleConnection
+from twistconn.connections import (FormSwap, ModuleConnection,
+                                   check_bimodule_connection,
+                                   check_swap_pair_compatible)
 from twistconn.forms import Caps, Form, from_scaled, parse_form, \
     scaled_equal, sum_scaled, to_scaled
 from twistconn.tdga import ProductForm

@@ -9,8 +9,9 @@ pinned in tests/test_twist.py.
 import pytest
 
 import twistconn.twist as twist_module
-from twistconn.bimodule import (FormSwap, ProductSwap, check_swap_compat_e,
+from twistconn.bimodule import (ProductSwap, check_swap_compat_e,
                                 check_swap_compat_f, check_swap_cross_morphisms)
+from twistconn.connections import FormSwap
 from twistconn.forms import Caps, Form, parse_form
 from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
                              RightModuleTwist, check_derived_conditions,
