@@ -212,10 +212,12 @@ class ColumnTable:
     denominator 1 costs no more than its pairs.  It also maps each stored
     key to itself, so that equal keys in different columns share one
     object.  Callers give each operator a tag that is not itself a key.
+    The object that defines the operators owns the table, and it lives as
+    long as that object does.
     """
 
-    def __init__(self, table: dict | None = None):
-        self.table = {} if table is None else table
+    def __init__(self):
+        self.table: dict = {}
 
     def operator(self, tag: tuple, make):
         """Operator ``tag`` as a function from an input key to its scaled
@@ -235,6 +237,12 @@ class ColumnTable:
                 return den, col
             return dens.get(t, 1), col
         return column
+
+    def from_kernel(self, tag: tuple, kernel):
+        """Operator ``tag`` of a ``Fraction`` kernel: ``kernel(t)`` gives the
+        column of t as rational (key, coefficient) pairs with distinct keys
+        and nonzero coefficients, stored scaled on first use."""
+        return self.operator(tag, lambda t: self.store(*to_scaled(kernel(t))))
 
     def store(self, den: int, table: dict) -> tuple[int, tuple]:
         """A scaled table as a scaled column, in lowest terms, with its keys

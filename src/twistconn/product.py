@@ -18,8 +18,9 @@ prescribes (the two routes agree precisely when the compatibility
 hypothesis between the module twist and the second connection holds, which
 is what `check_twist_connection_compat` decides).  Higher-degree
 coordinates extend by nabla(s . w) = nabla(s) . w + s . dw.  Each flat
-term (slot, pair-word) has its image computed once per connection and kept,
-so nabla is a sum of cached columns.
+term (slot, pair-word) has its image computed once per connection and kept
+integer-scaled in the connection's column table, so nabla is a sum of
+cached columns over the integers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from fractions import Fraction
 from itertools import product
 
 from .connections import ModuleConnection
-from .forms import Caps, Form, Terms, Word, UNIT_WORD, add_column, \
+from .forms import Caps, ColumnTable, Form, Terms, Word, UNIT_WORD, \
+    add_column, from_scaled, scaled_equal, sum_scaled, to_scaled, \
     word_differential, word_letters
 from .reports import CheckResult, inadmissible, run_cases
 from .tdga import PairWord, ProductForm, embed_x, embed_y, \
@@ -39,10 +41,8 @@ from .twist import AlgebraTwist, ModuleTwist, RightModuleTwist, \
 
 
 # A flat term of the module is (slot, pair-word), with the e-block slots
-# first, then the f-block.  A column is the image of one flat term under a
-# linear operator, as a tuple of (term, coefficient).
+# first, then the f-block.
 Term = tuple[int, PairWord]
-Column = tuple[tuple[Term, Fraction], ...]
 
 _ONE = Fraction(1)
 
@@ -126,12 +126,10 @@ class ProductVector(Terms):
     render = __str__
 
 
-def sum_columns(terms, column) -> dict[Term, Fraction]:
-    """Σ c · column(t) over the (t, c) of ``terms``, as one flat table."""
-    out: dict[Term, Fraction] = {}
-    for t, c in terms:
-        add_column(out, c, column(t))
-    return out
+def check_ranks(pv: ProductVector, ranks: tuple[int, int]) -> None:
+    """Refuse an element whose ranks are not those of the operator."""
+    if pv.ranks != ranks:
+        raise ValueError(f"rank mismatch: {pv.ranks} != {ranks}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +241,9 @@ class ProductConnection:
         self.conn_e = conn_e
         self.conn_f = conn_f
         # ∇ of each flat term, kept like the factor connections' monomials
-        self._columns: dict[Term, Column] = {}
+        self.ops = ColumnTable()
+        self.scaled_nabla = self.ops.from_kernel(
+            ("∇",), lambda t: self._nabla_term(*t).items())
 
     @property
     def m(self) -> int:
@@ -259,23 +259,19 @@ class ProductConnection:
             ModuleConnection.grassmann("x", self.m),
             ModuleConnection.grassmann("y", self.n))
 
-    def _check_ranks(self, pv: ProductVector) -> None:
-        if pv.ranks != (self.m, self.n):
-            raise ValueError(f"rank mismatch: {pv.ranks} != {(self.m, self.n)}")
-
     def nabla(self, pv: ProductVector) -> ProductVector:
         """The product connection, extended to all form degrees: the sum of
         the ∇ columns of pv's flat terms."""
-        self._check_ranks(pv)
-        return ProductVector.from_terms(
-            sum_columns(pv.terms.items(), self.column), self.m, self.n)
+        return self._power(pv, 1)
 
-    def column(self, t: Term) -> Column:
-        """∇ of the flat term t, computed on first use and then kept."""
-        col = self._columns.get(t)
-        if col is None:
-            col = self._columns[t] = tuple(self._nabla_term(*t).items())
-        return col
+    def _power(self, pv: ProductVector, k: int) -> ProductVector:
+        """∇ applied k times, summed over the integers and converted to
+        Fractions once."""
+        check_ranks(pv, (self.m, self.n))
+        table = to_scaled(pv.terms.items())
+        for _ in range(k):
+            table = sum_scaled(table, self.scaled_nabla)
+        return ProductVector.from_terms(from_scaled(*table), self.m, self.n)
 
     def _nabla_term(self, slot: int, pair: PairWord) -> dict[Term, Fraction]:
         """∇ of one flat term: the kernel of :meth:`nabla`.
@@ -316,7 +312,7 @@ class ProductConnection:
         """nabla twice on a degree-0 element."""
         if not pv.is_degree(0):
             raise ValueError("curvature is evaluated on degree-0 elements")
-        return self.nabla(self.nabla(pv))
+        return self._power(pv, 2)
 
 
 def naive_vector(m: int, rmt: RightModuleTwist, block: str,
@@ -473,7 +469,7 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
                              seed: int = 0) -> CheckResult:
     """Right Leibniz rule of the product connection on bounded bases:
     nabla(v . w) = nabla(v) . w + v . dw, with nabla(v) taken once per input
-    and nabla(v . w) summed from the connection's columns."""
+    and nabla(v . w) summed over the integers from the connection's columns."""
     twist = pc.twist
     monomials = [ProductForm.pair(wx, wy)
                  for wx, wy in enumerate_monomials(caps.max_exponent)]
@@ -482,10 +478,11 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
         for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
             nabla = pc.nabla(pv)
             for w in monomials:
-                lhs = pc.nabla(act_right(twist, pv, w))
+                lhs = sum_scaled(to_scaled(act_right(twist, pv, w).terms.items()),
+                                 pc.scaled_nabla)
                 rhs = act_right_form(twist, nabla, w) + \
                     act_right_form(twist, pv, w.d())
-                yield None if lhs == rhs \
+                yield None if scaled_equal(lhs, to_scaled(rhs.terms.items())) \
                     else f"leibniz fails at {label} acted by {w}"
 
     return run_cases("leibniz", cases())

@@ -170,8 +170,7 @@ CHECKS: tuple[Check, ...] = (
     Check("swap-cross-morphisms", "bimodule", (),
           lambda o, s, r: check_swap_cross_morphisms(o.product_swap, s.caps)),
     Check("bimodule-axiom", "bimodule", (),
-          lambda o, s, r: check_bimodule_axiom(o.twist, o.rmt, o.lmt, s.m,
-                                               s.caps)),
+          lambda o, s, r: check_bimodule_axiom(o.product_swap, s.caps)),
     Check("bimodule-theorem", "bimodule", _BIMODULE_HYPOTHESES,
           lambda o, s, r: check_bimodule_theorem(o.pc, o.product_swap,
                                                  s.caps)),

@@ -231,7 +231,7 @@ def test_criterion_09_bimodule_suite():
         check_swap_compat_e(ps, BIMODULE_CAPS),
         check_swap_compat_f(ps, BIMODULE_CAPS),
         check_swap_cross_morphisms(ps, BIMODULE_CAPS),
-        check_bimodule_axiom(twist, rmt, lmt, 1, BIMODULE_CAPS),
+        check_bimodule_axiom(ps, BIMODULE_CAPS),
     ]
     theorem = check_bimodule_theorem(pc, ps, BIMODULE_CAPS)
     ok = all(r.passed for r in prereqs) and theorem.passed

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistconn.bimodule import (Columns, ProductSwap, act_left,
+from twistconn import bimodule, runner
+from twistconn.bimodule import (ProductSwap, act_left,
                                 check_bimodule_axiom,
                                 check_bimodule_theorem,
                                 check_left_twist_connection_compat,
@@ -106,8 +107,18 @@ class TestLeftAction:
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_actions_commute(self, q):
-        twist, rmt, lmt, _, _ = canonical(q)
-        assert check_bimodule_axiom(twist, rmt, lmt, 1, SMALL).passed
+        _, _, _, _, ps = canonical(q)
+        assert check_bimodule_axiom(ps, SMALL).passed
+
+    def test_rank_mismatch_rejected(self):
+        # a (1, 2) vector must not be read as one of ranks (2, 2)
+        twist = AlgebraTwist(2)
+        rmt = RightModuleTwist(twist, rank=2)
+        lmt = LeftModuleTwist(twist, rank=2)
+        pv = ProductVector([ProductForm.unit()], [ProductForm.unit(),
+                                                  ProductForm.zero()])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            act_left(twist, rmt, lmt, ProductForm.monomial(1, 0), pv)
 
 
 class TestProductSwap:
@@ -128,6 +139,17 @@ class TestProductSwap:
         _, _, _, _, ps = canonical(2)
         out = ps.apply(ProductForm.pair((0, 0), (0,)), ProductVector.zero(1, 1))
         assert out.is_zero
+
+    def test_rank_mismatch_rejected(self):
+        # the f_1 of a (1, 2) vector must not be read as the e_2 of a (2, 2)
+        twist = AlgebraTwist(2)
+        ps = ProductSwap(twist, RightModuleTwist(twist, rank=2),
+                         LeftModuleTwist(twist, rank=2), FormSwap.flip("x", 2),
+                         FormSwap.flip("y", 2))
+        pv = ProductVector([ProductForm.unit()], [ProductForm.unit(),
+                                                  ProductForm.zero()])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            ps.apply(ProductForm.pair((0, 0), (0,)), pv)
 
     def test_linearity_in_one_form(self):
         twist, rmt, lmt, pc, ps = canonical(2)
@@ -239,12 +261,12 @@ class DroppedQ(ProductSwap):
     evaluated at q = 1; the y-form/f-block piece is left intact.
     """
 
-    def _generator_y(self, i, cc, t, ops):
+    def _generator_y(self, i, cc, t):
         if t[0] >= self.m:
-            return super()._generator_y(i, cc, t, ops)
+            return super()._generator_y(i, cc, t)
         flat = ProductSwap(AlgebraTwist(1), self.rmt, self.lmt, self.swap_e,
                            self.swap_f)
-        return flat._generator_y(i, cc, t, ops)
+        return flat._generator_y(i, cc, t)
 
 
 class TestDenseSwap:
@@ -281,12 +303,42 @@ class TestDenseSwap:
         pc, ps = dense(2, self.S)
         pv = naive_vector(pc.m, pc.rmt, "f", 1, 1, 0) + naive_vector(pc.m, pc.rmt, "e", 0, 0, 1)
         w = ProductForm.pair((1, 0), (1,), 3) + ProductForm.pair((1,), (0, 1))
-        columns: dict = {}
-        first = ps.apply(w, pv, columns)
-        assert columns
-        assert ps.apply(w, pv, columns) == first == ps.apply(w, pv)
+        first = ps.apply(w, pv)
+        assert ps.ops.table
+        # the swap's kept columns, and a fresh swap's
+        assert ps.apply(w, pv) == first == dense(2, self.S)[1].apply(w, pv)
         assert first == ps.apply(ProductForm.pair((1, 0), (1,), 3), pv) + \
             ps.apply(ProductForm.pair((1,), (0, 1)), pv)
+
+    def test_one_table_serves_every_check(self, monkeypatch):
+        """Every bimodule-group check on one swap builds each left-action
+        column once: the swap's table lives as long as the swap."""
+        built: dict = {}
+        in_act_left = []
+        kernel, public = bimodule._left_term, bimodule.act_left
+
+        def counted(twist, rmt, lmt, m, i, j, t):
+            if not in_act_left:  # act_left sums Fractions, not columns
+                built[i, j, t] = built.get((i, j, t), 0) + 1
+            return kernel(twist, rmt, lmt, m, i, j, t)
+
+        def uncounted(*args):
+            in_act_left.append(True)
+            try:
+                return public(*args)
+            finally:
+                in_act_left.pop()
+
+        monkeypatch.setattr(bimodule, "_left_term", counted)
+        monkeypatch.setattr(bimodule, "act_left", uncounted)
+        rows = "".join(f"{a} {b}\n" for a, b in self.S)
+        scenario = load_scenario("q: 2\nm: 2\nn: 2\nmax_exponent: 1\n"
+                                 f"max_degree: 1\n[S]\n{rows}[T]\n1 2\n1 3\n")
+        objs = runner.build_objects(scenario)
+        for check in runner.CHECKS:
+            if check.group == "bimodule":
+                assert check.run(objs, scenario, None).passed, check.name
+        assert built and set(built.values()) == {1}
 
 
 class TestDenseSwapNonSymmetric(TestDenseSwap):
@@ -311,11 +363,10 @@ one_form_words = st.one_of(
 
 
 @cache
-def swap_and_columns(q, s):
-    """The swap of :func:`dense` at (q, S) and one column table, which
-    serves every draw at that (q, S) as one check's table serves its cases."""
-    _, ps = dense(q, [list(row) for row in s])
-    return ps, Columns(ps.twist, ps.rmt, ps.lmt, ps.m)
+def dense_swap(q, s):
+    """The swap of :func:`dense` at (q, S), whose column table serves every
+    draw at that (q, S) as it serves every check of a run."""
+    return dense(q, [list(row) for row in s])[1]
 
 
 # the benchmark's integer and fractional q, and the q it never draws
@@ -323,7 +374,7 @@ twists = st.tuples(
     st.sampled_from([2, -3, Fraction(3, 2), Fraction(-2, 3)]),
     st.sampled_from([tuple(map(tuple, s))
                      for s in (NON_SYMMETRIC_S, HALVING_S)])).map(
-    lambda qs: swap_and_columns(*qs))
+    lambda qs: dense_swap(*qs))
 
 
 def image(column, vector, c=1):
@@ -340,36 +391,33 @@ class TestFlatColumns:
 
     @given(twists, degree0_vectors, one_form_words)
     @settings(max_examples=80, deadline=None)
-    def test_swap(self, swap, pv, pair):
-        ps, ops = swap
-        assert image(ps.columns(ops, pair), pv) == \
+    def test_swap(self, ps, pv, pair):
+        assert image(ps.columns(pair), pv) == \
             ps.apply(ProductForm({pair: 1}), pv)
 
     @given(twists, degree0_vectors, one_form_words, monomials, coeffs)
     @settings(max_examples=80, deadline=None)
-    def test_left_action(self, swap, pv, pair, ij, c):
-        ps, ops = swap
+    def test_left_action(self, ps, pv, pair, ij, c):
         w = ProductForm.monomial(*ij, c)
         # degree 0, and degree 1 as the swap's images are
         for vector in (pv, ps.apply(ProductForm({pair: 1}), pv)):
-            assert image(ops.left(*ij), vector, c) == \
+            assert image(ps.left(*ij), vector, c) == \
                 act_left(ps.twist, ps.rmt, ps.lmt, w, vector)
 
     @given(twists, degree0_vectors, one_form_words, monomials, coeffs)
     @settings(max_examples=80, deadline=None)
-    def test_right_action(self, swap, pv, pair, ij, c):
-        ps, ops = swap
+    def test_right_action(self, ps, pv, pair, ij, c):
         w = ProductForm.monomial(*ij, c)
         for vector in (pv, ps.apply(ProductForm({pair: 1}), pv)):
-            assert image(ops.right(*ij), vector, c) == \
+            assert image(ps.right(*ij), vector, c) == \
                 act_right_form(ps.twist, vector, w)
 
     def test_halving_s_gives_fractional_columns(self):
-        ps, ops = swap_and_columns(Fraction(3, 2), tuple(map(tuple, HALVING_S)))
+        ps = dense_swap(Fraction(3, 2), tuple(map(tuple, HALVING_S)))
         pv = naive_vector(2, ps.rmt, "f", 1, 1, 0)
         assert {c.denominator for c in pv.terms.values()} == {1, 2}
         den, _ = sum_scaled(to_scaled(pv.terms.items()),
-                            ps.columns(ops, ((1, 0), (1,))))
+                            ps.columns(((1, 0), (1,))))
         assert den > 1
 
 

@@ -14,10 +14,11 @@ import pytest
 
 from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from twistconn import bimodule, forms, product, runner
-from twistconn.forms import word_differential
+from twistconn.forms import word_differential, word_mul
 from twistconn.reports import Report
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
 from twistconn.tdga import ProductForm, add_column, pair_degree
+from twistconn.twist import AlgebraTwist
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
 
@@ -113,6 +114,37 @@ def dropped_q(monkeypatch):
     monkeypatch.setattr(runner, "ProductSwap", DroppedQ)
 
 
+# the swap of d(x^cc) ⊗ 1 past an f-block term with the form joined on the
+# wrong side of the naive x-power: x^a d(x^cc) in place of d(x^cc) x^a
+def generator_x_form_after_power(monkeypatch):
+    kernel = bimodule.ProductSwap._generator_x
+
+    def after(self, cc, t):
+        if t[0] < self.m:
+            return kernel(self, cc, t)
+        nd, naive = self._naive(t)
+        return self._free([((k, (word_mul(wxk, w), wyk)), c * s, nd)
+                           for (k, (wxk, wyk)), c in naive
+                           for w, s in word_differential((cc,)).items()])
+
+    monkeypatch.setattr(bimodule.ProductSwap, "_generator_x", after)
+
+
+# the swap of x^i ⊗ d(y^cc) past an f-block term at q = 1: the algebra
+# twist past the naive x-power is dropped
+def generator_y_untwisted(monkeypatch):
+    kernel = bimodule.ProductSwap._generator_y
+
+    def untwisted(self, i, cc, t):
+        if t[0] < self.m:
+            return kernel(self, i, cc, t)
+        flat = bimodule.ProductSwap(AlgebraTwist(1), self.rmt, self.lmt,
+                                    self.swap_e, self.swap_f)
+        return kernel(flat, i, cc, t)
+
+    monkeypatch.setattr(bimodule.ProductSwap, "_generator_y", untwisted)
+
+
 def free_to_naive_transposed(monkeypatch):
     f_free_to_naive = product.f_free_to_naive
 
@@ -181,7 +213,8 @@ def _unscaled_add(acc, den, c, cden, column):
 
 
 # integer column sums: the accumulator keeps its old numerators over the
-# merged denominator
+# merged denominator; ∇ sums through forms.sum_scaled, so patching forms
+# reaches the connection's columns too
 def lcm_merge_unscaled(monkeypatch):
     for module in (forms, bimodule):
         monkeypatch.setattr(module, "add_scaled", _unscaled_add)
@@ -209,6 +242,13 @@ ROWS = [
     (right_normal_base_sign_flipped, SYMMETRIC_S, SWAP_CHECKS | {"bimodule-theorem"}),
     (right_normal_recursion_sign_flipped, SYMMETRIC_S, SWAP_CHECKS),
     (dropped_q, SYMMETRIC_S, {"swap-cross-morphisms", "bimodule-theorem"}),
+    (generator_x_form_after_power, SYMMETRIC_S,
+     {"swap-cross-morphisms", "bimodule-theorem"}),
+    (generator_x_form_after_power, NON_SYMMETRIC_S,
+     {"swap-cross-morphisms", "bimodule-theorem"}),
+    (generator_y_untwisted, SYMMETRIC_S, {"swap-compat-f", "bimodule-theorem"}),
+    (generator_y_untwisted, NON_SYMMETRIC_S,
+     {"swap-compat-f", "bimodule-theorem"}),
     # survives every check with the symmetric S
     (free_to_naive_transposed, SYMMETRIC_S, set()),
     (free_to_naive_transposed, NON_SYMMETRIC_S,
@@ -277,6 +317,21 @@ _INVERSE_TWIST_DROPPED = [
     red("bimodule-theorem", 35, "x ⊗ 1 . (x^0 ⊗ f_1 y^0)"),
 ]
 
+_GENERATOR_X_FORM_AFTER_POWER = [
+    red("swap-cross-morphisms", 518,
+        "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
+        **morphisms(f_left="fail", f_right="fail")),
+    red("bimodule-theorem", 43, "x ⊗ 1 . (x^1 ⊗ f_1 y^0)"),
+]
+
+# the equation of the f-block piece reads only the factor swap
+_GENERATOR_Y_UNTWISTED = [
+    red("swap-compat-f", 29, "equation and right-morphism verdicts disagree: "
+        "right: (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0 . x ⊗ 1",
+        **compat(left="fail", right="fail", agrees=False)),
+    red("bimodule-theorem", 42, "1 ⊗ y . (x^1 ⊗ f_1 y^0)"),
+]
+
 _KOSZUL_SIGN_DROPPED = [
     red("curvature-formula", 4, "curvature formula fails at e_1 x^1 ⊗ y^1"),
     red("flatness", 4, "nonzero curvature at e_1 x^1 ⊗ y^1"),
@@ -324,6 +379,12 @@ RED_RESULTS = {
             **morphisms(e_left="fail", e_right="fail")),
         red("bimodule-theorem", 10, "1 ⊗ y . (e_1 x^1 ⊗ y^0)"),
     ],
+    (generator_x_form_after_power, str(SYMMETRIC_S)):
+        _GENERATOR_X_FORM_AFTER_POWER,
+    (generator_x_form_after_power, str(NON_SYMMETRIC_S)):
+        _GENERATOR_X_FORM_AFTER_POWER,
+    (generator_y_untwisted, str(SYMMETRIC_S)): _GENERATOR_Y_UNTWISTED,
+    (generator_y_untwisted, str(NON_SYMMETRIC_S)): _GENERATOR_Y_UNTWISTED,
     (free_to_naive_transposed, str(SYMMETRIC_S)): [],
     (free_to_naive_transposed, str(NON_SYMMETRIC_S)): [
         red("leibniz", 35, "leibniz fails at x^0 ⊗ f_1 y^0 acted by x ⊗ 1"),

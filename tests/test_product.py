@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from twistconn import product, runner
 from twistconn.connections import ModuleConnection
-from twistconn.forms import Caps, Form, parse_form
+from twistconn.forms import Caps, Form, add_column, from_scaled, parse_form, \
+    sum_scaled, to_scaled
 from twistconn.tdga import ProductForm, embed_y
 from twistconn.twist import (AlgebraTwist, RightModuleTwist,
                              check_right_module_twist)
@@ -25,6 +26,7 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
 from twistconn.scenario import load_scenario, load_scenario_file
 
 from oracles import classical_product_nabla
+from test_bimodule import HALVING_S
 
 Q2 = AlgebraTwist(2)
 UT = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
@@ -207,13 +209,24 @@ class TestProductNabla:
             assert list(out.f) == f_cl
 
 
-# dense S and T and a potential on each side; T does not enter ∇
-DENSE = load_scenario("q: -3/2\nm: 2\nn: 2\nmax_exponent: 2\nmax_degree: 2\n"
-                      "[S]\n2 1\n3 2\n[T]\n1 2\n1 3\n"
-                      "[potential_E]\n(1,1): x dx\n(2,1): dx\n(1,2): dx x\n"
-                      "[potential_F]\n(1,2): y dy\n(2,2): dy\n(2,1): dy y^2\n")
+def dense_scenario(q, s):
+    """Dense S, dense T and a potential on each side; T does not enter ∇."""
+    rows = "".join(f"{a} {b}\n" for a, b in s)
+    return load_scenario(
+        f"q: {q}\nm: 2\nn: 2\nmax_exponent: 2\nmax_degree: 2\n"
+        f"[S]\n{rows}[T]\n1 2\n1 3\n"
+        "[potential_E]\n(1,1): x dx\n(2,1): dx\n(1,2): dx x\n"
+        "[potential_F]\n(1,2): y dy\n(2,2): dy\n(2,1): dy y^2\n")
+
+
+DENSE = dense_scenario("-3/2", [[2, 1], [3, 2]])
 # one connection for every draw, so that its column table fills up
 FILLED = runner.build_objects(DENSE).pc
+# det S = 2: S^{-1} has halves, so ∇ columns of the f-block have denominators
+HALVED = [dense_scenario(q, HALVING_S) for q in ("3/2", "-2/3")]
+# (filled connection, its scenario) per draw
+CONNECTIONS = [(FILLED, DENSE)] + [(runner.build_objects(sc).pc, sc)
+                                   for sc in HALVED]
 
 
 def words(degree):
@@ -229,18 +242,42 @@ vectors = st.dictionaries(
     max_size=6).map(lambda flat: ProductVector.from_terms(flat, 2, 2))
 
 
+def table_nabla(pc, pv):
+    """∇(pv) summed over the integers from the connection's scaled columns."""
+    return from_scaled(*sum_scaled(to_scaled(pv.terms.items()), pc.scaled_nabla))
+
+
+def kernel_nabla(pc, pv):
+    """∇(pv) summed over Fractions from the term kernel, with no table."""
+    out = {}
+    for t, c in pv.terms.items():
+        add_column(out, c, pc._nabla_term(*t).items())
+    return out
+
+
 class TestColumns:
-    """nabla sums cached per-term columns: the table never changes a result."""
+    """nabla sums cached per-term scaled columns: the table never changes a
+    result."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(vectors)
-    def test_filled_table_equals_fresh_connection(self, pv):
-        assert FILLED.nabla(pv) == runner.build_objects(DENSE).pc.nabla(pv)
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CONNECTIONS), vectors)
+    def test_filled_table_equals_fresh_connection(self, filled, pv):
+        pc, scenario = filled
+        fresh = runner.build_objects(scenario).pc
+        assert pc.nabla(pv) == fresh.nabla(pv)
+        assert table_nabla(pc, pv) == kernel_nabla(fresh, pv) == \
+            pc.nabla(pv).terms
 
-    @settings(max_examples=80, deadline=None)
-    @given(vectors, vectors)
-    def test_additive(self, a, b):
-        assert FILLED.nabla(a + b) == FILLED.nabla(a) + FILLED.nabla(b)
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CONNECTIONS), vectors, vectors)
+    def test_additive(self, filled, a, b):
+        pc, _ = filled
+        assert pc.nabla(a + b) == pc.nabla(a) + pc.nabla(b)
+
+    @pytest.mark.parametrize("pc", [pc for pc, _ in CONNECTIONS[1:]])
+    def test_halving_s_gives_fractional_columns(self, pc):
+        pv = naive_vector(2, pc.rmt, "f", 1, 1, 0)
+        assert any(pc.scaled_nabla(t)[0] > 1 for t in pv.terms)
 
 
 class TestCurvature:
@@ -411,7 +448,7 @@ class TestTheoremChecks:
         report = runner.run_checks(scenario, ["theorem", "independence"])
         assert report.find("independence").passed
         assert len(built) == 1 and passed_pc == [built[0].pc]
-        assert passed_pc[0]._columns
+        assert passed_pc[0].ops.table[("∇",)][0]
 
 
 class TestReducedPresentation:
