@@ -12,13 +12,14 @@ import twistconn.twist as twist_module
 from twistconn.bimodule import (ProductSwap, check_swap_compat_e,
                                 check_swap_compat_f, check_swap_cross_morphisms)
 from twistconn.connections import FormSwap
-from twistconn.forms import Caps, Form, parse_form
+from twistconn.forms import Caps, Form, parse_form, word_letters
 from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
                              RightModuleTwist, check_derived_conditions,
                              check_dga_laws, check_lift_compat,
                              check_twist_axioms)
 
 KERNEL = twist_module.word_twist
+PRODUCT = twist_module.word_mul
 Q2 = AlgebraTwist(2)
 
 
@@ -72,6 +73,49 @@ class TestWordKernel:
             "witness": "d on y-side at (y, dx): 2 dx ⊗ dy != -2 dx ⊗ dy"}
         assert check_twist_axioms(Q2, Caps(2, 2)).to_dict() == {
             "name": "twist-axioms", "verdict": "pass", "cases": 3534}
+
+
+def merge_equal_exponents(u, v):
+    """word_mul that adds a letter where two equal nonzero exponents meet:
+    x·x = x^3, so (x·x)·x^2 = x^5 but x·(x·x^2) = x^4."""
+    w = PRODUCT(u, v)
+    if u[-1] and u[-1] == v[0]:
+        k = len(u) - 1
+        return w[:k] + (w[k] + 1,) + w[k + 1:]
+    return w
+
+
+def drop_letter(u, v):
+    """word_mul that drops the last letter of a product of more than four
+    letters; products with the unit word stay exact."""
+    w = PRODUCT(u, v)
+    if word_letters(u) and word_letters(v) and word_letters(w) > 4 and w[-1]:
+        return w[:-1] + (w[-1] - 1,)
+    return w
+
+
+@pytest.mark.parametrize("q", [2, -3])
+class TestWordProduct:
+    """dga-laws under a corrupted word product, patched where the check
+    looks it up."""
+
+    @pytest.mark.parametrize("caps, cases", [((2, 2), 905), ((3, 3), 11492)],
+                             ids=["caps2,2", "caps3,3"])
+    def test_merge_equal_exponents(self, monkeypatch, q, caps, cases):
+        monkeypatch.setattr(twist_module, "word_mul", merge_equal_exponents)
+        assert check_dga_laws(AlgebraTwist(q), Caps(*caps)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": cases,
+            "witness": "graded Leibniz at (1, y) * (1, y)"}
+
+    @pytest.mark.parametrize("caps, cases, witness", [
+        ((2, 2), 948, "graded Leibniz at (1, y) * (1, y dy y^2)"),
+        ((3, 3), 11543, "graded Leibniz at (1, y) * (1, dy y^3)")],
+        ids=["caps2,2", "caps3,3"])
+    def test_drop_letter(self, monkeypatch, q, caps, cases, witness):
+        monkeypatch.setattr(twist_module, "word_mul", drop_letter)
+        assert check_dga_laws(AlgebraTwist(q), Caps(*caps)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": cases,
+            "witness": witness}
 
 
 @pytest.mark.parametrize("s", [[[2, 1], [1, 1]], [[2, 1], [3, 2]]])

@@ -8,11 +8,13 @@ the runtime is wrong.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import pytest
 
 from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
+from test_fail_paths import drop_letter, merge_equal_exponents
 from twistconn import bimodule, forms, product, runner
 from twistconn.forms import word_differential, word_mul
 from twistconn.reports import Report
@@ -231,6 +233,26 @@ def koszul_sign_dropped(monkeypatch):
     monkeypatch.setattr(ProductForm, "key_differential", staticmethod(unsigned))
 
 
+def _word_mul_replaced(monkeypatch, mutant):
+    """forms.word_mul is imported by name, so it is patched in every
+    twistconn module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twistconn":
+            for attr, value in list(vars(module).items()):
+                if value is word_mul:
+                    monkeypatch.setattr(module, attr, mutant)
+
+
+# word products that add a letter where equal nonzero exponents meet
+def word_mul_merging_equal_exponents(monkeypatch):
+    _word_mul_replaced(monkeypatch, merge_equal_exponents)
+
+
+# word products of more than four letters that lose their last letter
+def word_mul_dropping_a_letter(monkeypatch):
+    _word_mul_replaced(monkeypatch, drop_letter)
+
+
 NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",
                 "quantum-plane-report", "bimodule-theorem"}
 
@@ -269,6 +291,13 @@ ROWS = [
     # test_lcm_merge_unscaled_turns_cross_morphisms_red)
     (lcm_merge_unscaled, SYMMETRIC_S, set()),
     (lcm_merge_unscaled, NON_SYMMETRIC_S, set()),
+    (word_mul_merging_equal_exponents, SYMMETRIC_S,
+     {"twist-axioms", "dga-laws", "leibniz", "bimodule-axiom"}
+     | SWAP_CHECKS | {"bimodule-theorem"}),
+    # at caps 1,1 no word product that dga-laws or twist-axioms forms has
+    # more than four letters; the products of the swap's 1-forms do
+    (word_mul_dropping_a_letter, SYMMETRIC_S,
+     {"swap-compat-e", "swap-cross-morphisms"}),
 ]
 
 
@@ -339,6 +368,34 @@ _KOSZUL_SIGN_DROPPED = [
 
 # every red result of each row, the same at q = 2 and q = -3: verdict,
 # cases, witness and detail of each check that turns red
+_WORD_MUL_MERGING_EQUAL_EXPONENTS = [
+    red("twist-axioms", 68, "product-right: b=y, a=x, a'=x",
+        failed_axioms=["product-right"]),
+    red("dga-laws", 62, "graded Leibniz at (1, y) * (1, y)"),
+    red("leibniz", 6, "leibniz fails at e_1 x^0 ⊗ y^1 acted by 1 ⊗ y"),
+    red("swap-compat-e", 66, "equation and left-morphism verdicts disagree: "
+        "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^1 ⊗ y^0",
+        **compat(left="fail", right="fail", agrees=False)),
+    red("swap-compat-f", 62, "equation and right-morphism verdicts disagree: "
+        "right: (x^0 ⊗ dy) ⊗ x^1 ⊗ f_1 y^0 . x ⊗ 1",
+        **compat(left="fail", right="fail", agrees=False)),
+    red("swap-cross-morphisms", 96,
+        "left: x ⊗ 1 . (x^1 ⊗ dy) ⊗ e_1 x^0 ⊗ y^0",
+        **morphisms(e_left="fail", e_right="fail", f_left="fail",
+                    f_right="fail")),
+    red("bimodule-axiom", 11, "e_1 x^0 ⊗ y^0 between x ⊗ 1 and x ⊗ 1"),
+    red("bimodule-theorem", 6, "1 ⊗ y . (e_1 x^0 ⊗ y^1)"),
+]
+
+_WORD_MUL_DROPPING_A_LETTER = [
+    red("swap-compat-e", 475, "equation and left-morphism verdicts disagree: "
+        "left: x ⊗ 1 . (x dx x ⊗ y^0) ⊗ e_1 x^1 ⊗ y^0",
+        **compat(left="fail", agrees=False)),
+    red("swap-cross-morphisms", 918,
+        "left: x ⊗ 1 . (x dx x ⊗ y^0) ⊗ x^1 ⊗ f_1 y^0",
+        **morphisms(f_left="fail", f_right="fail")),
+]
+
 RED_RESULTS = {
     (left_with_t_inverse, str(SYMMETRIC_S)): [
         red("swap-cross-morphisms", 770, _LEFT_Y_E, **morphisms(e_left="fail")),
@@ -406,6 +463,9 @@ RED_RESULTS = {
     (koszul_sign_dropped, str(NON_SYMMETRIC_S)): _KOSZUL_SIGN_DROPPED,
     (lcm_merge_unscaled, str(SYMMETRIC_S)): [],
     (lcm_merge_unscaled, str(NON_SYMMETRIC_S)): [],
+    (word_mul_merging_equal_exponents, str(SYMMETRIC_S)):
+        _WORD_MUL_MERGING_EQUAL_EXPONENTS,
+    (word_mul_dropping_a_letter, str(SYMMETRIC_S)): _WORD_MUL_DROPPING_A_LETTER,
 }
 
 
