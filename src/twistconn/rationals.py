@@ -8,17 +8,25 @@ maps need are provided.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+# the one grammar of a rational in scenario text: q, matrix entries and
+# form coefficients
+RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"3"``, ``"-3/2"`` style rationals."""
+    """Parse ``"3"``, ``"-3/2"`` style rationals, ``[+-]?\\d+(/\\d+)?``."""
+    text = text.strip()
+    if not RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def to_matrix(rows) -> Matrix:

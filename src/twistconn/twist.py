@@ -37,6 +37,7 @@ the method on one instance.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from typing import Callable, Sequence
 
@@ -396,18 +397,11 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     within per-word caps; the graded Leibniz rule on pair-words of bounded
     total degree; associativity on triples of bounded total degree and
     total letter count; and the degree-0 commutation relation
-    (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.
+    (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.  The
+    Leibniz and associativity loops memoize their kernel calls.
     """
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
-
-    def d_word(wx: Word, wy: Word) -> dict[PairWord, int]:
-        # d(wx ⊗ wy) from the word tables; the two parts never share a key
-        out = {(nwx, wy): s for nwx, s in word_differential(wx).items()}
-        sx = 1 if len(wx) % 2 else -1
-        for nwy, s in word_differential(wy).items():
-            out[(wx, nwy)] = sx * s
-        return out
 
     def pair_mul(wx1: Word, wy1: Word, wx2: Word, wy2: Word):
         # (wx1 ⊗ wy1)(wx2 ⊗ wy2) = sign q^e (wx1 wx2 ⊗ wy1 wy2)
@@ -428,82 +422,88 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         return ", ".join(f"({render_word('x', wx)}, {render_word('y', wy)})"
                          for wx, wy in words)
 
-    # each basis pair-word with its total degree, letters and differential,
-    # sorted by letter count so the pair and triple loops can cut on the budget
-    pair_words: list[tuple[int, int, Word, Word]] = []
-    for dx in range(caps.max_degree + 1):
-        for dy in range(caps.max_degree + 1 - dx):
-            for wx in by_deg[dx]:
-                lx = word_letters(wx)
-                for wy in by_deg[dy]:
-                    pair_words.append((dx + dy, lx + word_letters(wy), wx, wy))
-    pair_words.sort(key=lambda t: (t[1], t[0], t[2], t[3]))
-    diffs = [d_word(wx, wy) for _, _, wx, wy in pair_words]
+    # each basis pair-word as (letters, total degree, wx, wy), sorted so that
+    # the pair and triple loops over those within the budget can cut on it
+    pair_words = sorted((word_letters(wx) + word_letters(wy), dx + dy, wx, wy)
+                        for dx in range(caps.max_degree + 1)
+                        for dy in range(caps.max_degree + 1 - dx)
+                        for wx, wy in product(by_deg[dx], by_deg[dy]))
+    budget = [t for t in pair_words if t[0] <= _LETTER_BUDGET]
 
     def unit_and_nilpotence():
         # the unit law and d^2 = 0 on every pair word, two cases each
-        for (_, _, wx, wy), dw in zip(pair_words, diffs):
+        for _, _, wx, wy in pair_words:
             c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
             c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
             if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
                     and is_one(c2, e2)):
                 yield f"unit law at {pairs((wx, wy))}"
                 continue
+            # d of each term of d(wx ⊗ wy), the (a, b) terms of both halves at once
             acc: dict[PairWord, int] = {}
-            for (nwx, nwy), s in dw.items():
-                for key, s2 in d_word(nwx, nwy).items():
-                    acc[key] = acc.get(key, 0) + s * s2
+            sx = 1 if len(wx) % 2 else -1
+            dwx, dwy = word_differential(wx).items(), word_differential(wy).items()
+            add_column(acc, 1, chain(
+                (((a2, wy), s * s2) for a, s in dwx
+                 for a2, s2 in word_differential(a).items()),
+                (((a, b), (sx + (1 if len(a) % 2 else -1)) * s * t)
+                 for a, s in dwx for b, t in dwy),
+                (((wx, b2), t * t2) for b, t in dwy
+                 for b2, t2 in word_differential(b).items())))
             yield f"d^2 != 0 at {pairs((wx, wy))}" if any(acc.values()) else None
 
     def leibniz():
-        # graded Leibniz on pairs of bounded total degree; both sides as
-        # integer tables keyed by (q-exponent, pair-word), decided over the
-        # rationals only when the tables differ
-        for (d1, l1, ux, uy), du in zip(pair_words, diffs):
-            if l1 > _LETTER_BUDGET:
-                break
+        # graded Leibniz on pairs of bounded total degree: d(u v) against
+        # d(u) v + (-1)^{deg u} u d(v) from the word tables, as integer tables
+        # keyed by (q-exponent, pair-word), decided over the rationals if unequal
+        mul = cache(lambda u, v: word_mul(u, v))  # globals read at call time
+        coeff = cache(lambda wy, wx: word_twist(wy, wx))
+        for l1, d1, ux, uy in budget:
             sign = -1 if d1 % 2 else 1
-            for (d2, l2, vx, vy), dv in zip(pair_words, diffs):
+            su = 1 if len(ux) % 2 else -1
+            dux, duy = word_differential(ux).items(), word_differential(uy).items()
+            for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
                 if d1 + d2 > caps.max_degree:
                     continue
-                cuv, euv, px, py = pair_mul(ux, uy, vx, vy)
-                lhs = {(euv, key): cuv * s for key, s in d_word(px, py).items()}
+                cuv, euv = coeff(uy, vx)
+                px, py = mul(ux, vx), mul(uy, vy)
+                lhs = {(euv, (a, py)): cuv * s
+                       for a, s in word_differential(px).items()}
+                lhs.update(((euv, (px, b)), (cuv if len(px) % 2 else -cuv) * t)
+                           for b, t in word_differential(py).items())
                 rhs: dict[tuple[int, PairWord], int] = {}
-                for (nux, nuy), s in du.items():
-                    c, e, mx, my = pair_mul(nux, nuy, vx, vy)
-                    key = (e, (mx, my))
-                    rhs[key] = rhs.get(key, 0) + s * c
-                for (nvx, nvy), s in dv.items():
-                    c, e, mx, my = pair_mul(ux, uy, nvx, nvy)
-                    key = (e, (mx, my))
-                    rhs[key] = rhs.get(key, 0) + sign * s * c
+                add_column(rhs, 1, chain(
+                    (((euv, (mul(a, vx), py)), s * cuv) for a, s in dux),
+                    (((e, (px, mul(b, vy))), su * t * c)
+                     for b, t in duy for c, e in [coeff(b, vx)]),
+                    (((e, (mul(ux, a), py)), sign * s * c)
+                     for a, s in word_differential(vx).items()
+                     for c, e in [coeff(uy, a)]),
+                    (((euv, (px, mul(uy, b))), (sign if len(vx) % 2 else -sign) * cuv * t)
+                     for b, t in word_differential(vy).items())))
                 rhs = {k: v for k, v in rhs.items() if v}
                 yield f"graded Leibniz at {pairs((ux, uy))} * {pairs((vx, vy))}" \
                     if lhs != rhs and rational(lhs) != rational(rhs) else None
 
     def associativity():
         # bounded triples; integer exponent/sign bookkeeping for both
-        # association orders, with the merged words built both ways
-        rich = [(dsum, lsum, wx, wy, word_letters(wx), word_letters(wy),
-                 word_degree(wx), word_degree(wy))
-                for dsum, lsum, wx, wy in pair_words]
-        max_deg = caps.max_degree
+        # association orders, and each word triple concatenated both ways
+        associative = cache(lambda a, b, c: word_mul(word_mul(a, b), c) ==
+                            word_mul(a, word_mul(b, c)))
+        rich = [(d, l, wx, wy, word_letters(wx), word_letters(wy),
+                 word_degree(wx), word_degree(wy)) for l, d, wx, wy in budget]
         for d1, l1, ux, uy, lux, luy, dux, duy in rich:
-            if l1 > _LETTER_BUDGET:
-                break
             for d2, l2, vx, vy, lvx, lvy, dvx, dvy in rich:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
-                if d1 + d2 > max_deg:
+                if d1 + d2 > caps.max_degree:
                     continue
-                uvx = word_mul(ux, vx)
-                uvy = word_mul(uy, vy)
                 for d3, l3, wx, wy, lwx, lwy, dwx, dwy in rich:
                     if l1 + l2 + l3 > _LETTER_BUDGET:
                         break
-                    if d1 + d2 + d3 > max_deg:
+                    if d1 + d2 + d3 > caps.max_degree:
                         continue
                     exp_left = lvx * luy + lwx * (luy + lvy)
                     exp_right = lwx * lvy + (lvx + lwx) * luy
@@ -513,8 +513,7 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                             qpow(exp_left) * (-1) ** sign_left != \
                             qpow(exp_right) * (-1) ** sign_right:
                         yield f"associativity at {pairs((ux, uy), (vx, vy), (wx, wy))}"
-                    elif word_mul(uvx, wx) != word_mul(ux, word_mul(vx, wx)) or \
-                            word_mul(uvy, wy) != word_mul(uy, word_mul(vy, wy)):
+                    elif not (associative(ux, vx, wx) and associative(uy, vy, wy)):
                         yield ("word concatenation not associative at "
                                f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
                     else:

@@ -148,6 +148,30 @@ class TestValidation:
             load_scenario(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("q: 0.5\n", "line 1: bad rational '0.5'"),
+        ("q: 1_000\n", "line 1: bad rational '1_000'"),
+        ("\nq: 1/0\n", "line 2: zero denominator in '1/0'"),
+        ("n: 1\n[S]\n1e0\n", "line 3: S: bad rational '1e0'"),
+        ("m: 2\n[T]\n1 0\n0 2/0\n", "line 4: T: zero denominator in '2/0'"),
+        ("m: 1\n[potential_E]\n(1,1): 1/0 dx\n",
+         "line 3: zero denominator in '1/0'"),
+    ])
+    def test_rationals_share_the_coefficient_grammar(self, tmp_path, capsys,
+                                                     text, message):
+        """q, matrix entries and form coefficients all take
+        [+-]?\\d+(/\\d+)?; anything else exits 2 naming its line."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check-axioms", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value,q", [("3/2", Fraction(3, 2)),
+                                         ("-2", Fraction(-2)),
+                                         ("+4/6", Fraction(2, 3))])
+    def test_q_grammar_accepts_signed_fractions(self, value, q):
+        assert load_scenario(f"q: {value}\n").q == q
+
 
 class TestRunner:
     def test_resolution_orders_dependencies(self):

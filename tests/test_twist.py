@@ -260,6 +260,26 @@ class TestCheckers:
     def test_dga_laws(self, q):
         assert check_dga_laws(AlgebraTwist(q), CAPS).passed
 
+    def test_dga_laws_calls_each_kernel_once_per_distinct_input(self, monkeypatch):
+        """dga-laws at caps 3,3 memoizes its word kernels per check: counted
+        through the module globals it looks up, it makes at most 60,000
+        word_mul and 15,000 word_twist calls (1,426,370 and 148,981 before
+        the memo tables), over the same 214,706 cases."""
+        calls = {"word_mul": 0, "word_twist": 0}
+        for name in calls:
+            kernel = getattr(twist_module, name)
+
+            def counted(*args, _name=name, _kernel=kernel):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(twist_module, name, counted)
+        result = check_dga_laws(AlgebraTwist(2), Caps(3, 3))
+        assert result.to_dict() == {"name": "dga-laws", "verdict": "pass",
+                                    "cases": 214706}
+        assert calls["word_mul"] <= 60000
+        assert calls["word_twist"] <= 15000
+
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
             AlgebraTwist(0)
