@@ -5,15 +5,23 @@ cases, never from the closed forms under test: the form-level crossing is
 extended letter by letter via the unit, multiplicativity and differential
 rules; the module twists are extended from their value on a single
 generator; the classical product connection and the signs-only tensor
-multiplication are written out directly.
+multiplication are written out directly.  The word-level axiom checks
+have a literal per-case reference, which looks up the word kernels in
+``twistconn.twist`` at every call, as the checks do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
 
-from twistconn.forms import Form, Word, word_differential, word_mul
-from twistconn.tdga import ProductForm
+import twistconn.twist as kernels
+from twistconn.forms import (UNIT_WORD, Caps, Form, Word, enumerate_words,
+                             iter_word_tuples, render_word, word_degree,
+                             word_differential, word_letters, word_mul,
+                             words_by_degree)
+from twistconn.reports import CheckResult, failed, passed, tally
+from twistconn.tdga import ProductForm, add_column
 
 
 def _first_letter(w: Word):
@@ -185,3 +193,192 @@ def classical_product_nabla(potential_e, potential_f, e_coords,
             if not potential_f[k][l].is_zero:
                 f_out[k] = f_out[k] + pot_mul(potential_f[k][l], f_coords[l], "y")
     return e_out, f_out
+
+
+# ---------------------------------------------------------------------------
+# per-case references of the word-level axiom checks
+# ---------------------------------------------------------------------------
+
+_LETTER_BUDGET = 8
+
+
+def dga_laws_reference(twist, caps: Caps) -> CheckResult:
+    """check_dga_laws decided case by case, with no memo table: every case
+    calls the kernels and compares its full tables."""
+    qpow = twist.qpow
+    by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
+
+    def pair_mul(wx1, wy1, wx2, wy2):
+        sign, e = coeff(wy1, wx2)
+        return sign, e, mul(wx1, wx2), mul(wy1, wy2)
+
+    def is_one(sign, e):
+        return (sign, e) == (1, 0) or sign * qpow(e) == 1
+
+    def rational(table):
+        out = {}
+        for (e, key), s in table.items():
+            out[key] = out.get(key, 0) + s * qpow(e)
+        return {k: v for k, v in out.items() if v}
+
+    def pairs(*words):
+        return ", ".join(f"({render_word('x', wx)}, {render_word('y', wy)})"
+                         for wx, wy in words)
+
+    def d(w):
+        return kernels.word_differential(w).items()
+
+    def mul(u, v):
+        return kernels.word_mul(u, v)
+
+    def coeff(wy, wx):
+        return kernels.word_twist(wy, wx)
+
+    pair_words = sorted((word_letters(wx) + word_letters(wy), dx + dy, wx, wy)
+                        for dx in range(caps.max_degree + 1)
+                        for dy in range(caps.max_degree + 1 - dx)
+                        for wx, wy in product(by_deg[dx], by_deg[dy]))
+    budget = [t for t in pair_words if t[0] <= _LETTER_BUDGET]
+
+    def unit_and_nilpotence():
+        for _, _, wx, wy in pair_words:
+            c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
+            c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
+            if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
+                    and is_one(c2, e2)):
+                yield f"unit law at {pairs((wx, wy))}"
+                continue
+            acc = {}
+            sx = 1 if len(wx) % 2 else -1
+            add_column(acc, 1, chain(
+                (((a2, wy), s * s2) for a, s in d(wx) for a2, s2 in d(a)),
+                (((a, b), (sx + (1 if len(a) % 2 else -1)) * s * t)
+                 for a, s in d(wx) for b, t in d(wy)),
+                (((wx, b2), t * t2) for b, t in d(wy) for b2, t2 in d(b))))
+            yield f"d^2 != 0 at {pairs((wx, wy))}" if any(acc.values()) else None
+
+    def leibniz():
+        for l1, d1, ux, uy in budget:
+            sign = -1 if d1 % 2 else 1
+            su = 1 if len(ux) % 2 else -1
+            for l2, d2, vx, vy in budget:
+                if l1 + l2 > _LETTER_BUDGET:
+                    break
+                if d1 + d2 > caps.max_degree:
+                    continue
+                cuv, euv = coeff(uy, vx)
+                px, py = mul(ux, vx), mul(uy, vy)
+                lhs = {(euv, (a, py)): cuv * s for a, s in d(px)}
+                lhs.update(((euv, (px, b)), (cuv if len(px) % 2 else -cuv) * t)
+                           for b, t in d(py))
+                rhs = {}
+                add_column(rhs, 1, chain(
+                    (((euv, (mul(a, vx), py)), s * cuv) for a, s in d(ux)),
+                    (((e, (px, mul(b, vy))), su * t * c)
+                     for b, t in d(uy) for c, e in [coeff(b, vx)]),
+                    (((e, (mul(ux, a), py)), sign * s * c)
+                     for a, s in d(vx) for c, e in [coeff(uy, a)]),
+                    (((euv, (px, mul(uy, b))),
+                      (sign if len(vx) % 2 else -sign) * cuv * t)
+                     for b, t in d(vy))))
+                rhs = {k: v for k, v in rhs.items() if v}
+                yield f"graded Leibniz at {pairs((ux, uy))} * {pairs((vx, vy))}" \
+                    if lhs != rhs and rational(lhs) != rational(rhs) else None
+
+    def associativity():
+        def associative(a, b, c):
+            return mul(mul(a, b), c) == mul(a, mul(b, c))
+
+        rich = [(d, l, wx, wy, word_letters(wx), word_letters(wy),
+                 word_degree(wx), word_degree(wy)) for l, d, wx, wy in budget]
+        for d1, l1, ux, uy, lux, luy, dux, duy in rich:
+            for d2, l2, vx, vy, lvx, lvy, dvx, dvy in rich:
+                if l1 + l2 > _LETTER_BUDGET:
+                    break
+                if d1 + d2 > caps.max_degree:
+                    continue
+                for d3, l3, wx, wy, lwx, lwy, dwx, dwy in rich:
+                    if l1 + l2 + l3 > _LETTER_BUDGET:
+                        break
+                    if d1 + d2 + d3 > caps.max_degree:
+                        continue
+                    exp_left = lvx * luy + lwx * (luy + lvy)
+                    exp_right = lwx * lvy + (lvx + lwx) * luy
+                    sign_left = (dvx * duy + dwx * (duy + dvy)) % 2
+                    sign_right = (dwx * dvy + (dvx + dwx) * duy) % 2
+                    if (exp_left != exp_right or sign_left != sign_right) and \
+                            qpow(exp_left) * (-1) ** sign_left != \
+                            qpow(exp_right) * (-1) ** sign_right:
+                        yield f"associativity at {pairs((ux, uy), (vx, vy), (wx, wy))}"
+                    elif not (associative(ux, vx, wx) and associative(uy, vy, wy)):
+                        yield ("word concatenation not associative at "
+                               f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
+                    else:
+                        yield None
+
+    def commutation():
+        for a, b, c, dd in product(range(caps.max_exponent + 1), repeat=4):
+            sign, e, mx, my = pair_mul((a,), (b,), (c,), (dd,))
+            yield None if (mx, my) == ((a + c,), (b + dd,)) and \
+                sign * qpow(e) == qpow(b * c) \
+                else f"commutation at x^{a} y^{b} * x^{c} y^{dd}"
+
+    count, failures = tally(unit_and_nilpotence(), 2)
+    if not failures:
+        more, failures = tally(chain(leibniz(), associativity(), commutation()))
+        count += more
+    if failures:
+        return failed("dga-laws", failures[None], count)
+    return passed("dga-laws", count)
+
+
+def twist_axioms_reference(twist, caps: Caps) -> CheckResult:
+    """check_twist_axioms with the built-in lift, decided case by case over
+    the recursive word-triple enumeration, with no memo table."""
+    qpow = twist.qpow
+
+    def crossed(wy, wx):
+        return twist.cross(Form.word("y", wy), Form.word("x", wx))
+
+    def units():
+        for w in enumerate_words(caps.max_degree, caps.max_exponent):
+            got = crossed(UNIT_WORD, w)
+            if got != ProductForm({(w, UNIT_WORD): Fraction(1)}):
+                yield {"unit": f"1 ⊗ {render_word('x', w)} -> {got}"}
+            else:
+                got = crossed(w, UNIT_WORD)
+                yield None if got == ProductForm({(UNIT_WORD, w): Fraction(1)}) \
+                    else {"unit": f"{render_word('y', w)} ⊗ 1 -> {got}"}
+
+    def agrees(merged, first, second):
+        (s, e), (s1, e1), (s2, e2) = merged, first, second
+        return (s == s1 * s2 and e == e1 + e2) or \
+            s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
+
+    def coeff(wy, wx):
+        return kernels.word_twist(wy, wx)
+
+    def mul(u, v):
+        return kernels.word_mul(u, v)
+
+    def word_products():
+        for wb, wa, wa2 in iter_word_tuples(3, caps):
+            if not agrees(coeff(wb, mul(wa, wa2)), coeff(wb, wa),
+                          coeff(wb, wa2)):
+                yield {"product-right": f"b={render_word('y', wb)}, "
+                       f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"}
+            elif not agrees(coeff(mul(wb, wa), wa2), coeff(wb, wa2),
+                            coeff(wa, wa2)):
+                yield {"product-left": f"b={render_word('y', wb)}, "
+                       f"b'={render_word('y', wa)}, a={render_word('x', wa2)}"}
+            else:
+                yield None
+
+    tallies = [tally(units(), 2), tally(word_products(), 2)]
+    failures = {axiom: w for _, found in tallies for axiom, w in found.items()}
+    cases = sum(count for count, _ in tallies)
+    if failures:
+        axiom, witness = next(iter(failures.items()))
+        return failed("twist-axioms", f"{axiom}: {witness}", cases,
+                      failed_axioms=sorted(failures))
+    return passed("twist-axioms", cases)

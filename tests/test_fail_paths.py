@@ -6,6 +6,8 @@ verdict, cases, witness and detail.  The unit loop of ``twist-axioms`` is
 pinned in tests/test_twist.py.
 """
 
+from types import MappingProxyType
+
 import pytest
 
 import twistconn.twist as twist_module
@@ -20,6 +22,7 @@ from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
 
 KERNEL = twist_module.word_twist
 PRODUCT = twist_module.word_mul
+DIFFERENTIAL = twist_module.word_differential
 Q2 = AlgebraTwist(2)
 
 
@@ -94,10 +97,31 @@ def drop_letter(u, v):
     return w
 
 
+def above_cap(cap):
+    """word_mul that adds a letter at the end of a product of degree >= 1
+    whose left factor has an exponent above ``cap``.  Only the product
+    (a b) of (a b) c leaves the caps, so only associativity meets it."""
+    def mutant(u, v):
+        w = PRODUCT(u, v)
+        if max(u) > cap and len(w) > 1:
+            return w[:-1] + (w[-1] + 1,)
+        return w
+    return mutant
+
+
+def doubled_on_odd_letters(word):
+    """word_differential scaled by 2 on words with an odd letter count.
+    Every term of d w has the letter count of w, so d^2 = 0 still holds."""
+    table = DIFFERENTIAL(word)
+    if word_letters(word) % 2:
+        return MappingProxyType({w: 2 * s for w, s in table.items()})
+    return table
+
+
 @pytest.mark.parametrize("q", [2, -3])
 class TestWordProduct:
-    """dga-laws under a corrupted word product, patched where the check
-    looks it up."""
+    """dga-laws under a corrupted word product or word differential,
+    patched where the check looks it up."""
 
     @pytest.mark.parametrize("caps, cases", [((2, 2), 905), ((3, 3), 11492)],
                              ids=["caps2,2", "caps3,3"])
@@ -116,6 +140,27 @@ class TestWordProduct:
         assert check_dga_laws(AlgebraTwist(q), Caps(*caps)).to_dict() == {
             "name": "dga-laws", "verdict": "fail", "cases": cases,
             "witness": witness}
+
+    @pytest.mark.parametrize("cap, cases", [(1, 352), (2, 12059), (3, 63845)],
+                             ids=["caps1,1", "caps2,2", "caps3,3"])
+    def test_product_above_cap(self, monkeypatch, q, cap, cases):
+        monkeypatch.setattr(twist_module, "word_mul", above_cap(cap))
+        power = "y" if cap == 1 else f"y^{cap}"
+        assert check_dga_laws(AlgebraTwist(q), Caps(cap, cap)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": cases,
+            "witness": "word concatenation not associative at "
+                       f"(1, y), (1, {power}), (1, dy)"}
+
+    @pytest.mark.parametrize("cap, cases", [(1, 62), (2, 905), (3, 11492)],
+                             ids=["caps1,1", "caps2,2", "caps3,3"])
+    def test_differential_doubled_on_odd_letters(self, monkeypatch, q, cap,
+                                                 cases):
+        # d^2 = 0 holds, so the unit loop passes and Leibniz fails
+        monkeypatch.setattr(twist_module, "word_differential",
+                            doubled_on_odd_letters)
+        assert check_dga_laws(AlgebraTwist(q), Caps(cap, cap)).to_dict() == {
+            "name": "dga-laws", "verdict": "fail", "cases": cases,
+            "witness": "graded Leibniz at (1, y) * (1, y)"}
 
 
 @pytest.mark.parametrize("s", [[[2, 1], [1, 1]], [[2, 1], [3, 2]]])
