@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .forms import Caps
+from .rationals import parse_int
 from .runner import run_checks
 from .scenario import ScenarioError, load_scenario_file
 
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--caps", metavar="E,D",
                        help="override max_exponent,max_degree")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--seed", type=parse_int, help="override the scenario seed")
     return parser
 
 
@@ -52,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario_file(args.scenario)
         if args.caps:
             try:
-                e_cap, d_cap = (int(v) for v in args.caps.split(","))
+                e_cap, d_cap = (parse_int(v) for v in args.caps.split(","))
             except ValueError:
                 raise ScenarioError("--caps expects E,D integers") from None
             if e_cap < 1 or d_cap < 1:

@@ -27,7 +27,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .rationals import RATIONAL_RE, parse_rational
+from .rationals import RATIONAL_RE, parse_int, parse_rational
 
 Word = tuple[int, ...]
 
@@ -58,11 +58,9 @@ def word_mul(u: Word, v: Word) -> Word:
 def word_differential(word: Word) -> Mapping[Word, int]:
     """d on a basis word, as a read-only word -> (+1|-1) table.
 
-    Memoized per word, so every caller shares one table.  Pairs of words
-    are memoized only inside ``dga-laws``, by the loop that uses them: at
-    caps 3,3, 2,494 word products and twist coefficients in its Leibniz
-    loop and 6,975 word triples in its associativity loop, all dropped when
-    the loop ends (see the README's memo tables).
+    Memoized per word, so every caller shares one table.  Word pairs are
+    memoized per call inside ``dga-laws`` (2,494 at caps 3,3) and
+    ``twist-axioms`` (5,008); see the README's memo tables.
     """
     out: dict[Word, int] = {}
     for k, n in enumerate(word):
@@ -499,7 +497,7 @@ def parse_form(gen: str, text: str) -> Form:
             elif tok == gen:
                 word[-1] += 1
             elif tok.startswith(f"{gen}^"):
-                exponent = int(tok[len(gen) + 1:])
+                exponent = parse_int(tok[len(gen) + 1:])
                 if exponent < 0:
                     raise ValueError(f"negative exponent in {tok!r}")
                 word[-1] += exponent

@@ -13,13 +13,20 @@ from fractions import Fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-# the one grammar of a rational in scenario text: q, matrix entries and
-# form coefficients
-RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+# the one number grammar of scenario text and the command line, in ASCII
+# digits (\d takes any Unicode digit); rationals for q, matrices and forms
+RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """Parse ``"3"``, ``"-1"`` style integers, ``[+-]?[0-9]+``."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"3"``, ``"-3/2"`` style rationals, ``[+-]?\\d+(/\\d+)?``."""
+    """Parse ``"3"``, ``"-3/2"`` style rationals, ``[+-]?[0-9]+(/[0-9]+)?``."""
     text = text.strip()
     if not RATIONAL_RE.fullmatch(text):
         raise ValueError(f"bad rational {text!r}")

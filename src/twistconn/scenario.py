@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import Caps, Form, parse_form
-from .rationals import Matrix, mat_inv, parse_rational
+from .rationals import Matrix, mat_inv, parse_int, parse_rational
 
 KNOWN_CHECKS = ("axioms", "hypotheses", "leibniz", "theorem", "flatness",
                 "independence", "curvature", "report", "bimodule")
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_]+)\]$")
-_ENTRY_RE = re.compile(r"^\((\d+)\s*,\s*(\d+)\)\s*:\s*(.*)$")
+_ENTRY_RE = re.compile(r"^\(([0-9]+)\s*,\s*([0-9]+)\)\s*:\s*(.*)$")
 
 _MATRIX_SECTIONS = {"S": "s_matrix", "S_alt": "s_alt", "T": "t_matrix"}
 _FORM_SECTIONS = {"potential_E": ("x", "potential_e"),
@@ -182,7 +182,7 @@ def load_scenario(text: str) -> Scenario:
             return default
         lineno, value = top[key]
         try:
-            out = int(value)
+            out = parse_int(value)
         except ValueError:
             raise ScenarioError(f"line {lineno}: {key} must be an integer") from None
         if out < minimum:
@@ -214,7 +214,7 @@ def load_scenario(text: str) -> Scenario:
     if "f_exponents" in top:
         lineno, value = top["f_exponents"]
         try:
-            scenario.f_exponents = [int(v) for v in value.replace(",", " ").split()]
+            scenario.f_exponents = [parse_int(v) for v in value.replace(",", " ").split()]
         except ValueError:
             raise ScenarioError(f"line {lineno}: f_exponents must be integers") \
                 from None

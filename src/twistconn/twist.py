@@ -38,12 +38,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Callable, Sequence
 
-from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words,
-                    iter_word_tuples, render_word, word_degree,
-                    word_differential, word_letters, word_mul, words_by_degree)
+from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words, iter_word_tuples,
+                    render_word, word_differential, word_letters, word_mul, words_by_degree)
 from .rationals import Matrix, MatrixPowers, identity
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, add_column
@@ -228,8 +227,12 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
 
     def word_products():
         # the merged word's (sign, exponent) must be the product of the two
-        # crossing steps'; the rationals decide only unequal pairs (q = ±1)
+        # crossing steps'; the rationals decide only unequal pairs (q = ±1).
+        # Triples as in iter_word_tuples(3, caps); word_twist(wb, ·) kept per wb
         qpow = twist.qpow
+        upto = [enumerate_words(k, caps.max_exponent)
+                for k in range(caps.max_degree + 1)]
+        pair = cache(lambda wa, wa2: (word_mul(wa, wa2), word_twist(wa, wa2)))
 
         def agrees(merged: tuple[int, int], first: tuple[int, int],
                    second: tuple[int, int]) -> bool:
@@ -237,16 +240,19 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
             return (s == s1 * s2 and e == e1 + e2) or \
                 s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
 
-        for wb, wa, wa2 in iter_word_tuples(3, caps):
-            if not agrees(word_twist(wb, word_mul(wa, wa2)),
-                          word_twist(wb, wa), word_twist(wb, wa2)):
-                yield right(wb, wa, wa2)
-            # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-            elif not agrees(word_twist(word_mul(wb, wa), wa2),
-                            word_twist(wb, wa2), word_twist(wa, wa2)):
-                yield left(wb, wa, wa2)
-            else:
-                yield None
+        for wb in upto[-1]:
+            past = cache(lambda wx, wb=wb: word_twist(wb, wx))
+            for wa in upto[len(upto) - len(wb)]:
+                first, merged_b = past(wa), word_mul(wb, wa)
+                for wa2 in upto[len(upto) - len(wb) - len(wa) + 1]:
+                    (merged_a, twist_a), second = pair(wa, wa2), past(wa2)
+                    if not agrees(past(merged_a), first, second):
+                        yield right(wb, wa, wa2)
+                    # mirror roles: wb, wa as the two y-words, wa2 as the x-word
+                    elif not agrees(word_twist(merged_b, wa2), second, twist_a):
+                        yield left(wb, wa, wa2)
+                    else:
+                        yield None
 
     def summed(terms) -> ProductForm:
         out: dict[PairWord, Fraction] = {}
@@ -397,19 +403,30 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     within per-word caps; the graded Leibniz rule on pair-words of bounded
     total degree; associativity on triples of bounded total degree and
     total letter count; and the degree-0 commutation relation
-    (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.  The
-    Leibniz and associativity loops memoize their kernel calls.
+    (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.
+
+    Most cases follow from facts about words and word pairs, kept in tables
+    local to the call; the rest compare full tables, so cases, order and
+    witnesses are those of deciding each case alone, for any kernels.  Let
+    e(w) = (-1)^{deg w}.  Leibniz at (ux ⊗ uy, vx ⊗ vy) holds if, with
+    (c, k) = word_twist(uy, vx), px = ux vx and py = uy vy, (L) d(ab) =
+    d(a) b + e(a) a d(b) as tables of nonzero integers, deg ab = deg a +
+    deg b and ab is not in d(ab), for (a, b) = (ux, vx), (uy, vy), and
+    (C) c = ±1, word_twist(uy, a) = (e(uy) c, k) for a in d vx and
+    word_twist(b, vx) = (e(vx) c, k) for b in d uy.  Proof: by (C) all
+    terms of d(u) v + e(ux) e(uy) u d(v) have q-exponent k, and by (L)
+    those with y-word py sum to c d px ⊗ py and those with x-word px to
+    e(px) c px ⊗ d py, with distinct keys as px is not in d px: the table
+    c d(px ⊗ py) of d(u v).
     """
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
 
-    def pair_mul(wx1: Word, wy1: Word, wx2: Word, wy2: Word):
-        # (wx1 ⊗ wy1)(wx2 ⊗ wy2) = sign q^e (wx1 wx2 ⊗ wy1 wy2)
-        sign, e = word_twist(wy1, wx2)
-        return sign, e, word_mul(wx1, wx2), word_mul(wy1, wy2)
-
     def is_one(sign: int, e: int) -> bool:
         return (sign, e) == (1, 0) or sign * qpow(e) == 1
+
+    def parity(w: Word) -> int:
+        return 1 if len(w) % 2 else -1
 
     def rational(table: dict[tuple[int, PairWord], int]) -> dict[PairWord, Fraction]:
         # the exact value of a table keyed by (q-exponent, pair-word)
@@ -432,40 +449,66 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
 
     def unit_and_nilpotence():
         # the unit law and d^2 = 0 on every pair word, two cases each
+        unit = cache(lambda w, wy, wx: word_mul(UNIT_WORD, w) == w ==
+                     word_mul(w, UNIT_WORD) and is_one(*word_twist(wy, wx)))
+
+        @cache
+        def nilpotence(w: Word) -> tuple[list, list]:
+            # d(d w), and the d-terms s a of w with e(a) = e(w), as d^2(wx ⊗ wy) =
+            # d(d wx) ⊗ wy + Σ (e(wx) + e(a)) s t a ⊗ b + wx ⊗ d(d wy)
+            dd, dw = {}, word_differential(w).items()
+            add_column(dd, 1, ((a2, s * s2) for a, s in dw
+                               for a2, s2 in word_differential(a).items()))
+            return [(a2, s) for a2, s in dd.items() if s], \
+                [(a, 2 * parity(w) * s) for a, s in dw if parity(a) == parity(w)]
+
         for _, _, wx, wy in pair_words:
-            c, e, mx, my = pair_mul(UNIT_WORD, UNIT_WORD, wx, wy)
-            c2, e2, mx2, my2 = pair_mul(wx, wy, UNIT_WORD, UNIT_WORD)
-            if not ((mx, my) == (mx2, my2) == (wx, wy) and is_one(c, e)
-                    and is_one(c2, e2)):
+            if not (unit(wx, UNIT_WORD, wx) and unit(wy, wy, UNIT_WORD)):
                 yield f"unit law at {pairs((wx, wy))}"
                 continue
-            # d of each term of d(wx ⊗ wy), the (a, b) terms of both halves at once
+            (ddx, bad), (ddy, _) = nilpotence(wx), nilpotence(wy)
             acc: dict[PairWord, int] = {}
-            sx = 1 if len(wx) % 2 else -1
-            dwx, dwy = word_differential(wx).items(), word_differential(wy).items()
-            add_column(acc, 1, chain(
-                (((a2, wy), s * s2) for a, s in dwx
-                 for a2, s2 in word_differential(a).items()),
-                (((a, b), (sx + (1 if len(a) % 2 else -1)) * s * t)
-                 for a, s in dwx for b, t in dwy),
-                (((wx, b2), t * t2) for b, t in dwy
-                 for b2, t2 in word_differential(b).items())))
+            if ddx or bad or ddy:
+                add_column(acc, 1, chain(
+                    (((a2, wy), s) for a2, s in ddx),
+                    (((a, b), s * t) for a, s in bad
+                     for b, t in word_differential(wy).items()),
+                    (((wx, b2), t) for b2, t in ddy)))
             yield f"d^2 != 0 at {pairs((wx, wy))}" if any(acc.values()) else None
 
     def leibniz():
-        # graded Leibniz on pairs of bounded total degree: d(u v) against
-        # d(u) v + (-1)^{deg u} u d(v) from the word tables, as integer tables
-        # keyed by (q-exponent, pair-word), decided over the rationals if unequal
+        # graded Leibniz on pairs of bounded total degree: (L) and (C), else
+        # the integer tables, decided over the rationals if unequal
         mul = cache(lambda u, v: word_mul(u, v))  # globals read at call time
         coeff = cache(lambda wy, wx: word_twist(wy, wx))
+
+        @cache
+        def word_leibniz(a: Word, b: Word) -> bool:  # (L)
+            ab, sides = mul(a, b), {}
+            add_column(sides, 1, chain(
+                ((mul(a2, b), s) for a2, s in word_differential(a).items()),
+                ((mul(a, b2), parity(a) * t) for b2, t in word_differential(b).items())))
+            return len(ab) == len(a) + len(b) - 1 and ab not in word_differential(ab) \
+                and word_differential(ab) == {w: s for w, s in sides.items() if s}
+
+        @cache
+        def commutes(wy: Word, wx: Word) -> bool:  # (C): d commutes with crossing
+            c, e = coeff(wy, wx)
+            return c in (1, -1) and \
+                all(coeff(wy, a) == (parity(wy) * c, e) for a in word_differential(wx)) \
+                and all(coeff(b, wx) == (parity(wx) * c, e) for b in word_differential(wy))
+
         for l1, d1, ux, uy in budget:
             sign = -1 if d1 % 2 else 1
-            su = 1 if len(ux) % 2 else -1
+            su = parity(ux)
             dux, duy = word_differential(ux).items(), word_differential(uy).items()
             for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
                 if d1 + d2 > caps.max_degree:
+                    continue
+                if word_leibniz(ux, vx) and word_leibniz(uy, vy) and commutes(uy, vx):
+                    yield None
                     continue
                 cuv, euv = coeff(uy, vx)
                 px, py = mul(ux, vx), mul(uy, vy)
@@ -488,43 +531,54 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                     if lhs != rhs and rational(lhs) != rational(rhs) else None
 
     def associativity():
-        # bounded triples; integer exponent/sign bookkeeping for both
-        # association orders, and each word triple concatenated both ways
-        associative = cache(lambda a, b, c: word_mul(word_mul(a, b), c) ==
-                            word_mul(a, word_mul(b, c)))
-        rich = [(d, l, wx, wy, word_letters(wx), word_letters(wy),
-                 word_degree(wx), word_degree(wy)) for l, d, wx, wy in budget]
-        for d1, l1, ux, uy, lux, luy, dux, duy in rich:
-            for d2, l2, vx, vy, lvx, lvy, dvx, dvy in rich:
+        # bounded triples; both association orders carry one sign and q-power,
+        # so a triple holds iff its word triples do.  The third pair words of
+        # (u, v) depend only on its room (letters, degree); a room keeps them
+        # in loop order with their words' bits, and a word pair (a, b) its
+        # product and the bits of the words c with (a b) c == a (b c)
+        words = list(dict.fromkeys(w for _, _, wx, wy in budget for w in (wx, wy)))
+        bits, holds = {w: 1 << i for i, w in enumerate(words)}, {}
+
+        @cache
+        def room(letters: int, degree: int) -> tuple[list, int]:
+            third = [(wx, wy) for l, d, wx, wy in budget
+                     if l <= _LETTER_BUDGET - letters and d <= caps.max_degree - degree]
+            return third, sum(bits[w] for w in set(chain.from_iterable(third)))
+
+        def associative(a: Word, b: Word, mask: int) -> bool:
+            ab, known = holds.get((a, b)) or (word_mul(a, b), 0)
+            missing = mask & ~known
+            while missing:
+                bit = missing & -missing
+                c = words[bit.bit_length() - 1]
+                if word_mul(ab, c) != word_mul(a, word_mul(b, c)):
+                    return False
+                known, missing = known | bit, missing ^ bit
+            holds[(a, b)] = ab, known
+            return True
+
+        for l1, d1, ux, uy in budget:
+            for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
                 if d1 + d2 > caps.max_degree:
                     continue
-                for d3, l3, wx, wy, lwx, lwy, dwx, dwy in rich:
-                    if l1 + l2 + l3 > _LETTER_BUDGET:
-                        break
-                    if d1 + d2 + d3 > caps.max_degree:
-                        continue
-                    exp_left = lvx * luy + lwx * (luy + lvy)
-                    exp_right = lwx * lvy + (lvx + lwx) * luy
-                    sign_left = (dvx * duy + dwx * (duy + dvy)) % 2
-                    sign_right = (dwx * dvy + (dvx + dwx) * duy) % 2
-                    if (exp_left != exp_right or sign_left != sign_right) and \
-                            qpow(exp_left) * (-1) ** sign_left != \
-                            qpow(exp_right) * (-1) ** sign_right:
-                        yield f"associativity at {pairs((ux, uy), (vx, vy), (wx, wy))}"
-                    elif not (associative(ux, vx, wx) and associative(uy, vy, wy)):
-                        yield ("word concatenation not associative at "
-                               f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
-                    else:
-                        yield None
+                third, mask = room(l1 + l2, d1 + d2)
+                if associative(ux, vx, mask) and associative(uy, vy, mask):
+                    yield from repeat(None, len(third))
+                    continue
+                for wx, wy in third:  # the room has a failing case
+                    yield None if associative(ux, vx, bits[wx]) and \
+                        associative(uy, vy, bits[wy]) else (
+                            "word concatenation not associative at "
+                            f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
 
     def commutation():
         # the degree-0 commutation relation, exhaustively at the exponent cap
         for a, b, c, d in product(range(caps.max_exponent + 1), repeat=4):
-            sign, e, mx, my = pair_mul((a,), (b,), (c,), (d,))
-            yield None if (mx, my) == ((a + c,), (b + d,)) and \
-                sign * qpow(e) == qpow(b * c) \
+            sign, e = word_twist((b,), (c,))
+            yield None if (word_mul((a,), (c,)), word_mul((b,), (d,))) == \
+                ((a + c,), (b + d,)) and sign * qpow(e) == qpow(b * c) \
                 else f"commutation at x^{a} y^{b} * x^{c} y^{d}"
 
     count, failures = tally(unit_and_nilpotence(), 2)

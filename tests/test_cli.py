@@ -118,6 +118,21 @@ def test_bad_caps_rejected(grassmann_file, capsys):
                  "--caps", "zero"]) == 2
 
 
+@pytest.mark.parametrize("caps", ["1_1,1", "\u0663,1", "1,\uff12", "+1_0,1"])
+def test_caps_take_ascii_digits_only(grassmann_file, capsys, caps):
+    assert main(["check-axioms", "--scenario", grassmann_file,
+                 "--caps", caps]) == 2
+    assert capsys.readouterr().err == "error: --caps expects E,D integers\n"
+
+
+@pytest.mark.parametrize("seed", ["1_0", "\u0663", "nine"])
+def test_bad_seed_rejected(grassmann_file, capsys, seed):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check-axioms", "--scenario", grassmann_file, "--seed", seed])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_report_subcommand(tmp_path, capsys):
     path = tmp_path / "report.cfg"
     path.write_text("""

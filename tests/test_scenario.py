@@ -160,7 +160,39 @@ class TestValidation:
     def test_rationals_share_the_coefficient_grammar(self, tmp_path, capsys,
                                                      text, message):
         """q, matrix entries and form coefficients all take
-        [+-]?\\d+(/\\d+)?; anything else exits 2 naming its line."""
+        [+-]?[0-9]+(/[0-9]+)?; anything else exits 2 naming its line."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check-axioms", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("q: \u0663\n", "line 1: bad rational '\u0663'"),
+        ("q: \uff12/3\n", "line 1: bad rational '\uff12/3'"),
+        ("n: 1\n[S]\n\u0663\n", "line 3: S: bad rational '\u0663'"),
+        ("q: 2\n[potential_E]\n(1,1): \u0663 x dx\n",
+         "line 3: bad factor '\u0663' for generator 'x'"),
+        ("q: 2\n[potential_E]\n(\u0661,1): dx\n",
+         "line 3: expected '(k,l): <form>' in [potential_E]"),
+        ("max_exponent: 1_0\n", "line 1: max_exponent must be an integer"),
+        ("\nmax_degree: 0_1\n", "line 2: max_degree must be an integer"),
+        ("seed: \u0663\n", "line 1: seed must be an integer"),
+        ("m: \uff12\n", "line 1: m must be an integer"),
+        ("n: 2\nf_exponents: 1_0 1\n", "line 2: f_exponents must be integers"),
+        ("f_exponents: \u0663\n", "line 1: f_exponents must be integers"),
+        ("q: 2\n[potential_E]\n(1,1): x^1_0 dx\n",
+         "line 3: bad integer '1_0'"),
+        ("q: 2\n[potential_E]\n(1,1): x^\u0663 dx\n",
+         "line 3: bad integer '\u0663'"),
+    ], ids=["q-arabic-indic", "q-fullwidth", "matrix-entry", "coefficient",
+            "entry-index", "underscore-cap", "underscore-degree", "seed",
+            "fullwidth-rank", "underscore-f-exponent", "f-exponent",
+            "underscore-power", "arabic-indic-power"])
+    def test_numbers_take_ascii_digits_only(self, tmp_path, capsys, text,
+                                            message):
+        """Every number of scenario text is read with one ASCII grammar,
+        [+-]?[0-9]+ for integers (with /[0-9]+ for rationals); a Unicode
+        digit or a Python literal form exits 2 naming its line."""
         path = tmp_path / "bad.cfg"
         path.write_text(text, encoding="utf-8")
         assert main(["check-axioms", "--scenario", str(path)]) == 2

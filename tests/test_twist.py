@@ -280,6 +280,27 @@ class TestCheckers:
         assert calls["word_mul"] <= 60000
         assert calls["word_twist"] <= 15000
 
+    def test_twist_axioms_calls_each_kernel_once_per_distinct_input(
+            self, monkeypatch):
+        """twist-axioms at caps 3,3 keeps word_twist(wb, ·) while wb runs and
+        each pair's product and crossing: counted through the module globals
+        it looks up, it makes at most 80,000 word_twist and 15,000 word_mul
+        calls (288,296 and 95,872 before), over the same 96,552 cases."""
+        calls = {"word_mul": 0, "word_twist": 0}
+        for name in calls:
+            kernel = getattr(twist_module, name)
+
+            def counted(*args, _name=name, _kernel=kernel):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(twist_module, name, counted)
+        result = check_twist_axioms(AlgebraTwist(2), Caps(3, 3))
+        assert result.to_dict() == {"name": "twist-axioms", "verdict": "pass",
+                                    "cases": 96552}
+        assert calls["word_twist"] <= 80000
+        assert calls["word_mul"] <= 15000
+
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
             AlgebraTwist(0)
