@@ -5,9 +5,10 @@ cases, never from the closed forms under test: the form-level crossing is
 extended letter by letter via the unit, multiplicativity and differential
 rules; the module twists are extended from their value on a single
 generator; the classical product connection and the signs-only tensor
-multiplication are written out directly.  The word-level axiom checks
-have a literal per-case reference, which looks up the word kernels in
-``twistconn.twist`` at every call, as the checks do.
+multiplication are written out directly.  The word-level axiom checks,
+``lift-compat`` and ``leibniz`` have a literal per-case reference, which
+looks up the word kernels in ``twistconn.twist`` at every call, as the
+checks do.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from itertools import chain, product
 
 import twistconn.twist as kernels
 from twistconn.forms import (UNIT_WORD, Caps, Form, Word, enumerate_words,
-                             iter_word_tuples, render_word, word_degree,
+                             iter_word_tuples, render_word, scaled_equal,
+                             sum_scaled, to_scaled, word_degree,
                              word_differential, word_letters, word_mul,
                              words_by_degree)
-from twistconn.reports import CheckResult, failed, passed, tally
-from twistconn.tdga import ProductForm, add_column
+from twistconn.product import _LEIBNIZ_RANDOM, ProductVector, _theorem_inputs
+from twistconn.reports import CheckResult, failed, passed, run_cases, tally
+from twistconn.tdga import ProductForm, add_column, enumerate_monomials
 
 
 def _first_letter(w: Word):
@@ -382,3 +385,89 @@ def twist_axioms_reference(twist, caps: Caps) -> CheckResult:
         return failed("twist-axioms", f"{axiom}: {witness}", cases,
                       failed_axioms=sorted(failures))
     return passed("twist-axioms", cases)
+
+
+# ---------------------------------------------------------------------------
+# per-case references of lift-compat and leibniz, on Fraction elements
+# ---------------------------------------------------------------------------
+
+def lift_compat_reference(twist, caps: Caps) -> CheckResult:
+    """check_lift_compat decided case by case on elements: every word pair
+    crosses its forms and their differentials with a private copy of the
+    lift and compares full tables."""
+
+    def d(w):
+        return kernels.word_differential(w)
+
+    def cross(yform, xform):
+        out = {}
+        for wy, cy in yform.terms.items():
+            for wx, cx in xform.terms.items():
+                sign, e = kernels.word_twist(wy, wx)
+                c = twist.qpow(e) if sign > 0 else -twist.qpow(e)
+                out[(wx, wy)] = c * cy * cx
+        return ProductForm(out)
+
+    def apply_d(p, side):
+        out = {}
+        for pair, c in p.terms.items():
+            other = pair[1 - side]
+            c = c if len(other) % 2 else -c
+            add_column(out, 1, [((nw, other) if side == 0 else (other, nw), c * s)
+                                for nw, s in d(pair[side]).items()])
+        return ProductForm(out)
+
+    def cases():
+        for wb, wa in iter_word_tuples(2, caps):
+            yb, dyb = Form.word("y", wb), Form("y", d(wb))
+            xa, dxa = Form.word("x", wa), Form("x", d(wa))
+            base = cross(yb, xa)
+            side, lhs, rhs = "y", cross(dyb, xa), apply_d(base, 1)
+            if lhs == rhs:
+                side, lhs, rhs = "x", cross(yb, dxa), apply_d(base, 0)
+            yield None if lhs == rhs else (
+                f"d on {side}-side at ({render_word('y', wb)}, "
+                f"{render_word('x', wa)}): {lhs} != {rhs}")
+
+    return run_cases("lift-compat", cases(), 2)
+
+
+def leibniz_reference(pc, caps: Caps, seed: int = 0) -> CheckResult:
+    """check_connection_leibniz decided case by case on Fraction elements:
+    v·w, ∇(v)·w and v·dw through a private copy of the twisted product,
+    ∇(v·w) summed from the connection's columns."""
+    twist = pc.twist
+
+    def mul(u, v):
+        terms = {}
+        for (ux, uy), cu in u.terms.items():
+            for (vx, vy), cv in v.terms.items():
+                sign, e = kernels.word_twist(uy, vx)
+                c = cu * cv * twist.qpow(e)
+                add_column(terms, 1, [((kernels.word_mul(ux, vx),
+                                        kernels.word_mul(uy, vy)),
+                                       -c if sign < 0 else c)])
+        return ProductForm(terms)
+
+    def act(pv, w):
+        slots = {}
+        for (s, pair), c in pv.terms.items():
+            slots.setdefault(s, {})[pair] = c
+        return ProductVector.from_terms(
+            {(s, p): c for s, coord in slots.items()
+             for p, c in mul(ProductForm(coord), w).terms.items()}, pv.m, pv.n)
+
+    monomials = [ProductForm.pair(wx, wy)
+                 for wx, wy in enumerate_monomials(caps.max_exponent)]
+
+    def cases():
+        for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
+            nabla = pc.nabla(pv)
+            for w in monomials:
+                lhs = sum_scaled(to_scaled(act(pv, w).terms.items()),
+                                 pc.scaled_nabla)
+                rhs = act(nabla, w) + act(pv, w.d())
+                yield None if scaled_equal(lhs, to_scaled(rhs.terms.items())) \
+                    else f"leibniz fails at {label} acted by {w}"
+
+    return run_cases("leibniz", cases())

@@ -1,23 +1,32 @@
-"""The word-level axiom checks against their per-case reference.
+"""The word-level checks against their per-case reference.
 
-``check_dga_laws`` and ``check_twist_axioms`` decide most cases from facts
-memoized per word and per word pair.  Under corrupted word kernels, patched
-where both the checks and the reference look them up, their full
-``to_dict()`` (verdict, cases, witness and detail) must equal that of the
-reference in tests/oracles.py, which calls the kernels and compares full
-tables for every case.  Each mutant corrupts only the inputs that a seeded
-hash selects, so it fails somewhere inside a loop, or nowhere.
+``check_dga_laws``, ``check_twist_axioms`` and ``check_lift_compat`` decide
+most cases from facts about words and word pairs, and
+``check_connection_leibniz`` compares integer-scaled tables.  Under
+corrupted word kernels, patched where both the checks and the reference
+look them up, their full ``to_dict()`` (verdict, cases, witness and detail)
+must equal that of the reference in tests/oracles.py, which calls the
+kernels and compares full tables for every case.  Each mutant corrupts only
+the inputs that a seeded hash selects, so it fails somewhere inside a loop,
+or nowhere.
 """
 
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
 import twistconn.twist as twist_module
-from oracles import dga_laws_reference, twist_axioms_reference
+from oracles import (dga_laws_reference, leibniz_reference,
+                     lift_compat_reference, twist_axioms_reference)
 from test_fail_paths import drop_letter, merge_equal_exponents
+from test_mutants import _kernel_replaced
 from twistconn.forms import UNIT_WORD, Caps
-from twistconn.twist import AlgebraTwist, check_dga_laws, check_twist_axioms
+from twistconn.product import check_connection_leibniz
+from twistconn.runner import build_objects
+from twistconn.scenario import load_scenario_file
+from twistconn.twist import (AlgebraTwist, check_dga_laws, check_lift_compat,
+                             check_twist_axioms)
 
 KERNEL = twist_module.word_twist
 PRODUCT = twist_module.word_mul
@@ -134,3 +143,62 @@ def test_unmutated_checks_match_reference(q):
             dga_laws_reference(twist, caps).to_dict()
         assert check_twist_axioms(twist, caps).to_dict() == \
             twist_axioms_reference(twist, caps).to_dict()
+
+
+LIFT_MUTANTS = [(k, n) for k, n in MUTANTS if k != "word_mul"]
+
+
+@pytest.mark.parametrize("q", [2, -3, 1])
+@pytest.mark.parametrize("kernel, name", LIFT_MUTANTS,
+                         ids=[f"{k}-{n}" for k, n in LIFT_MUTANTS])
+def test_lift_compat_matches_reference(monkeypatch, kernel, name, q):
+    twist = AlgebraTwist(q)
+    for seed, rate in [(1, 5), (2, 40), (3, 300)]:
+        monkeypatch.setattr(twist_module, kernel, mutant(kernel, name, seed, rate))
+        for caps in [Caps(1, 1), Caps(2, 2), Caps(1, 3)]:
+            assert check_lift_compat(twist, caps).to_dict() == \
+                lift_compat_reference(twist, caps).to_dict()
+
+
+@pytest.mark.parametrize("q", [2, -3, 1])
+def test_unmutated_lift_compat_matches_reference(q):
+    twist = AlgebraTwist(q)
+    for caps in [Caps(1, 1), Caps(2, 2), Caps(1, 3)]:
+        assert check_lift_compat(twist, caps).to_dict() == \
+            lift_compat_reference(twist, caps).to_dict()
+
+
+# the shipped scenarios with an x-side potential, a y-side potential and q = 1
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+SCENARIOS = [SCENARIO_DIR / f"{name}.cfg"
+             for name in ("potential_e_q2", "bad_hypothesis_q2", "classical_q1")]
+ORIGINAL = {"word_twist": KERNEL, "word_mul": PRODUCT,
+            "word_differential": DIFFERENTIAL}
+
+
+def leibniz_pair(path, caps=None):
+    """check_connection_leibniz and its reference on the scenario at
+    ``path``, on objects built under the kernels patched now."""
+    sc = load_scenario_file(str(path))
+    caps = caps or sc.caps
+    pc = build_objects(sc).pc
+    return check_connection_leibniz(pc, caps, sc.seed).to_dict(), \
+        leibniz_reference(pc, caps, sc.seed).to_dict()
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+@pytest.mark.parametrize("kernel, name", MUTANTS,
+                         ids=[f"{k}-{n}" for k, n in MUTANTS])
+def test_leibniz_matches_reference(kernel, name, path):
+    # patched in every twistconn module that holds the kernel
+    for seed, rate in [(1, 5), (2, 40)]:
+        with pytest.MonkeyPatch.context() as mp:
+            _kernel_replaced(mp, ORIGINAL[kernel], mutant(kernel, name, seed, rate))
+            got, want = leibniz_pair(path, Caps(2, 1))
+            assert got == want
+
+
+def test_unmutated_leibniz_matches_reference():
+    got, want = leibniz_pair(SCENARIO_DIR / "potential_e_q2.cfg")
+    assert got == want
+    assert got == {"name": "leibniz", "verdict": "pass", "cases": 1168}
