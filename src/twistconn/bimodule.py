@@ -133,7 +133,7 @@ class ProductSwap:
     generator images and ("F", gen, cc) the factor-swap images, by (slot,
     word); ("N",) and ("B",) change one f-block term from free to naive
     coordinates and back.  Each column is computed once, by the kernel its
-    public operator runs per term (:func:`_left_term`, ``AlgebraTwist.mul``,
+    public operator runs per term (:func:`_left_term`, ``AlgebraTwist.mul_scaled``,
     :meth:`columns`, ``f_free_to_naive``, ``f_naive_to_free``), and kept
     integer-scaled (see ``forms.ColumnTable``); every later use only sums
     columns, over the integers.
@@ -170,11 +170,9 @@ class ProductSwap:
 
     def right(self, i: int, j: int) -> Operator:
         """act_right_form(·, x^i ⊗ y^j) on flat terms."""
-        def kernel(t):
-            product = self.twist.mul(ProductForm.from_terms({t[1]: _ONE}),
-                                     ProductForm.from_terms({((i,), (j,)): _ONE}))
-            return [((t[0], p), c) for p, c in product.terms.items()]
-        return self.ops.from_kernel(("R", i, j), kernel)
+        w = (1, {((i,), (j,)): 1})
+        return self.ops.operator(("R", i, j), lambda t: self.ops.store(
+            *self.twist.mul_scaled((1, {t: 1}), w)))
 
     def apply(self, one_form: ProductForm, pv: ProductVector) -> ProductVector:
         """Evaluate the swap on (1-form) ⊗ (degree-0 module element).
@@ -427,19 +425,19 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
     def comparisons():
         done: set[str] = set()
         for flabel, pair in one_forms:
-            # w·ω is one pair-word with a coefficient, whatever pv is
-            products = [(i, j, w, *next(iter(twist.mul(
-                w, ProductForm({pair: _ONE})).terms.items())))
-                for i, j, w in monos]
+            # w·ω is one pair-word with a scaled coefficient, whatever pv is
+            products = [(i, j, w, wd, *next(iter(table.items())))
+                        for i, j, w in monos
+                        for wd, table in [twist.mul_scaled(
+                            (1, {(0, ((i,), (j,))): 1}), (1, {pair: 1}))]]
             swap = ps.columns(pair)
             for plabel, terms in basis:
                 den, table = terms
                 base = sum_scaled(terms, swap)
-                for i, j, w, wpair, wc in products:
+                for i, j, w, wd, (_, wpair), wn in products:
                     if "left" not in done:
                         lhs = sum_scaled(
-                            (den * wc.denominator,
-                             {t: wc.numerator * n for t, n in table.items()}),
+                            (den * wd, {t: wn * n for t, n in table.items()}),
                             ps.columns(wpair))
                         if not scaled_equal(lhs, sum_scaled(base, ps.left(i, j))):
                             done.add("left")

@@ -31,6 +31,13 @@ _COMMANDS: dict[str, list[str] | None] = {
 }
 
 
+def nonnegative_int(text: str) -> int:
+    """An ASCII integer >= 0, as the scenario's ``seed:`` key takes it."""
+    if parse_int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return parse_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistconn",
@@ -43,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--caps", metavar="E,D",
                        help="override max_exponent,max_degree")
-        p.add_argument("--seed", type=parse_int, help="override the scenario seed")
+        p.add_argument("--seed", type=nonnegative_int, help="override the scenario seed")
     return parser
 
 

@@ -31,7 +31,7 @@ from itertools import product
 
 from .connections import ModuleConnection
 from .forms import Caps, ColumnTable, Form, Terms, Word, UNIT_WORD, \
-    add_column, from_scaled, scaled_equal, sum_scaled, to_scaled, \
+    add_column, add_scaled, from_scaled, scaled_equal, sum_scaled, to_scaled, \
     word_differential, word_letters
 from .reports import CheckResult, inadmissible, run_cases
 from .tdga import PairWord, ProductForm, embed_x, embed_y, \
@@ -182,13 +182,9 @@ def act_right(twist: AlgebraTwist, pv: ProductVector, w: ProductForm) -> Product
 def act_right_form(twist: AlgebraTwist, pv: ProductVector,
                    w: ProductForm) -> ProductVector:
     """Right multiplication by an arbitrary form (the right calculus action):
-    each slot's terms times w, in that slot."""
-    slots: dict[int, dict[PairWord, Fraction]] = {}
-    for (s, pair), c in pv.terms.items():
-        slots.setdefault(s, {})[pair] = c
-    return ProductVector.from_terms(
-        {(s, p): c for s, coord in slots.items()
-         for p, c in twist.mul(ProductForm(coord), w).terms.items()}, pv.m, pv.n)
+    each slot's terms times w, in that slot, by ``AlgebraTwist.mul_scaled``."""
+    return ProductVector.from_terms(from_scaled(*twist.mul_scaled(
+        to_scaled(pv.terms.items()), to_scaled(w.terms.items()))), pv.m, pv.n)
 
 
 def e_matrix_image(twist: AlgebraTwist, coords, matrix) -> list[ProductForm]:
@@ -468,21 +464,23 @@ def _theorem_inputs(pc: ProductConnection, caps: Caps, seed: int, count: int):
 def check_connection_leibniz(pc: ProductConnection, caps: Caps,
                              seed: int = 0) -> CheckResult:
     """Right Leibniz rule of the product connection on bounded bases:
-    nabla(v . w) = nabla(v) . w + v . dw, with nabla(v) taken once per input
-    and nabla(v . w) summed over the integers from the connection's columns."""
-    twist = pc.twist
-    monomials = [ProductForm.pair(wx, wy)
-                 for wx, wy in enumerate_monomials(caps.max_exponent)]
+    nabla(v . w) = nabla(v) . w + v . dw, with nabla(v) taken once per input.
+    Both sides are integer-scaled tables: the products come from
+    ``AlgebraTwist.mul_scaled``, and nabla(v . w) is summed from the
+    connection's columns."""
+    mul = pc.twist.mul_scaled
+    monomials = [(w, to_scaled(w.terms.items()), to_scaled(w.d().terms.items()))
+                 for w in (ProductForm.pair(wx, wy)
+                           for wx, wy in enumerate_monomials(caps.max_exponent))]
 
     def cases():
         for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
-            nabla = pc.nabla(pv)
-            for w in monomials:
-                lhs = sum_scaled(to_scaled(act_right(twist, pv, w).terms.items()),
-                                 pc.scaled_nabla)
-                rhs = act_right_form(twist, nabla, w) + \
-                    act_right_form(twist, pv, w.d())
-                yield None if scaled_equal(lhs, to_scaled(rhs.terms.items())) \
+            v, nabla = to_scaled(pv.terms.items()), to_scaled(pc.nabla(pv).terms.items())
+            for w, sw, dw in monomials:
+                lhs = sum_scaled(mul(v, sw), pc.scaled_nabla)
+                (den, rhs), (dd, extra) = mul(nabla, sw), mul(v, dw)
+                den = add_scaled(rhs, den, 1, dd, extra.items())
+                yield None if scaled_equal(lhs, (den, rhs)) \
                     else f"leibniz fails at {label} acted by {w}"
 
     return run_cases("leibniz", cases())

@@ -125,7 +125,7 @@ def test_caps_take_ascii_digits_only(grassmann_file, capsys, caps):
     assert capsys.readouterr().err == "error: --caps expects E,D integers\n"
 
 
-@pytest.mark.parametrize("seed", ["1_0", "\u0663", "nine"])
+@pytest.mark.parametrize("seed", ["1_0", "\u0663", "nine", "-1"])
 def test_bad_seed_rejected(grassmann_file, capsys, seed):
     with pytest.raises(SystemExit) as exit_:
         main(["check-axioms", "--scenario", grassmann_file, "--seed", seed])

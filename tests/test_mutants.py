@@ -9,6 +9,7 @@ the runtime is wrong.
 
 import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -17,11 +18,11 @@ from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from test_fail_paths import (doubled_on_odd_letters, drop_letter,
                              merge_equal_exponents)
 from twistconn import bimodule, forms, product, runner
-from twistconn.forms import word_differential, word_mul
+from twistconn.forms import to_scaled, word_differential, word_mul
 from twistconn.reports import Report
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
 from twistconn.tdga import ProductForm, add_column, pair_degree
-from twistconn.twist import AlgebraTwist
+from twistconn.twist import AlgebraTwist, word_twist
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
 
@@ -259,6 +260,25 @@ def word_differential_doubled_on_odd_letters(monkeypatch):
     _kernel_replaced(monkeypatch, word_differential, doubled_on_odd_letters)
 
 
+def _odd_powers_dropped(twist, u, v):
+    """AlgebraTwist.mul_scaled with q^e read as 1 for odd e (written here,
+    apart from the kernel)."""
+    (du, tu), (dv, tv) = u, v
+    acc = {}
+    for (s, (ux, uy)), nu in tu.items():
+        for (vx, vy), nv in tv.items():
+            sign, e = word_twist(uy, vx)
+            c = sign * nu * nv * (1 if e % 2 else twist.qpow(e))
+            add_column(acc, 1, [((s, (word_mul(ux, vx), word_mul(uy, vy))), c)])
+    return to_scaled(acc.items(), Fraction(1, du * dv))
+
+
+# the twisted-product kernel that the right action, AlgebraTwist.mul and the
+# swap's right columns share, with the odd powers of q dropped
+def product_kernel_odd_powers_dropped(monkeypatch):
+    monkeypatch.setattr(AlgebraTwist, "mul_scaled", _odd_powers_dropped)
+
+
 NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",
                 "quantum-plane-report", "bimodule-theorem"}
 
@@ -307,6 +327,10 @@ ROWS = [
     (word_differential_doubled_on_odd_letters, SYMMETRIC_S,
      {"dga-laws", "leibniz", "bimodule-connection-x", "bimodule-connection-y"}
      | SWAP_CHECKS | {"bimodule-theorem"}),
+    # leibniz stays green: d keeps letter counts, so v·w and its three
+    # products carry the same q-power, and this scenario has no potential
+    (product_kernel_odd_powers_dropped, SYMMETRIC_S,
+     {"quantum-plane-report", "bimodule-axiom"} | SWAP_CHECKS),
 ]
 
 
@@ -420,6 +444,22 @@ _WORD_DIFFERENTIAL_DOUBLED_ON_ODD_LETTERS = [
     red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
 ]
 
+_PRODUCT_KERNEL_ODD_POWERS_DROPPED = [
+    red("quantum-plane-report", 0,
+        "symbolic display did not match the computed connection"),
+    red("swap-compat-e", 53, "equation and left-morphism verdicts disagree: "
+        "left: 1 ⊗ y . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
+        **compat(left="fail", right="fail", agrees=False)),
+    red("swap-compat-f", 53, "equation and right-morphism verdicts disagree: "
+        "right: (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0 . x ⊗ 1",
+        **compat(left="fail", right="fail", agrees=False)),
+    red("swap-cross-morphisms", 74,
+        "left: 1 ⊗ y . (x^1 ⊗ dy) ⊗ e_1 x^0 ⊗ y^0",
+        **morphisms(e_left="fail", e_right="fail", f_left="fail",
+                    f_right="fail")),
+    red("bimodule-axiom", 7, "e_1 x^0 ⊗ y^0 between 1 ⊗ y and x ⊗ 1"),
+]
+
 RED_RESULTS = {
     (left_with_t_inverse, str(SYMMETRIC_S)): [
         red("swap-cross-morphisms", 770, _LEFT_Y_E, **morphisms(e_left="fail")),
@@ -492,6 +532,8 @@ RED_RESULTS = {
     (word_mul_dropping_a_letter, str(SYMMETRIC_S)): _WORD_MUL_DROPPING_A_LETTER,
     (word_differential_doubled_on_odd_letters, str(SYMMETRIC_S)):
         _WORD_DIFFERENTIAL_DOUBLED_ON_ODD_LETTERS,
+    (product_kernel_odd_powers_dropped, str(SYMMETRIC_S)):
+        _PRODUCT_KERNEL_ODD_POWERS_DROPPED,
 }
 
 

@@ -352,6 +352,30 @@ class TestTheoremChecks:
         for pc in (grassmann_pc(Q2, n=2, matrix=UT), potential_pc(Q2)):
             assert check_connection_leibniz(pc, CAPS, seed=1).passed
 
+    def test_leibniz_multiplies_with_the_scaled_kernel(self, monkeypatch):
+        """On potential_e_q2, leibniz forms its products with
+        AlgebraTwist.mul_scaled: no act_right_form call (3,504 before), and
+        ∇ once per input, over the same 1,168 cases."""
+        calls = {"act_right_form": 0, "nabla": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(product, "act_right_form",
+                            counted("act_right_form", product.act_right_form))
+        monkeypatch.setattr(ProductConnection, "nabla",
+                            counted("nabla", ProductConnection.nabla))
+        sc = load_scenario_file(str(
+            Path(__file__).resolve().parent.parent / "scenarios" / "potential_e_q2.cfg"))
+        result = check_connection_leibniz(runner.build_objects(sc).pc, sc.caps,
+                                          seed=sc.seed)
+        assert result.to_dict() == {"name": "leibniz", "verdict": "pass",
+                                    "cases": 1168}
+        assert calls == {"act_right_form": 0, "nabla": 73}
+
     def test_curvature_formula_bounded(self):
         for pc in (grassmann_pc(Q2), potential_pc(Q2, n=2, matrix=UT)):
             assert check_curvature_formula(pc, CAPS, seed=1).passed

@@ -200,17 +200,14 @@ class TestCheckers:
         assert check_lift_compat(AlgebraTwist(q), CAPS).passed
 
     def test_lift_without_sign_fails(self, monkeypatch):
+        # the lift is read from the word kernel wherever the runtime uses it
         twist = AlgebraTwist(2)
+        kernel = twist_module.word_twist
 
-        def no_sign(yform, xform):
-            out = {}
-            for wy, cy in yform.terms.items():
-                for wx, cx in xform.terms.items():
-                    c = abs(twist.cross_coeff(wy, wx)) * cy * cx
-                    out[(wx, wy)] = out.get((wx, wy), Fraction(0)) + c
-            return ProductForm(out)
+        def no_sign(wy, wx):
+            return 1, kernel(wy, wx)[1]
 
-        monkeypatch.setattr(twist, "cross", no_sign)
+        monkeypatch.setattr(twist_module, "word_twist", no_sign)
         result = check_lift_compat(twist, CAPS)
         assert result.failed
         assert "dx" in result.witness or "x-side" in result.witness
@@ -300,6 +297,19 @@ class TestCheckers:
                                     "cases": 96552}
         assert calls["word_twist"] <= 80000
         assert calls["word_mul"] <= 15000
+
+    def test_lift_compat_decides_pairs_at_word_level(self, monkeypatch):
+        """lift-compat at caps 3,3 passes each word pair from word_twist
+        alone: no AlgebraTwist.cross call (15,024 before), over the same
+        10,016 cases."""
+        calls = []
+        cross = AlgebraTwist.cross
+        monkeypatch.setattr(AlgebraTwist, "cross",
+                            lambda *args: calls.append(1) or cross(*args))
+        result = check_lift_compat(AlgebraTwist(2), Caps(3, 3))
+        assert result.to_dict() == {"name": "lift-compat", "verdict": "pass",
+                                    "cases": 10016}
+        assert calls == []
 
     def test_q_zero_rejected(self):
         with pytest.raises(ValueError):
