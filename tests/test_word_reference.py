@@ -202,3 +202,31 @@ def test_unmutated_leibniz_matches_reference():
     got, want = leibniz_pair(SCENARIO_DIR / "potential_e_q2.cfg")
     assert got == want
     assert got == {"name": "leibniz", "verdict": "pass", "cases": 1168}
+
+
+WORD_CHECKS = [(check_dga_laws, dga_laws_reference),
+               (check_twist_axioms, twist_axioms_reference),
+               (check_lift_compat, lift_compat_reference)]
+
+
+@pytest.mark.parametrize("caps", [Caps(3, 2), Caps(3, 3)], ids=["caps3,2", "caps3,3"])
+def test_unmutated_checks_match_reference_at_workload_caps(caps):
+    # the caps of the benchmark's theorem (3,2) and axioms (3,3) runs
+    twist = AlgebraTwist(2)
+    for check, reference in WORD_CHECKS:
+        assert check(twist, caps).to_dict() == reference(twist, caps).to_dict()
+
+
+# one mutant of each kernel family; at q = 1 the exponent mutant breaks the
+# integer comparisons while the rationals still agree
+FAMILY_MUTANTS = [("word_twist", "exponent"), ("word_mul", "random"),
+                  ("word_differential", "self_term")]
+
+
+@pytest.mark.parametrize("kernel, name", FAMILY_MUTANTS,
+                         ids=[f"{k}-{n}" for k, n in FAMILY_MUTANTS])
+def test_mutated_checks_match_reference_at_q1(monkeypatch, kernel, name):
+    twist, caps = AlgebraTwist(1), Caps(3, 2)
+    monkeypatch.setattr(twist_module, kernel, mutant(kernel, name, 2, 40))
+    for check, reference in WORD_CHECKS:
+        assert check(twist, caps).to_dict() == reference(twist, caps).to_dict()
