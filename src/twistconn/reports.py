@@ -69,19 +69,25 @@ def tally(cases: Iterable, weight: int = 1,
     """The one case loop of every check.
 
     ``cases`` yields one entry per step of a check, and each step counts
-    ``weight`` cases.  An entry is None when the step holds; otherwise it is
-    the witness of the failure, or a dict from each condition that failed at
-    that step to its witness.  A check formats a witness only when a case
-    fails.  The loop stops once ``until`` conditions have failed (None: after
-    the last step).  Returns the cases counted and the first witness of each
-    failed condition, in the order they failed; a bare witness is condition
-    None.
+    ``weight`` cases.  An entry is None when the step holds, or an ``int``
+    n when n steps held (a check that decides a block of steps at once, or
+    counts held steps inline, sends their number before its next witness);
+    otherwise it is the witness of the failure, or a dict from each
+    condition that failed at that step to its witness.  A check formats a
+    witness only when a case fails.  The loop stops once ``until``
+    conditions have failed (None: after the last step).  Returns the cases
+    counted and the first witness of each failed condition, in the order
+    they failed; a bare witness is condition None.
     """
     count = 0
     failures: dict = {}
     for entry in cases:
-        count += weight
-        if entry is not None:
+        if entry is None:
+            count += weight
+        elif entry.__class__ is int:
+            count += entry * weight
+        else:
+            count += weight
             if not isinstance(entry, dict):
                 entry = {None: entry}
             for condition, witness in entry.items():

@@ -206,6 +206,8 @@ def load_scenario(text: str) -> Scenario:
     if "checks" in top:
         lineno, value = top["checks"]
         checks = [c.strip() for c in value.replace(",", " ").split() if c.strip()]
+        if not checks:
+            raise ScenarioError(f"line {lineno}: checks names no group")
         for c in checks:
             if c not in KNOWN_CHECKS:
                 raise ScenarioError(f"line {lineno}: unknown check {c!r} "

@@ -41,9 +41,10 @@ replacing the method on one instance.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import Callable, Sequence
 
 from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words, iter_word_tuples,
@@ -211,10 +212,14 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
 
     Units are checked on every word within per-word caps; the two
     multiplicativity conditions are checked on all word triples whose total
-    degree stays within caps.max_degree.  For the built-in closed form the
-    triple loop compares single scaled word pairs directly (the closed form
-    maps words to words); a pluggable map goes through full elements.  Each
-    of the loops stops at its first failure, and the others still run.
+    degree stays within caps.max_degree.  The built-in closed form maps
+    words to words, so word_twist decides both: a unit holds iff its word's
+    coefficient is 1, and a triple compares (sign, exponent) pairs as
+    integers, else over the rationals.  Triples that hold on integers are
+    counted inline and reach ``tally`` as one entry, sent before any triple
+    that needs the rationals and at the end.  A pluggable map goes through
+    full elements.  Each of the loops stops at its first failure, and the
+    others still run; a failing unit renders its witness from elements.
     """
     fn = cross or twist.cross
 
@@ -229,24 +234,31 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
         return {"product-left": f"b={render_word('y', wb)}, "
                 f"b'={render_word('y', wb2)}, a={render_word('x', wa)}"}
 
+    def fixed(wy: Word, wx: Word) -> bool:
+        # the map fixes wy ⊗ wx, one of them 1; the built-in one iff its
+        # word coefficient is 1
+        if cross is None:
+            return word_twist(wy, wx) == (1, 0) or twist.cross_coeff(wy, wx) == 1
+        return crossed(wy, wx) == ProductForm({(wx, wy): Fraction(1)})
+
     def units():
         for w in enumerate_words(caps.max_degree, caps.max_exponent):
-            got = crossed(UNIT_WORD, w)
-            if got != ProductForm({(w, UNIT_WORD): Fraction(1)}):
-                yield {"unit": f"1 ⊗ {render_word('x', w)} -> {got}"}
+            if not fixed(UNIT_WORD, w):
+                yield {"unit": f"1 ⊗ {render_word('x', w)} -> {crossed(UNIT_WORD, w)}"}
             else:
-                got = crossed(w, UNIT_WORD)
-                yield None if got == ProductForm({(UNIT_WORD, w): Fraction(1)}) \
-                    else {"unit": f"{render_word('y', w)} ⊗ 1 -> {got}"}
+                yield None if fixed(w, UNIT_WORD) \
+                    else {"unit": f"{render_word('y', w)} ⊗ 1 -> {crossed(w, UNIT_WORD)}"}
 
     def word_products():
         # the merged word's (sign, exponent) must be the product of the two
         # crossing steps'; the rationals decide only unequal pairs (q = ±1).
-        # Triples as in iter_word_tuples(3, caps); word_twist(wb, ·) kept per wb
+        # Triples as in iter_word_tuples(3, caps); word_twist(wb, ·) kept per
+        # wb, and per wa and room of wa2 their products and crossings
         qpow = twist.qpow
         upto = [enumerate_words(k, caps.max_exponent)
                 for k in range(caps.max_degree + 1)]
-        pair = cache(lambda wa, wa2: (word_mul(wa, wa2), word_twist(wa, wa2)))
+        pair = cache(lambda wa, wa2: (wa2, word_mul(wa, wa2), word_twist(wa, wa2)))
+        row = cache(lambda wa, k: [pair(wa, wa2) for wa2 in upto[k]])
 
         def agrees(merged: tuple[int, int], first: tuple[int, int],
                    second: tuple[int, int]) -> bool:
@@ -254,19 +266,28 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
             return (s == s1 * s2 and e == e1 + e2) or \
                 s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
 
+        held = 0
         for wb in upto[-1]:
             past = cache(lambda wx, wb=wb: word_twist(wb, wx))
             for wa in upto[len(upto) - len(wb)]:
                 first, merged_b = past(wa), word_mul(wb, wa)
-                for wa2 in upto[len(upto) - len(wb) - len(wa) + 1]:
-                    (merged_a, twist_a), second = pair(wa, wa2), past(wa2)
+                s1, e1 = first
+                for wa2, merged_a, twist_a in row(wa, len(upto) - len(wb) - len(wa) + 1):
+                    second = s2, e2 = past(wa2)
+                    # mirror roles: wb, wa as the two y-words, wa2 as the x-word
+                    if past(merged_a) == (s1 * s2, e1 + e2) and word_twist(
+                            merged_b, wa2) == (s2 * twist_a[0], e2 + twist_a[1]):
+                        held += 1  # both held on integers
+                        continue
+                    yield held  # the steps held before this one
+                    held = 0
                     if not agrees(past(merged_a), first, second):
                         yield right(wb, wa, wa2)
-                    # mirror roles: wb, wa as the two y-words, wa2 as the x-word
                     elif not agrees(word_twist(merged_b, wa2), second, twist_a):
                         yield left(wb, wa, wa2)
                     else:
                         yield None
+        yield held
 
     def summed(terms) -> ProductForm:
         out: dict[PairWord, Fraction] = {}
@@ -318,19 +339,24 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     Σ e(wa) t_w c(wb, wa) wa ⊗ w; zero t_w drop from both, the keys are
     distinct and the values nonzero, so the tables are equal exactly when
     c(w, wa) = e(wa) c(wb, wa) for each w; the x-side alike.  Any other
-    pair runs the element comparison, which also renders the witness.
+    pair runs the element comparison, which also renders the witness.  Pairs
+    that pass on integers alone are counted inline and reach ``tally`` as
+    one entry, sent before any pair that needs the rationals or elements and
+    at the end.
     """
     def parity(w: Word) -> int:
         return 1 if len(w) % 2 else -1
 
+    # the words of d(w) with nonzero coefficients, and e(w)
+    steps = cache(lambda w: ([a for a, t in word_differential(w).items() if t], parity(w)))
+
     def commutes(wb: Word, wa: Word) -> bool:
         s, k = word_twist(wb, wa)
+        (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
         return s in (1, -1) and all(
             word_twist(wy, wx) == (sign * s, k) or
             twist.cross_coeff(wy, wx) == sign * s * twist.qpow(k)
-            for wy, wx, sign in chain(
-                ((w, wa, parity(wa)) for w, t in word_differential(wb).items() if t),
-                ((wb, u, parity(wb)) for u, t in word_differential(wa).items() if t)))
+            for wy, wx, sign in chain(((w, wa, ea) for w in dwb), ((wb, u, eb) for u in dwa)))
 
     def apply_d(p: ProductForm, side: int) -> ProductForm:
         # d on the x-factor (side 0) or the y-factor (side 1) of each pair,
@@ -345,7 +371,16 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         return ProductForm(out)
 
     def cases():
+        held = 0
         for wb, wa in iter_word_tuples(2, caps):
+            s, k = word_twist(wb, wa)
+            (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
+            if s in (1, -1) and all(word_twist(w, wa) == (ea * s, k) for w in dwb) and \
+                    all(word_twist(wb, u) == (eb * s, k) for u in dwa):
+                held += 1  # commutes on integers alone
+                continue
+            yield held  # the pairs held before this one
+            held = 0
             if commutes(wb, wa):
                 yield None
                 continue
@@ -358,6 +393,7 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             yield None if lhs == rhs else (
                 f"d on {side}-side at ({render_word('y', wb)}, "
                 f"{render_word('x', wa)}): {lhs} != {rhs}")
+        yield held
 
     return run_cases("lift-compat", cases(), 2)
 
@@ -441,19 +477,38 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     total letter count; and the degree-0 commutation relation
     (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.
 
-    Most cases follow from facts about words and word pairs, kept in tables
-    local to the call; the rest compare full tables, so cases, order and
-    witnesses are those of deciding each case alone, for any kernels.  Let
-    e(w) = (-1)^{deg w}.  Leibniz at (ux ⊗ uy, vx ⊗ vy) holds if, with
-    (c, k) = word_twist(uy, vx), px = ux vx and py = uy vy, (L) d(ab) =
-    d(a) b + e(a) a d(b) as tables of nonzero integers, deg ab = deg a +
-    deg b and ab is not in d(ab), for (a, b) = (ux, vx), (uy, vy), and
-    (C) c = ±1, word_twist(uy, a) = (e(uy) c, k) for a in d vx and
-    word_twist(b, vx) = (e(vx) c, k) for b in d uy.  Proof: by (C) all
-    terms of d(u) v + e(ux) e(uy) u d(v) have q-exponent k, and by (L)
-    those with y-word py sum to c d px ⊗ py and those with x-word px to
-    e(px) c px ⊗ d py, with distinct keys as px is not in d px: the table
-    c d(px ⊗ py) of d(u v).
+    A passing run of each loop is decided from facts about words and word
+    pairs, kept in tables local to the call, and counted as one block; a
+    loop in which a fact fails runs its cases in order, comparing full
+    tables where its per-case facts fail, so cases, order and witnesses are
+    those of deciding each case alone, for any kernels.  Let e(w) =
+    (-1)^{deg w}, and P the word pairs (a, b) of ``budget``: letters(a) +
+    letters(b) <= 8 and deg a + deg b <= max_degree.  Each pair (u, v) of
+    pair-words that the Leibniz and associativity loops visit has (ux, vx),
+    (uy, vy) and (uy, vx) in P; with n[l, d] the budget entries of l
+    letters and degree d, they visit n[l1, d1] n[l2, d2] pairs for l1 + l2
+    <= 8 and d1 + d2 <= max_degree.
+
+    Unit and d^2 hold at (wx, wy) when wx and wy keep the unit law on either
+    side and ``nilpotence`` gives no terms for either.
+
+    Leibniz at (ux ⊗ uy, vx ⊗ vy) holds if, with (c, k) = word_twist(uy,
+    vx), px = ux vx and py = uy vy, (L) d(ab) = d(a) b + e(a) a d(b) as
+    tables of nonzero integers, deg ab = deg a + deg b and ab is not in
+    d(ab), for (a, b) = (ux, vx), (uy, vy), and (C) c = ±1, word_twist(uy,
+    a) = (e(uy) c, k) for a in d vx and word_twist(b, vx) = (e(vx) c, k)
+    for b in d uy.  Proof: by (C) all terms of d(u) v + e(ux) e(uy) u d(v)
+    have q-exponent k, and by (L) those with y-word py sum to c d px ⊗ py
+    and those with x-word px to e(px) c px ⊗ d py, with distinct keys as px
+    is not in d px: the table c d(px ⊗ py) of d(u v).  So (L) and (C) on
+    all of P decide every case.
+
+    Associativity: both association orders carry one sign and q-power, so a
+    triple holds iff its word triples associate.  The third pair-words of
+    (u, v) are its room: the budget entries of at most 8 - l letters and
+    degree at most max_degree - d, for (l, d) those of u and v together.  A
+    room shrinks as l and d grow, so (a, b) of P associating with every word
+    of the room of its own (l, d) covers every room in which it occurs.
     """
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
@@ -482,6 +537,12 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                         for dy in range(caps.max_degree + 1 - dx)
                         for wx, wy in product(by_deg[dx], by_deg[dy]))
     budget = [t for t in pair_words if t[0] <= _LETTER_BUDGET]
+    # the pairs (u, v) that both pair loops visit, as (letters, degree, number)
+    # per two bins n[l1, d1], n[l2, d2]
+    bins = Counter((l, d) for l, d, _, _ in budget)
+    visits = [(l1 + l2, d1 + d2, n1 * n2) for (l1, d1), n1 in bins.items()
+              for (l2, d2), n2 in bins.items()
+              if l1 + l2 <= _LETTER_BUDGET and d1 + d2 <= caps.max_degree]
 
     def unit_and_nilpotence():
         # the unit law and d^2 = 0 on every pair word, two cases each
@@ -498,6 +559,10 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             return [(a2, s) for a2, s in dd.items() if s], \
                 [(a, 2 * parity(w) * s) for a, s in dw if parity(a) == parity(w)]
 
+        if all(unit(w, UNIT_WORD, w) and unit(w, w, UNIT_WORD) and
+               nilpotence(w) == ([], []) for w in chain.from_iterable(by_deg.values())):
+            yield len(pair_words)
+            return
         for _, _, wx, wy in pair_words:
             if not (unit(wx, UNIT_WORD, wx) and unit(wy, wy, UNIT_WORD)):
                 yield f"unit law at {pairs((wx, wy))}"
@@ -534,6 +599,9 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                 all(coeff(wy, a) == (parity(wy) * c, e) for a in word_differential(wx)) \
                 and all(coeff(b, wx) == (parity(wx) * c, e) for b in word_differential(wy))
 
+        if all(word_leibniz(a, b) and commutes(a, b) for _, _, a, b in budget):
+            yield sum(n for _, _, n in visits)
+            return
         for l1, d1, ux, uy in budget:
             sign = -1 if d1 % 2 else 1
             su = parity(ux)
@@ -567,11 +635,9 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                     if lhs != rhs and rational(lhs) != rational(rhs) else None
 
     def associativity():
-        # bounded triples; both association orders carry one sign and q-power,
-        # so a triple holds iff its word triples do.  The third pair words of
-        # (u, v) depend only on its room (letters, degree); a room keeps them
-        # in loop order with their words' bits, and a word pair (a, b) its
-        # product and the bits of the words c with (a b) c == a (b c)
+        # bounded triples, decided on word triples.  A room keeps its third
+        # pair-words in loop order with their words' bits, and a word pair
+        # (a, b) its product and the bits of the words c with (a b) c == a (b c)
         words = list(dict.fromkeys(w for _, _, wx, wy in budget for w in (wx, wy)))
         bits, holds = {w: 1 << i for i, w in enumerate(words)}, {}
 
@@ -593,17 +659,16 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             holds[(a, b)] = ab, known
             return True
 
+        if all(associative(a, b, room(l, d)[1]) for l, d, a, b in budget):
+            yield sum(n * len(room(l, d)[0]) for l, d, n in visits)
+            return
         for l1, d1, ux, uy in budget:
             for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
                 if d1 + d2 > caps.max_degree:
                     continue
-                third, mask = room(l1 + l2, d1 + d2)
-                if associative(ux, vx, mask) and associative(uy, vy, mask):
-                    yield from repeat(None, len(third))
-                    continue
-                for wx, wy in third:  # the room has a failing case
+                for wx, wy in room(l1 + l2, d1 + d2)[0]:
                     yield None if associative(ux, vx, bits[wx]) and \
                         associative(uy, vy, bits[wy]) else (
                             "word concatenation not associative at "

@@ -74,9 +74,11 @@ def test_invalid_scenario_exit_code(tmp_path, capsys):
     ("q: 2\n[potential_E]\n(1,1): +\n", "line 3: sign without a term"),
     ("q: 2\n[potential_E]\n(1,1): -\n", "line 3: sign without a term"),
     ("q: 2\nq: 3\n", "line 2: duplicate key 'q'"),
+    ("q: 2\nchecks:\n", "line 2: checks names no group"),
+    ("q: 2\nchecks: , ,\n", "line 2: checks names no group"),
 ], ids=["zero-denominator", "negative-f-exponent", "negative-exponent",
         "trailing-minus", "trailing-plus", "lone-plus", "lone-minus",
-        "duplicate-key"])
+        "duplicate-key", "empty-checks", "comma-only-checks"])
 def test_malformed_value_exit_code(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

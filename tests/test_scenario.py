@@ -142,6 +142,8 @@ class TestValidation:
          "line 4: duplicate section [S] (first on line 2)"),
         ("q: 2\n[potential_E]\n(1,1): x dx\n(1,1): dx\n",
          "line 4: duplicate entry (1,1) in [potential_E]"),
+        ("q: 2\nchecks:\n", "line 2: checks names no group"),
+        ("q: 2\n\nchecks: , ,\n", "line 3: checks names no group"),
     ])
     def test_errors_carry_line_numbers(self, text, message):
         with pytest.raises(ScenarioError) as err:

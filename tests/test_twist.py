@@ -8,6 +8,7 @@ from twistconn.bimodule import check_left_twist_connection_compat
 from twistconn.connections import ModuleConnection
 from twistconn.forms import Caps, Form, enumerate_words, word_degree
 from twistconn.product import check_twist_connection_compat
+from twistconn.reports import tally
 from twistconn.tdga import ProductForm
 from twistconn.twist import (AlgebraTwist, LeftModuleTwist, ModuleTwist,
                              RightModuleTwist, check_derived_conditions,
@@ -309,6 +310,34 @@ class TestCheckers:
         result = check_lift_compat(AlgebraTwist(2), Caps(3, 3))
         assert result.to_dict() == {"name": "lift-compat", "verdict": "pass",
                                     "cases": 10016}
+        assert calls == []
+
+    def test_word_checks_send_held_steps_in_blocks(self, monkeypatch):
+        """At caps 3,3, dga-laws and twist-axioms hand reports.tally at most
+        1,000 entries each (209,698 and 48,276 before held steps were sent
+        as int entries), over the same 214,706 and 96,552 cases."""
+        entries = []
+
+        def counted(cases, *args, **kwargs):
+            return tally((entries.append(1) or e for e in cases), *args, **kwargs)
+
+        monkeypatch.setattr(twist_module, "tally", counted)
+        for check, cases in [(check_dga_laws, 214706), (check_twist_axioms, 96552)]:
+            entries.clear()
+            result = check(AlgebraTwist(2), Caps(3, 3))
+            assert (result.verdict, result.cases) == ("pass", cases)
+            assert len(entries) <= 1000
+
+    def test_twist_axioms_decides_units_at_word_level(self, monkeypatch):
+        """twist-axioms at caps 3,3 decides the unit law from word_twist: no
+        AlgebraTwist.cross call (680 before), over the same 96,552 cases."""
+        calls = []
+        cross = AlgebraTwist.cross
+        monkeypatch.setattr(AlgebraTwist, "cross",
+                            lambda *args: calls.append(1) or cross(*args))
+        result = check_twist_axioms(AlgebraTwist(2), Caps(3, 3))
+        assert result.to_dict() == {"name": "twist-axioms", "verdict": "pass",
+                                    "cases": 96552}
         assert calls == []
 
     def test_q_zero_rejected(self):
