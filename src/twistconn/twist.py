@@ -215,11 +215,11 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
     degree stays within caps.max_degree.  The built-in closed form maps
     words to words, so word_twist decides both: a unit holds iff its word's
     coefficient is 1, and a triple compares (sign, exponent) pairs as
-    integers, else over the rationals.  Triples that hold on integers are
-    counted inline and reach ``tally`` as one entry, sent before any triple
-    that needs the rationals and at the end.  A pluggable map goes through
-    full elements.  Each of the loops stops at its first failure, and the
-    others still run; a failing unit renders its witness from elements.
+    integers, else over the rationals.  Triples that hold are counted inline
+    and reach ``tally`` as one entry, sent before a failing triple and at
+    the end.  A pluggable map goes through full elements.  Each of the loops
+    stops at its first failure, and the others still run; a failing unit
+    renders its witness from elements.
     """
     fn = cross or twist.cross
 
@@ -260,11 +260,11 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
         pair = cache(lambda wa, wa2: (wa2, word_mul(wa, wa2), word_twist(wa, wa2)))
         row = cache(lambda wa, k: [pair(wa, wa2) for wa2 in upto[k]])
 
-        def agrees(merged: tuple[int, int], first: tuple[int, int],
-                   second: tuple[int, int]) -> bool:
+        def unequal(merged: tuple[int, int], first: tuple[int, int],
+                    second: tuple[int, int]) -> bool:
+            # over the rationals, for pairs that differ as integers
             (s, e), (s1, e1), (s2, e2) = merged, first, second
-            return (s == s1 * s2 and e == e1 + e2) or \
-                s * qpow(e) == s1 * s2 * qpow(e1) * qpow(e2)
+            return s * qpow(e) != s1 * s2 * qpow(e1) * qpow(e2)
 
         held = 0
         for wb in upto[-1]:
@@ -274,19 +274,20 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
                 s1, e1 = first
                 for wa2, merged_a, twist_a in row(wa, len(upto) - len(wb) - len(wa) + 1):
                     second = s2, e2 = past(wa2)
+                    got = past(merged_a)
+                    if got != (s1 * s2, e1 + e2) and unequal(got, first, second):
+                        witness = right(wb, wa, wa2)
                     # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-                    if past(merged_a) == (s1 * s2, e1 + e2) and word_twist(
-                            merged_b, wa2) == (s2 * twist_a[0], e2 + twist_a[1]):
-                        held += 1  # both held on integers
+                    elif (got := word_twist(merged_b, wa2)) != (
+                            s2 * twist_a[0], e2 + twist_a[1]) and \
+                            unequal(got, second, twist_a):
+                        witness = left(wb, wa, wa2)
+                    else:
+                        held += 1
                         continue
                     yield held  # the steps held before this one
                     held = 0
-                    if not agrees(past(merged_a), first, second):
-                        yield right(wb, wa, wa2)
-                    elif not agrees(word_twist(merged_b, wa2), second, twist_a):
-                        yield left(wb, wa, wa2)
-                    else:
-                        yield None
+                    yield witness
         yield held
 
     def summed(terms) -> ProductForm:
@@ -340,23 +341,14 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     distinct and the values nonzero, so the tables are equal exactly when
     c(w, wa) = e(wa) c(wb, wa) for each w; the x-side alike.  Any other
     pair runs the element comparison, which also renders the witness.  Pairs
-    that pass on integers alone are counted inline and reach ``tally`` as
-    one entry, sent before any pair that needs the rationals or elements and
-    at the end.
+    that pass at once are counted inline and reach ``tally`` as one entry,
+    sent before any pair that runs the element comparison and at the end.
     """
     def parity(w: Word) -> int:
         return 1 if len(w) % 2 else -1
 
     # the words of d(w) with nonzero coefficients, and e(w)
     steps = cache(lambda w: ([a for a, t in word_differential(w).items() if t], parity(w)))
-
-    def commutes(wb: Word, wa: Word) -> bool:
-        s, k = word_twist(wb, wa)
-        (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
-        return s in (1, -1) and all(
-            word_twist(wy, wx) == (sign * s, k) or
-            twist.cross_coeff(wy, wx) == sign * s * twist.qpow(k)
-            for wy, wx, sign in chain(((w, wa, ea) for w in dwb), ((wb, u, eb) for u in dwa)))
 
     def apply_d(p: ProductForm, side: int) -> ProductForm:
         # d on the x-factor (side 0) or the y-factor (side 1) of each pair,
@@ -375,15 +367,15 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         for wb, wa in iter_word_tuples(2, caps):
             s, k = word_twist(wb, wa)
             (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
-            if s in (1, -1) and all(word_twist(w, wa) == (ea * s, k) for w in dwb) and \
-                    all(word_twist(wb, u) == (eb * s, k) for u in dwa):
-                held += 1  # commutes on integers alone
+            if s in (1, -1) and all(
+                    word_twist(w, wa) == (ea * s, k) or
+                    twist.cross_coeff(w, wa) == ea * s * twist.qpow(k) for w in dwb) and all(
+                    word_twist(wb, u) == (eb * s, k) or
+                    twist.cross_coeff(wb, u) == eb * s * twist.qpow(k) for u in dwa):
+                held += 1  # d commutes with the crossing
                 continue
             yield held  # the pairs held before this one
             held = 0
-            if commutes(wb, wa):
-                yield None
-                continue
             yb, xa = Form.word("y", wb), Form.word("x", wa)
             dyb, dxa = Form("y", word_differential(wb)), Form("x", word_differential(wa))
             base = twist.cross(yb, xa)
