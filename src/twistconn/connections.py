@@ -165,33 +165,6 @@ class FormSwap:
         return out
 
 
-def check_swap_pair_compatible(conn: ModuleConnection, swap: FormSwap,
-                               left_potential, caps: Caps) -> CheckResult:
-    """Whether a left-connection candidate matches the right connection.
-
-    The candidate is given by its coordinate formula (componentwise
-    differential plus a matrix of 1-forms multiplying from the left); it is
-    compatible when the swap map carries it onto the right connection on
-    every bounded basis vector.
-    """
-    gen = conn.gen
-    candidate = ModuleConnection(gen, conn.rank, left_potential)
-
-    def cases():
-        for k in range(conn.rank):
-            for i in range(caps.max_exponent + 1):
-                swapped = [Form.zero(gen) for _ in range(conn.rank)]
-                for l, left in enumerate(candidate.nabla_monomial(k, i)):
-                    if not left.is_zero:
-                        for p, res in enumerate(swap.apply(left,
-                                                           conn.basis_vector(l))):
-                            swapped[p] = swapped[p] + res
-                yield None if swapped == conn.nabla_monomial(k, i) \
-                    else f"left candidate differs at e_{k + 1} {gen}^{i}"
-
-    return run_cases(f"swap-pair-compatible-{gen}", cases(), generator=gen)
-
-
 def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,
                               caps: Caps) -> CheckResult:
     """Defining identity of a bimodule connection on monomial inputs."""

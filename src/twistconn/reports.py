@@ -12,8 +12,8 @@ output; elapsed time is only shown in the text rendering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
@@ -21,13 +21,12 @@ INADMISSIBLE = "inadmissible"
 NOT_GUARANTEED = "not-guaranteed"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     verdict: str
     witness: str | None = None
     cases: int = 0
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = MappingProxyType({})  # read-only when empty
 
     @property
     def passed(self) -> bool:
@@ -107,12 +106,13 @@ def run_cases(name: str, cases: Iterable, weight: int = 1,
     return passed(name, count)
 
 
-@dataclass
 class Report:
-    config: dict
-    results: list[CheckResult] = field(default_factory=list)
-    payloads: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    def __init__(self, config: dict, results: list[CheckResult] | None = None,
+                 payloads: dict | None = None, elapsed: float = 0.0):
+        self.config = config
+        self.results = [] if results is None else results
+        self.payloads = {} if payloads is None else payloads
+        self.elapsed = elapsed
 
     def add(self, result: CheckResult) -> CheckResult:
         self.results.append(result)

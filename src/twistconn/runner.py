@@ -9,62 +9,88 @@ without its hypotheses having been executed first; a check whose gate
 failed in the same run is reported inadmissible rather than pass/fail.
 Verdicts live only in the report: a check that depends on an earlier
 verdict reads it from there.
+
+A run imports only the layers its checks use: the rows call each check
+function through its defining module when they run, and ``BuiltObjects``
+builds the connections and swaps on first use.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from importlib import import_module
+from typing import Callable, NamedTuple
 
-from .bimodule import (ProductSwap, check_bimodule_axiom,
-                       check_bimodule_theorem,
-                       check_left_twist_connection_compat, check_swap_compat_e,
-                       check_swap_compat_f, check_swap_cross_morphisms)
-from .connections import FormSwap, ModuleConnection, check_bimodule_connection
 from .forms import Caps
-from .product import (ProductConnection, check_connection_leibniz,
-                      check_curvature_formula, check_flatness,
-                      check_twist_connection_compat, check_twist_independence,
-                      iter_naive_basis, quantum_plane_report)
 from .reports import NOT_GUARANTEED, CheckResult, Report, failed, \
     inadmissible, passed
 from .scenario import Scenario
-from .twist import (AlgebraTwist, LeftModuleTwist, RightModuleTwist,
-                    check_derived_conditions, check_dga_laws,
-                    check_left_module_twist, check_lift_compat,
-                    check_right_module_twist, check_twist_axioms)
+from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 
 
-@dataclass
+class _Module:
+    """A module of this package, imported on first use; each attribute is
+    read when used, so a rebound module-level name reaches every run."""
+
+    def __init__(self, name: str):
+        self.name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr: str):
+        return getattr(import_module(self.name), attr)
+
+
+twist, connections, product, bimodule = (
+    _Module(name) for name in ("twist", "connections", "product", "bimodule"))
+
+
 class BuiltObjects:
-    twist: AlgebraTwist
-    rmt: RightModuleTwist
-    rmt_alt: RightModuleTwist | None
-    lmt: LeftModuleTwist
-    conn_e: ModuleConnection
-    conn_f: ModuleConnection
-    swap_e: FormSwap
-    swap_f: FormSwap
-    pc: ProductConnection
-    product_swap: ProductSwap
+    """The scenario's objects: the twists at once, the rest on first use."""
+
+    def __init__(self, s: Scenario):
+        self.scenario = s
+        self.twist = AlgebraTwist(s.q)
+        self.rmt = RightModuleTwist(self.twist, s.s_matrix, rank=s.n)
+        self.rmt_alt = (RightModuleTwist(self.twist, s.s_alt)
+                        if s.s_alt is not None else None)
+        self.lmt = LeftModuleTwist(self.twist, s.t_matrix, rank=s.m)
+
+    def _swap(self, gen: str, rank: int, which: str):
+        values = self.scenario.swap_matrix(which)
+        return connections.FormSwap.flip(gen, rank) if values is None \
+            else connections.FormSwap(gen, rank, values)
+
+    @cached_property
+    def conn_e(self):
+        return connections.ModuleConnection(
+            "x", self.scenario.m, self.scenario.potential_matrix("e"))
+
+    @cached_property
+    def conn_f(self):
+        return connections.ModuleConnection(
+            "y", self.scenario.n, self.scenario.potential_matrix("f"))
+
+    @cached_property
+    def swap_e(self):
+        return self._swap("x", self.scenario.m, "e")
+
+    @cached_property
+    def swap_f(self):
+        return self._swap("y", self.scenario.n, "f")
+
+    @cached_property
+    def pc(self):
+        return product.ProductConnection(self.twist, self.rmt, self.conn_e,
+                                         self.conn_f)
+
+    @cached_property
+    def product_swap(self):
+        return bimodule.ProductSwap(self.twist, self.rmt, self.lmt,
+                                    self.swap_e, self.swap_f)
 
 
 def build_objects(s: Scenario) -> BuiltObjects:
-    twist = AlgebraTwist(s.q)
-    rmt = RightModuleTwist(twist, s.s_matrix, rank=s.n)
-    rmt_alt = RightModuleTwist(twist, s.s_alt) if s.s_alt is not None else None
-    lmt = LeftModuleTwist(twist, s.t_matrix, rank=s.m)
-    conn_e = ModuleConnection("x", s.m, s.potential_matrix("e"))
-    conn_f = ModuleConnection("y", s.n, s.potential_matrix("f"))
-    swap_e, swap_f = (FormSwap.flip(gen, rank) if values is None
-                      else FormSwap(gen, rank, values)
-                      for gen, rank, values in (("x", s.m, s.swap_matrix("e")),
-                                                ("y", s.n, s.swap_matrix("f"))))
-    pc = ProductConnection(twist, rmt, conn_e, conn_f)
-    product_swap = ProductSwap(twist, rmt, lmt, swap_e, swap_f)
-    return BuiltObjects(twist, rmt, rmt_alt, lmt, conn_e, conn_f,
-                        swap_e, swap_f, pc, product_swap)
+    return BuiltObjects(s)
 
 
 def _independence(o: BuiltObjects, s: Scenario, report: Report) -> CheckResult:
@@ -72,9 +98,9 @@ def _independence(o: BuiltObjects, s: Scenario, report: Report) -> CheckResult:
         return inadmissible("independence",
                             "no alternate mixing matrix ([S_alt]) given")
     # the group prerequisites have decided the first twist's admissibility
-    return check_twist_independence(o.pc, o.rmt_alt, s.caps,
-                                    report.find("right-module-twist"),
-                                    report.find("f-connection-compat"))
+    return product.check_twist_independence(
+        o.pc, o.rmt_alt, s.caps, report.find("right-module-twist"),
+        report.find("f-connection-compat"))
 
 
 def _curvature_payload(o: BuiltObjects, s: Scenario,
@@ -89,7 +115,7 @@ def _curvature_payload(o: BuiltObjects, s: Scenario,
     small = Caps(min(s.caps.max_exponent, 2), s.caps.max_degree)
     payload["product_curvature"] = {
         label: o.pc.curvature(pv).render()
-        for label, pv in iter_naive_basis(s.m, o.rmt, small)}
+        for label, pv in product.iter_naive_basis(s.m, o.rmt, small)}
     report.payloads["curvature"] = payload
     # the group prerequisites have run f-connection-compat before this check
     if not report.find("f-connection-compat").passed:
@@ -101,10 +127,9 @@ def _curvature_payload(o: BuiltObjects, s: Scenario,
 def _quantum_plane_report(o: BuiltObjects, s: Scenario,
                           report: Report) -> CheckResult:
     # the group prerequisites have run f-connection-compat before this check
-    payload, lines = quantum_plane_report(o.pc, s.caps,
-                                          report.find("f-connection-compat"),
-                                          f_exponents=s.f_exponents,
-                                          remark_power=s.remark_power)
+    payload, lines = product.quantum_plane_report(
+        o.pc, s.caps, report.find("f-connection-compat"),
+        f_exponents=s.f_exponents, remark_power=s.remark_power)
     report.payloads["quantum-plane"] = payload
     report.payloads["quantum-plane-text"] = lines
     if payload["all_verified"]:
@@ -113,8 +138,7 @@ def _quantum_plane_report(o: BuiltObjects, s: Scenario,
                   "computed connection", 0)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One registry row; ``run(objects, scenario, report)`` gives the result."""
     name: str
     group: str
@@ -128,52 +152,55 @@ _BIMODULE_HYPOTHESES = (
     "left-module-twist", "bimodule-connection-x", "bimodule-connection-y",
     "swap-compat-e", "swap-compat-f", "bimodule-axiom")
 
-# Rows call the check_* functions through module globals looked up at call
-# time, so that rebinding a module-level name (as an outside tracer does)
-# reaches every run.  Groups appear in the order of ``scenario.KNOWN_CHECKS``.
+# Groups appear in the order of ``scenario.KNOWN_CHECKS``.
 CHECKS: tuple[Check, ...] = (
     Check("twist-axioms", "axioms", (),
-          lambda o, s, r: check_twist_axioms(o.twist, s.caps)),
+          lambda o, s, r: twist.check_twist_axioms(o.twist, s.caps)),
     Check("lift-compat", "axioms", (),
-          lambda o, s, r: check_lift_compat(o.twist, s.caps)),
+          lambda o, s, r: twist.check_lift_compat(o.twist, s.caps)),
     Check("dga-laws", "axioms", (),
-          lambda o, s, r: check_dga_laws(o.twist, s.caps)),
+          lambda o, s, r: twist.check_dga_laws(o.twist, s.caps)),
     Check("right-module-twist", "axioms", (),
-          lambda o, s, r: check_right_module_twist(o.rmt, s.caps)),
+          lambda o, s, r: twist.check_right_module_twist(o.rmt, s.caps)),
     Check("left-module-twist", "axioms", (),
-          lambda o, s, r: check_left_module_twist(o.lmt, s.caps)),
+          lambda o, s, r: twist.check_left_module_twist(o.lmt, s.caps)),
     Check("derived-compat", "axioms", (),
-          lambda o, s, r: check_derived_conditions(o.rmt, s.caps)),
+          lambda o, s, r: twist.check_derived_conditions(o.rmt, s.caps)),
     Check("f-connection-compat", "hypotheses", (),
-          lambda o, s, r: check_twist_connection_compat(o.twist, o.rmt,
-                                                        o.conn_f, s.caps)),
+          lambda o, s, r: product.check_twist_connection_compat(
+              o.twist, o.rmt, o.conn_f, s.caps)),
     Check("leibniz", "leibniz", _F_COMPAT,
-          lambda o, s, r: check_connection_leibniz(o.pc, s.caps, seed=s.seed)),
+          lambda o, s, r: product.check_connection_leibniz(o.pc, s.caps,
+                                                           seed=s.seed)),
     Check("curvature-formula", "theorem", _F_COMPAT,
-          lambda o, s, r: check_curvature_formula(o.pc, s.caps, seed=s.seed)),
+          lambda o, s, r: product.check_curvature_formula(o.pc, s.caps,
+                                                          seed=s.seed)),
     Check("flatness", "flatness", (),
-          lambda o, s, r: check_flatness(o.pc, s.caps)),
+          lambda o, s, r: product.check_flatness(o.pc, s.caps)),
     Check("independence", "independence", (), _independence),
     Check("curvature-payload", "curvature", (), _curvature_payload),
     Check("quantum-plane-report", "report", (), _quantum_plane_report),
     Check("e-connection-compat", "bimodule", (),
-          lambda o, s, r: check_left_twist_connection_compat(
+          lambda o, s, r: bimodule.check_left_twist_connection_compat(
               o.twist, o.lmt, o.conn_e, s.caps)),
     Check("bimodule-connection-x", "bimodule", (),
-          lambda o, s, r: check_bimodule_connection(o.conn_e, o.swap_e, s.caps)),
+          lambda o, s, r: connections.check_bimodule_connection(
+              o.conn_e, o.swap_e, s.caps)),
     Check("bimodule-connection-y", "bimodule", (),
-          lambda o, s, r: check_bimodule_connection(o.conn_f, o.swap_f, s.caps)),
+          lambda o, s, r: connections.check_bimodule_connection(
+              o.conn_f, o.swap_f, s.caps)),
     Check("swap-compat-e", "bimodule", (),
-          lambda o, s, r: check_swap_compat_e(o.product_swap, s.caps)),
+          lambda o, s, r: bimodule.check_swap_compat_e(o.product_swap, s.caps)),
     Check("swap-compat-f", "bimodule", (),
-          lambda o, s, r: check_swap_compat_f(o.product_swap, s.caps)),
+          lambda o, s, r: bimodule.check_swap_compat_f(o.product_swap, s.caps)),
     Check("swap-cross-morphisms", "bimodule", (),
-          lambda o, s, r: check_swap_cross_morphisms(o.product_swap, s.caps)),
+          lambda o, s, r: bimodule.check_swap_cross_morphisms(o.product_swap,
+                                                              s.caps)),
     Check("bimodule-axiom", "bimodule", (),
-          lambda o, s, r: check_bimodule_axiom(o.product_swap, s.caps)),
+          lambda o, s, r: bimodule.check_bimodule_axiom(o.product_swap, s.caps)),
     Check("bimodule-theorem", "bimodule", _BIMODULE_HYPOTHESES,
-          lambda o, s, r: check_bimodule_theorem(o.pc, o.product_swap,
-                                                 s.caps)),
+          lambda o, s, r: bimodule.check_bimodule_theorem(o.pc, o.product_swap,
+                                                          s.caps)),
 )
 
 # the groups each group needs to have run first; resolved transitively

@@ -29,7 +29,6 @@ offending line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import Caps, Form, parse_form
@@ -52,24 +51,23 @@ class ScenarioError(ValueError):
     """Raised on malformed or invalid scenario input."""
 
 
-@dataclass
 class Scenario:
-    q: Fraction = Fraction(2)
-    m: int = 1
-    n: int = 1
-    caps: Caps = Caps(4, 3)
-    seed: int = 0
-    checks: list[str] = field(default_factory=lambda: [
-        "axioms", "hypotheses", "leibniz", "theorem"])
-    potential_e: dict[tuple[int, int], Form] = field(default_factory=dict)
-    potential_f: dict[tuple[int, int], Form] = field(default_factory=dict)
-    s_matrix: Matrix | None = None
-    s_alt: Matrix | None = None
-    t_matrix: Matrix | None = None
-    phi: dict[tuple[int, int], Form] | None = None
-    psi: dict[tuple[int, int], Form] | None = None
-    f_exponents: list[int] | None = None
-    remark_power: int = 2
+    """One scenario's settings: the defaults of empty text, overridden by
+    keyword."""
+
+    __slots__ = ("q", "m", "n", "caps", "seed", "checks", "potential_e",
+                 "potential_f", "s_matrix", "s_alt", "t_matrix", "phi", "psi",
+                 "f_exponents", "remark_power")
+
+    def __init__(self, **fields):
+        self.q, self.m, self.n, self.caps, self.seed = \
+            Fraction(2), 1, 1, Caps(4, 3), 0
+        self.checks = ["axioms", "hypotheses", "leibniz", "theorem"]
+        self.potential_e, self.potential_f = {}, {}
+        self.s_matrix = self.s_alt = self.t_matrix = self.phi = self.psi = None
+        self.f_exponents, self.remark_power = None, 2
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def _form_matrix(self, which: str, entries) -> list[list[Form]]:
         """The rank x rank matrix of the e side (x-forms) or the f side

@@ -15,8 +15,7 @@ from twistconn.bimodule import (ProductSwap, act_left,
                                 check_swap_compat_e, check_swap_compat_f,
                                 check_swap_cross_morphisms)
 from twistconn.connections import (FormSwap, ModuleConnection,
-                                   check_bimodule_connection,
-                                   check_swap_pair_compatible)
+                                   check_bimodule_connection)
 from twistconn.forms import Caps, Form, from_scaled, parse_form, \
     scaled_equal, sum_scaled, to_scaled
 from twistconn.tdga import ProductForm
@@ -66,18 +65,6 @@ class TestFormSwap:
     def test_noncentral_potential_breaks_flip(self):
         conn = ModuleConnection("x", 1, [[parse_form("x", "x dx")]])
         assert check_bimodule_connection(conn, FormSwap.flip("x", 1), CAPS).failed
-
-    def test_swap_pair_grassmann(self):
-        conn = ModuleConnection.grassmann("x", 2)
-        zero = [[Form.zero("x")] * 2 for _ in range(2)]
-        assert check_swap_pair_compatible(conn, FormSwap.flip("x", 2), zero,
-                                          CAPS).passed
-
-    def test_swap_pair_detects_mismatch(self):
-        conn = ModuleConnection.grassmann("x", 1)
-        candidate = [[Form.d_gen("x")]]
-        assert check_swap_pair_compatible(conn, FormSwap.flip("x", 1), candidate,
-                                          CAPS).failed
 
 
 class TestLeftAction:
@@ -461,10 +448,3 @@ class TestCheckNames:
         names = {check_bimodule_connection(conn, flip, CAPS).name
                  for conn in (good, bad)}
         assert names == {"bimodule-connection-x"}
-
-    def test_swap_pair_name_on_pass_and_fail(self):
-        conn = ModuleConnection.grassmann("y", 1)
-        flip = FormSwap.flip("y", 1)
-        names = {check_swap_pair_compatible(conn, flip, cand, CAPS).name
-                 for cand in ([[Form.zero("y")]], [[Form.d_gen("y")]])}
-        assert names == {"swap-pair-compatible-y"}

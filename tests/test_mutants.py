@@ -17,8 +17,8 @@ import pytest
 from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from test_fail_paths import (doubled_on_odd_letters, drop_letter,
                              merge_equal_exponents)
-from twistconn import bimodule, forms, product, runner
-from twistconn.forms import to_scaled, word_differential, word_mul
+from twistconn import bimodule, connections, forms, product, runner
+from twistconn.forms import Form, to_scaled, word_differential, word_mul
 from twistconn.reports import Report
 from twistconn.scenario import KNOWN_CHECKS, load_scenario
 from twistconn.tdga import ProductForm, add_column, pair_degree
@@ -115,7 +115,23 @@ def right_normal_recursion_sign_flipped(monkeypatch):
 
 
 def dropped_q(monkeypatch):
-    monkeypatch.setattr(runner, "ProductSwap", DroppedQ)
+    monkeypatch.setattr(bimodule, "ProductSwap", DroppedQ)
+
+
+# the factor swap with the 1-form's right power joined before the swap
+# value: x^a x^b φ(e_k) c in place of x^a φ(e_k) x^b c (written here, apart
+# from FormSwap.apply)
+def form_swap_right_power_first(monkeypatch):
+    def apply(self, one_form, coords):
+        out = [Form.zero(self.gen) for _ in range(self.rank)]
+        for (a, b), c in one_form.terms.items():
+            power = Form.word(self.gen, (a + b,), c)
+            for k in range(self.rank):
+                for l in range(self.rank):
+                    out[l] = out[l] + power * self.values[l][k] * coords[k]
+        return out
+
+    monkeypatch.setattr(connections.FormSwap, "apply", apply)
 
 
 # the swap of d(x^cc) ⊗ 1 past an f-block term with the form joined on the
@@ -294,6 +310,9 @@ ROWS = [
      {"swap-cross-morphisms", "bimodule-theorem"}),
     (generator_x_form_after_power, NON_SYMMETRIC_S,
      {"swap-cross-morphisms", "bimodule-theorem"}),
+    # bimodule-connection-x/y stay green: at caps 1,1 they swap only dx and
+    # dy, whose right power is 1
+    (form_swap_right_power_first, SYMMETRIC_S, {"swap-compat-e", "swap-compat-f"}),
     (generator_y_untwisted, SYMMETRIC_S, {"swap-compat-f", "bimodule-theorem"}),
     (generator_y_untwisted, NON_SYMMETRIC_S,
      {"swap-compat-f", "bimodule-theorem"}),
@@ -384,6 +403,16 @@ _GENERATOR_X_FORM_AFTER_POWER = [
         "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ x^0 ⊗ f_1 y^0",
         **morphisms(f_left="fail", f_right="fail")),
     red("bimodule-theorem", 43, "x ⊗ 1 . (x^1 ⊗ f_1 y^0)"),
+]
+
+# the equation exchanges the factor swap's own images with a module twist,
+# so it holds for this swap too; its left-morphism property fails
+_FORM_SWAP_RIGHT_POWER_FIRST = [
+    red("swap-compat-e", 275, "equation and left-morphism verdicts disagree: "
+        "left: x ⊗ 1 . (dx ⊗ y^0) ⊗ e_1 x^0 ⊗ y^0",
+        **compat(left="fail", agrees=False)),
+    red("swap-compat-f", 274, "left: 1 ⊗ y . (x^0 ⊗ dy) ⊗ x^0 ⊗ f_1 y^0",
+        **compat(left="fail")),
 ]
 
 # the equation of the f-block piece reads only the factor swap
@@ -504,6 +533,8 @@ RED_RESULTS = {
         _GENERATOR_X_FORM_AFTER_POWER,
     (generator_x_form_after_power, str(NON_SYMMETRIC_S)):
         _GENERATOR_X_FORM_AFTER_POWER,
+    (form_swap_right_power_first, str(SYMMETRIC_S)):
+        _FORM_SWAP_RIGHT_POWER_FIRST,
     (generator_y_untwisted, str(SYMMETRIC_S)): _GENERATOR_Y_UNTWISTED,
     (generator_y_untwisted, str(NON_SYMMETRIC_S)): _GENERATOR_Y_UNTWISTED,
     (free_to_naive_transposed, str(SYMMETRIC_S)): [],

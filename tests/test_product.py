@@ -1,6 +1,7 @@
 """The product module, the product connection, and the curvature theorem."""
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -441,7 +442,9 @@ class TestTheoremChecks:
                 seen.append(args)
                 return honest(*args)
 
-            for module in (product, runner):
+            # the defining module, where the runner's rows look it up, and
+            # product, whose check_twist_independence calls both
+            for module in {product, sys.modules[honest.__module__]}:
                 monkeypatch.setattr(module, fname, counted)
         scenario = load_scenario_file(
             Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
@@ -454,7 +457,7 @@ class TestTheoremChecks:
         # the first twist's curvature comes from the run's connection, so
         # the ∇ columns that curvature-formula cached serve it too
         built, passed_pc = [], []
-        build, check = runner.build_objects, runner.check_twist_independence
+        build, check = runner.build_objects, product.check_twist_independence
 
         def recorded_build(scenario):
             built.append(build(scenario))
@@ -465,7 +468,7 @@ class TestTheoremChecks:
             return check(pc, *rest)
 
         monkeypatch.setattr(runner, "build_objects", recorded_build)
-        monkeypatch.setattr(runner, "check_twist_independence", recorded_check)
+        monkeypatch.setattr(product, "check_twist_independence", recorded_check)
         scenario = load_scenario_file(
             Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
         scenario.caps = Caps(1, 1)
@@ -527,8 +530,7 @@ class TestQuantumPlaneReport:
             calls.append(args)
             return check_twist_connection_compat(*args)
 
-        for module in (product, runner):
-            monkeypatch.setattr(module, "check_twist_connection_compat", counted)
+        monkeypatch.setattr(product, "check_twist_connection_compat", counted)
         scenario = load_scenario_file(
             Path(__file__).resolve().parent.parent / "scenarios" / "grassmann_q2.cfg")
         scenario.caps = Caps(1, 1)

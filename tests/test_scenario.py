@@ -2,17 +2,38 @@
 
 import tempfile
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistconn.bimodule import ProductSwap
 from twistconn.cli import main
+from twistconn.connections import FormSwap, ModuleConnection
 from twistconn.forms import Caps
+from twistconn.product import ProductConnection, iter_naive_basis
 from twistconn.scenario import (KNOWN_CHECKS, Scenario, ScenarioError,
-                                load_scenario)
-from twistconn.runner import CHECKS, build_objects, resolve_checks, run_checks
+                                load_scenario, load_scenario_file)
+from twistconn.runner import (CHECKS, BuiltObjects, build_objects,
+                              resolve_checks, run_checks)
+from twistconn.tdga import ProductForm
+from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios")
+                 .glob("*.cfg"))
+# the objects build_objects leaves to their first use
+LAZY = [name for name, attr in vars(BuiltObjects).items()
+        if isinstance(attr, cached_property)]
+
+
+def build_all(scenario):
+    """build_objects with every lazily built object forced."""
+    objs = build_objects(scenario)
+    for name in LAZY:
+        getattr(objs, name)
+    return objs
 
 MINIMAL = """
 q: 2
@@ -346,4 +367,38 @@ def test_arbitrary_text_loads_builds_or_exits_2(text):
             path.write_text(text, encoding="utf-8", newline="")
             assert main(["check-axioms", "--scenario", str(path)]) == 2
         return
-    build_objects(scenario)
+    build_all(scenario)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_lazy_objects_match_eager_construction(path):
+    s = load_scenario_file(path)
+    objs = build_objects(s)
+    assert LAZY and not set(LAZY) & set(vars(objs))
+    twist = AlgebraTwist(s.q)
+    rmt = RightModuleTwist(twist, s.s_matrix, rank=s.n)
+    lmt = LeftModuleTwist(twist, s.t_matrix, rank=s.m)
+    conns = [ModuleConnection("x", s.m, s.potential_matrix("e")),
+             ModuleConnection("y", s.n, s.potential_matrix("f"))]
+    swaps = [FormSwap.flip(gen, rank) if values is None
+             else FormSwap(gen, rank, values)
+             for gen, rank, values in (("x", s.m, s.swap_matrix("e")),
+                                       ("y", s.n, s.swap_matrix("f")))]
+    pc = ProductConnection(twist, rmt, *conns)
+    ps = ProductSwap(twist, rmt, lmt, *swaps)
+    for lazy, eager in zip((objs.conn_e, objs.conn_f), conns):
+        assert (lazy.gen, lazy.rank, lazy.potential) == \
+            (eager.gen, eager.rank, eager.potential)
+    for lazy, eager in zip((objs.swap_e, objs.swap_f), swaps):
+        assert (lazy.gen, lazy.rank, lazy.values) == \
+            (eager.gen, eager.rank, eager.values)
+    # built from the run's own twists and factors
+    assert [objs.pc.twist, objs.pc.rmt, objs.pc.conn_e, objs.pc.conn_f] == \
+        [objs.twist, objs.rmt, objs.conn_e, objs.conn_f]
+    swap = objs.product_swap
+    assert [swap.twist, swap.rmt, swap.lmt, swap.swap_e, swap.swap_f] == \
+        [objs.twist, objs.rmt, objs.lmt, objs.swap_e, objs.swap_f]
+    one_form = ProductForm.monomial(1, 1).d()
+    for _, pv in iter_naive_basis(s.m, rmt, Caps(1, 1)):
+        assert objs.pc.nabla(pv) == pc.nabla(pv)
+        assert swap.apply(one_form, pv) == ps.apply(one_form, pv)
