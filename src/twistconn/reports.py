@@ -26,7 +26,7 @@ class CheckResult(NamedTuple):
     verdict: str
     witness: str | None = None
     cases: int = 0
-    detail: Mapping = MappingProxyType({})  # read-only when empty
+    detail: Mapping = MappingProxyType({})  # a shared default: read-only
 
     @property
     def passed(self) -> bool:
