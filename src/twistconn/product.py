@@ -87,12 +87,6 @@ class ProductVector(Terms):
     def zero(cls, m: int, n: int) -> "ProductVector":
         return cls.from_terms({}, m, n)
 
-    @classmethod
-    def e_basis(cls, m: int, n: int, k: int,
-                coord: ProductForm | None = None) -> "ProductVector":
-        coord = coord if coord is not None else ProductForm.unit()
-        return cls.from_terms({(k, w): c for w, c in coord.terms.items()}, m, n)
-
     @property
     def ranks(self) -> tuple[int, int]:
         return self.m, self.n
@@ -565,8 +559,7 @@ def _q_power_str(e: int) -> str:
 
 def quantum_plane_report(pc: ProductConnection, caps: Caps, compat: CheckResult,
                          f_exponents: list[int] | None = None,
-                         remark_power: int = 2,
-                         remark_polys: list[Form] | None = None) -> tuple[dict, list[str]]:
+                         remark_power: int = 2) -> tuple[dict, list[str]]:
     """Symbolic description of the product connection on the quantum plane.
 
     Returns a JSON-able payload plus rendered text lines: the product of
@@ -635,8 +628,7 @@ def quantum_plane_report(pc: ProductConnection, caps: Caps, compat: CheckResult,
 
     # --- rescaling form for a = x^j -------------------------------------
     jpow = remark_power
-    if remark_polys is None:
-        remark_polys = [Form.unit("y") + Form.gen_power("y", k + 1) for k in range(n)]
+    remark_polys = [Form.unit("y") + Form.gen_power("y", k + 1) for k in range(n)]
     _, remark_matches = on_x_power(jpow, remark_polys)
     remark_display = (f"nabla_gr(x^{jpow} ⊗ (b_1, ..., b_n)) = "
                       f"sum_k x^{jpow} ⊗ f_k ⊗ 1 ⊗ d(b_k) "

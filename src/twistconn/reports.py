@@ -59,8 +59,8 @@ def failed(name: str, witness: str, cases: int, **detail) -> CheckResult:
     return CheckResult(name, FAIL, witness=witness, cases=cases, detail=detail)
 
 
-def inadmissible(name: str, why: str, **detail) -> CheckResult:
-    return CheckResult(name, INADMISSIBLE, witness=why, detail=detail)
+def inadmissible(name: str, why: str) -> CheckResult:
+    return CheckResult(name, INADMISSIBLE, witness=why)
 
 
 def tally(cases: Iterable, weight: int = 1,

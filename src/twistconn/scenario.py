@@ -173,7 +173,7 @@ def load_scenario(text: str) -> Scenario:
                 (lineno, int(entry.group(1)), int(entry.group(2)),
                  entry.group(3).strip()))
 
-    scenario = Scenario()
+    scenario = Scenario()  # every key left out keeps its default here
 
     def take_int(key: str, default: int, minimum: int) -> int:
         if key not in top:
@@ -195,12 +195,12 @@ def load_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         if not scenario.q:
             raise ScenarioError(f"line {lineno}: q must be nonzero")
-    scenario.m = take_int("m", 1, 1)
-    scenario.n = take_int("n", 1, 1)
-    scenario.caps = Caps(take_int("max_exponent", 4, 1),
-                         take_int("max_degree", 3, 1))
-    scenario.seed = take_int("seed", 0, 0)
-    scenario.remark_power = take_int("remark_power", 2, 1)
+    scenario.m = take_int("m", scenario.m, 1)
+    scenario.n = take_int("n", scenario.n, 1)
+    scenario.caps = Caps(take_int("max_exponent", scenario.caps.max_exponent, 1),
+                         take_int("max_degree", scenario.caps.max_degree, 1))
+    scenario.seed = take_int("seed", scenario.seed, 0)
+    scenario.remark_power = take_int("remark_power", scenario.remark_power, 1)
     if "checks" in top:
         lineno, value = top["checks"]
         checks = [c.strip() for c in value.replace(",", " ").split() if c.strip()]

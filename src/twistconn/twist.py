@@ -29,7 +29,9 @@ arguments in ``cross_word`` (and ``uncross_word``, which only the right
 side needs), and one checker decides the twisting axioms of either side.
 
 The twisted product has one kernel, ``AlgebraTwist.mul_scaled``, on
-integer-scaled tables; ``mul`` and ``product.act_right_form`` wrap it.
+integer-scaled tables; ``mul`` and ``product.act_right_form`` wrap it.  The
+lift ``AlgebraTwist.cross`` is that product on the embedded factors,
+R(b ⊗ a) = (1 ⊗ b)(a ⊗ 1), so it refuses forms in the wrong slots.
 
 Checkers verify the defining axioms exhaustively on bounded bases.  The
 products and word-level checks read ``word_twist``, ``word_mul`` and
@@ -52,9 +54,8 @@ from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words, iter_word_tupl
                     words_by_degree)
 from .rationals import Matrix, MatrixPowers, identity
 from .reports import CheckResult, failed, passed, run_cases, tally
-from .tdga import PairWord, ProductForm, add_column
+from .tdga import PairWord, ProductForm, add_column, embed_x, embed_y
 
-CrossFn = Callable[[Form, Form], ProductForm]
 ModuleTwistFn = Callable[[int, int, int], list[tuple[Fraction, int]]]
 
 
@@ -71,11 +72,9 @@ def word_twist(wy: Word, wx: Word) -> tuple[int, int]:
     return -1 if dx * dy % 2 else 1, (dx + sum(wx)) * (dy + sum(wy))
 
 
-def _times(c: Fraction, f: Fraction) -> Fraction:
-    """c · f, with no rational product for f = ±1."""
-    if f == 1:
-        return c
-    return -c if f == -1 else c * f
+def parity(w: Word) -> int:
+    """e(w) = (-1)^{deg w}."""
+    return 1 if len(w) % 2 else -1
 
 
 class AlgebraTwist:
@@ -93,22 +92,15 @@ class AlgebraTwist:
             cache[e] = self.q ** e
         return cache[e]
 
-    # ---- closed forms on words ----------------------------------------
-    def cross_coeff(self, wy: Word, wx: Word) -> Fraction:
-        sign, e = word_twist(wy, wx)
-        return self.qpow(e) if sign > 0 else -self.qpow(e)
+    def coeff_equal(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
+        """Whether ±q^e of two (sign, exponent) pairs are equal: as integers,
+        else over the rationals (hot loops compare the pairs inline first)."""
+        return a == b or a[0] * self.qpow(a[1]) == b[0] * self.qpow(b[1])
 
-    # ---- element level -------------------------------------------------
     def cross(self, yform: Form, xform: Form) -> ProductForm:
-        """Lifted twisting map: y-forms move right, x-forms move left."""
-        if yform.gen != "y" or xform.gen != "x":
-            raise ValueError("cross expects (y-form, x-form)")
-        # distinct (wy, wx) give distinct keys, so nothing accumulates
-        out: dict[PairWord, Fraction] = {}
-        for wy, cy in yform.terms.items():
-            for wx, cx in xform.terms.items():
-                out[(wx, wy)] = _times(_times(self.cross_coeff(wy, wx), cy), cx)
-        return ProductForm.from_terms(out)
+        """Lifted twisting map: y-forms move right, x-forms move left, as the
+        product (1 ⊗ yform)(xform ⊗ 1)."""
+        return self.mul(embed_y(yform), embed_x(xform))
 
     def mul_scaled(self, u: tuple[int, dict], v: tuple[int, dict]) -> tuple[int, dict]:
         """The one word-product loop, on scaled tables (``forms.to_scaled``):
@@ -206,26 +198,19 @@ class LeftModuleTwist(ModuleTwist):
 _LETTER_BUDGET = 8
 
 
-def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
-                       cross: CrossFn | None = None) -> CheckResult:
-    """Unit and multiplicativity axioms of the (lifted) twisting map.
+def check_twist_axioms(twist: AlgebraTwist, caps: Caps) -> CheckResult:
+    """Unit and multiplicativity axioms of the lifted twisting map.
 
     Units are checked on every word within per-word caps; the two
     multiplicativity conditions are checked on all word triples whose total
-    degree stays within caps.max_degree.  The built-in closed form maps
-    words to words, so word_twist decides both: a unit holds iff its word's
-    coefficient is 1, and a triple compares (sign, exponent) pairs as
-    integers, else over the rationals.  Triples that hold are counted inline
-    and reach ``tally`` as one entry, sent before a failing triple and at
-    the end.  A pluggable map goes through full elements.  Each of the loops
-    stops at its first failure, and the others still run; a failing unit
-    renders its witness from elements.
+    degree stays within caps.max_degree.  The lift maps words to words, so
+    word_twist decides both: a unit holds iff its word's coefficient is 1,
+    and a triple compares (sign, exponent) pairs as integers, else over the
+    rationals.  Triples that hold are counted inline and reach ``tally`` as
+    one entry, sent before a failing triple and at the end.  Each of the two
+    loops stops at its first failure, and the other still runs; a failing
+    unit renders its witness through ``cross``.
     """
-    fn = cross or twist.cross
-
-    def crossed(wy: Word, wx: Word) -> ProductForm:
-        return fn(Form.word("y", wy), Form.word("x", wx))
-
     def right(wb: Word, wa: Word, wa2: Word) -> dict[str, str]:
         return {"product-right": f"b={render_word('y', wb)}, "
                 f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"}
@@ -234,53 +219,40 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
         return {"product-left": f"b={render_word('y', wb)}, "
                 f"b'={render_word('y', wb2)}, a={render_word('x', wa)}"}
 
-    def fixed(wy: Word, wx: Word) -> bool:
-        # the map fixes wy ⊗ wx, one of them 1; the built-in one iff its
-        # word coefficient is 1
-        if cross is None:
-            return word_twist(wy, wx) == (1, 0) or twist.cross_coeff(wy, wx) == 1
-        return crossed(wy, wx) == ProductForm({(wx, wy): Fraction(1)})
-
     def units():
+        # the lift fixes 1 ⊗ w and w ⊗ 1 iff their word coefficients are 1
         for w in enumerate_words(caps.max_degree, caps.max_exponent):
-            if not fixed(UNIT_WORD, w):
-                yield {"unit": f"1 ⊗ {render_word('x', w)} -> {crossed(UNIT_WORD, w)}"}
+            for wy, wx in (UNIT_WORD, w), (w, UNIT_WORD):
+                if not twist.coeff_equal(word_twist(wy, wx), (1, 0)):
+                    yield {"unit": f"{render_word('y', wy)} ⊗ {render_word('x', wx)} -> "
+                           f"{twist.cross(Form.word('y', wy), Form.word('x', wx))}"}
+                    break
             else:
-                yield None if fixed(w, UNIT_WORD) \
-                    else {"unit": f"{render_word('y', w)} ⊗ 1 -> {crossed(w, UNIT_WORD)}"}
+                yield None
 
     def word_products():
         # the merged word's (sign, exponent) must be the product of the two
         # crossing steps'; the rationals decide only unequal pairs (q = ±1).
         # Triples as in iter_word_tuples(3, caps); word_twist(wb, ·) kept per
         # wb, and per wa and room of wa2 their products and crossings
-        qpow = twist.qpow
         upto = [enumerate_words(k, caps.max_exponent)
                 for k in range(caps.max_degree + 1)]
         pair = cache(lambda wa, wa2: (wa2, word_mul(wa, wa2), word_twist(wa, wa2)))
         row = cache(lambda wa, k: [pair(wa, wa2) for wa2 in upto[k]])
-
-        def unequal(merged: tuple[int, int], first: tuple[int, int],
-                    second: tuple[int, int]) -> bool:
-            # over the rationals, for pairs that differ as integers
-            (s, e), (s1, e1), (s2, e2) = merged, first, second
-            return s * qpow(e) != s1 * s2 * qpow(e1) * qpow(e2)
-
         held = 0
         for wb in upto[-1]:
             past = cache(lambda wx, wb=wb: word_twist(wb, wx))
             for wa in upto[len(upto) - len(wb)]:
-                first, merged_b = past(wa), word_mul(wb, wa)
-                s1, e1 = first
+                (s1, e1), merged_b = past(wa), word_mul(wb, wa)
                 for wa2, merged_a, twist_a in row(wa, len(upto) - len(wb) - len(wa) + 1):
-                    second = s2, e2 = past(wa2)
-                    got = past(merged_a)
-                    if got != (s1 * s2, e1 + e2) and unequal(got, first, second):
+                    s2, e2 = past(wa2)
+                    got, want = past(merged_a), (s1 * s2, e1 + e2)
+                    if got != want and not twist.coeff_equal(got, want):
                         witness = right(wb, wa, wa2)
                     # mirror roles: wb, wa as the two y-words, wa2 as the x-word
                     elif (got := word_twist(merged_b, wa2)) != (
-                            s2 * twist_a[0], e2 + twist_a[1]) and \
-                            unequal(got, second, twist_a):
+                            want := (s2 * twist_a[0], e2 + twist_a[1])) and \
+                            not twist.coeff_equal(got, want):
                         witness = left(wb, wa, wa2)
                     else:
                         held += 1
@@ -290,32 +262,7 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps,
                     yield witness
         yield held
 
-    def summed(terms) -> ProductForm:
-        out: dict[PairWord, Fraction] = {}
-        add_column(out, 1, terms)
-        return ProductForm(out)
-
-    def products_right():
-        # (mu_A ⊗ B) o (A ⊗ R) o (R ⊗ A)
-        for wb, wa, wa2 in iter_word_tuples(3, caps):
-            rhs = summed(((word_mul(ax, ax2), by2), c * c2)
-                         for (ax, by), c in crossed(wb, wa).terms.items()
-                         for (ax2, by2), c2 in crossed(by, wa2).terms.items())
-            yield None if crossed(wb, word_mul(wa, wa2)) == rhs \
-                else right(wb, wa, wa2)
-
-    def products_left():
-        # (A ⊗ mu_B) o (R ⊗ B) o (B ⊗ R)
-        for wb, wb2, wa in iter_word_tuples(3, caps):
-            rhs = summed(((ax2, word_mul(by, by2)), c * c2)
-                         for (ax, by2), c in crossed(wb2, wa).terms.items()
-                         for (ax2, by), c2 in crossed(wb, ax).terms.items())
-            yield None if crossed(word_mul(wb, wb2), wa) == rhs \
-                else left(wb, wb2, wa)
-
-    loops = [(units(), 2)] + ([(word_products(), 2)] if cross is None else
-                              [(products_right(), 1), (products_left(), 1)])
-    tallies = [tally(cases, weight) for cases, weight in loops]
+    tallies = [tally(units(), 2), tally(word_products(), 2)]
     failures = {axiom: w for _, found in tallies for axiom, w in found.items()}
     cases = sum(count for count, _ in tallies)
     if failures:
@@ -344,9 +291,6 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     that pass at once are counted inline and reach ``tally`` as one entry,
     sent before any pair that runs the element comparison and at the end.
     """
-    def parity(w: Word) -> int:
-        return 1 if len(w) % 2 else -1
-
     # the words of d(w) with nonzero coefficients, and e(w)
     steps = cache(lambda w: ([a for a, t in word_differential(w).items() if t], parity(w)))
 
@@ -357,8 +301,7 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         for pair, c in p.terms.items():
             other = pair[1 - side]
             c = c if len(other) % 2 else -c
-            add_column(out, 1, [((nw, other) if side == 0 else (other, nw),
-                                 _times(c, s))
+            add_column(out, 1, [((nw, other) if side == 0 else (other, nw), c * s)
                                 for nw, s in word_differential(pair[side]).items()])
         return ProductForm(out)
 
@@ -367,11 +310,12 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         for wb, wa in iter_word_tuples(2, caps):
             s, k = word_twist(wb, wa)
             (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
+            on_y, on_x = (ea * s, k), (eb * s, k)  # what d on each side keeps
             if s in (1, -1) and all(
-                    word_twist(w, wa) == (ea * s, k) or
-                    twist.cross_coeff(w, wa) == ea * s * twist.qpow(k) for w in dwb) and all(
-                    word_twist(wb, u) == (eb * s, k) or
-                    twist.cross_coeff(wb, u) == eb * s * twist.qpow(k) for u in dwa):
+                    (got := word_twist(w, wa)) == on_y or twist.coeff_equal(got, on_y)
+                    for w in dwb) and all(
+                    (got := word_twist(wb, u)) == on_x or twist.coeff_equal(got, on_x)
+                    for u in dwa):
                 held += 1  # d commutes with the crossing
                 continue
             yield held  # the pairs held before this one
@@ -505,12 +449,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
 
-    def is_one(sign: int, e: int) -> bool:
-        return (sign, e) == (1, 0) or sign * qpow(e) == 1
-
-    def parity(w: Word) -> int:
-        return 1 if len(w) % 2 else -1
-
     def rational(table: dict[tuple[int, PairWord], int]) -> dict[PairWord, Fraction]:
         # the exact value of a table keyed by (q-exponent, pair-word)
         out: dict[PairWord, Fraction] = {}
@@ -539,7 +477,7 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     def unit_and_nilpotence():
         # the unit law and d^2 = 0 on every pair word, two cases each
         unit = cache(lambda w, wy, wx: word_mul(UNIT_WORD, w) == w ==
-                     word_mul(w, UNIT_WORD) and is_one(*word_twist(wy, wx)))
+                     word_mul(w, UNIT_WORD) and twist.coeff_equal(word_twist(wy, wx), (1, 0)))
 
         @cache
         def nilpotence(w: Word) -> tuple[list, list]:
@@ -671,7 +609,7 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         for a, b, c, d in product(range(caps.max_exponent + 1), repeat=4):
             sign, e = word_twist((b,), (c,))
             yield None if (word_mul((a,), (c,)), word_mul((b,), (d,))) == \
-                ((a + c,), (b + d,)) and sign * qpow(e) == qpow(b * c) \
+                ((a + c,), (b + d,)) and twist.coeff_equal((sign, e), (1, b * c)) \
                 else f"commutation at x^{a} y^{b} * x^{c} y^{d}"
 
     count, failures = tally(unit_and_nilpotence(), 2)

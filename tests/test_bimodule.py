@@ -42,6 +42,12 @@ def canonical(q, m=1, n=1):
     return twist, rmt, lmt, pc, ps
 
 
+def e_vector(coord=None):
+    """The rank (1, 1) vector with e-coordinate ``coord`` (default 1 ⊗ 1)."""
+    coord = ProductForm.unit() if coord is None else coord
+    return ProductVector.from_terms({(0, w): c for w, c in coord.terms.items()}, 1, 1)
+
+
 class TestFormSwap:
     def test_flip_on_generator(self):
         swap = FormSwap.flip("x", 2)
@@ -70,19 +76,19 @@ class TestFormSwap:
 class TestLeftAction:
     def test_unital(self):
         twist, rmt, lmt, pc, _ = canonical(2, m=1, n=1)
-        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 1) + ProductVector.e_basis(
-            1, 1, 0, ProductForm.monomial(2, 0))
+        pv = naive_vector(pc.m, pc.rmt, "f", 0, 1, 1) + e_vector(
+            ProductForm.monomial(2, 0))
         assert act_left(twist, rmt, lmt, ProductForm.unit(), pv) == pv
 
     def test_e_block_plain_x(self):
         twist, rmt, lmt, _, _ = canonical(2)
-        pv = ProductVector.e_basis(1, 1, 0)
+        pv = e_vector()
         out = act_left(twist, rmt, lmt, ProductForm.monomial(1, 0), pv)
         assert out.e[0] == ProductForm.monomial(1, 0)
 
     def test_e_block_y_crosses_with_q(self):
         twist, rmt, lmt, _, _ = canonical(2)
-        pv = ProductVector.e_basis(1, 1, 0, ProductForm.monomial(1, 0))
+        pv = e_vector(ProductForm.monomial(1, 0))
         out = act_left(twist, rmt, lmt, ProductForm.monomial(0, 1), pv)
         assert out.e[0] == ProductForm.monomial(1, 1, 2)
 
@@ -111,14 +117,14 @@ class TestLeftAction:
 class TestProductSwap:
     def test_x_form_on_e_block_classical(self):
         twist, rmt, lmt, _, ps = canonical(1)
-        pv = ProductVector.e_basis(1, 1, 0)
+        pv = e_vector()
         out = ps.apply(ProductForm.pair((0, 0), (0,)), pv)
         assert out.e[0] == ProductForm.pair((0, 0), (0,))
         assert all(w.is_zero for w in out.f)
 
     def test_y_form_on_e_block_classical(self):
         twist, rmt, lmt, _, ps = canonical(1)
-        pv = ProductVector.e_basis(1, 1, 0)
+        pv = e_vector()
         out = ps.apply(ProductForm.pair((0,), (0, 0)), pv)
         assert out.e[0] == ProductForm.pair((0,), (0, 0))
 

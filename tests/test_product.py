@@ -27,7 +27,7 @@ from twistconn.product import (ProductConnection, ProductVector, act_right,
 from twistconn.scenario import load_scenario, load_scenario_file
 
 from oracles import classical_product_nabla
-from test_bimodule import HALVING_S
+from test_bimodule import HALVING_S, e_vector
 
 Q2 = AlgebraTwist(2)
 UT = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
@@ -85,7 +85,7 @@ class TestCoordinates:
 
 class TestRightAction:
     def test_e_block_regular(self):
-        pv = ProductVector.e_basis(1, 1, 0)
+        pv = e_vector()
         out = act_right(Q2, pv, ProductForm.monomial(1, 1))
         assert out.e[0] == ProductForm.monomial(1, 1)
 
@@ -103,7 +103,7 @@ class TestRightAction:
         assert out.f[0] == ProductForm.monomial(1, 1, 2)
 
     def test_degree_validated(self):
-        pv = ProductVector.e_basis(1, 1, 0)
+        pv = e_vector()
         with pytest.raises(ValueError):
             act_right(Q2, pv, ProductForm.pair((0, 0), (0,)))
 
@@ -131,12 +131,12 @@ class TestBlockMaps:
 
     def test_first_block_unit_kernel(self):
         pc = grassmann_pc(Q2)
-        out = pc.nabla(ProductVector.e_basis(1, 1, 0))
+        out = pc.nabla(e_vector())
         assert all(w.is_zero for w in out.e)
 
     def test_first_block_y_coordinate(self):
         pc = grassmann_pc(Q2)
-        pv = ProductVector.e_basis(1, 1, 0, ProductForm.monomial(0, 1))
+        pv = e_vector(ProductForm.monomial(0, 1))
         assert pc.nabla(pv).e[0] == ProductForm.pair((0,), (0, 0))
 
     def test_second_block_generator_formula(self):

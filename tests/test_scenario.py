@@ -105,6 +105,11 @@ class TestParsing:
         assert s.caps == Caps(4, 3)
         assert s.checks == ["axioms", "hypotheses", "leibniz", "theorem"]
 
+    def test_empty_text_keeps_every_default(self):
+        loaded, fresh = load_scenario(""), Scenario()
+        for field in Scenario.__slots__:
+            assert getattr(loaded, field) == getattr(fresh, field), field
+
     def test_config_echo_is_jsonable(self):
         import json
         echo = load_scenario(FULL).config_echo()

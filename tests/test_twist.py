@@ -65,6 +65,10 @@ class TestLift:
         got = twist.cross(yw(0, 0), xw(1, 0))
         assert got == ProductForm.pair((1, 0), (0, 0), -1)  # Koszul sign only
 
+    def test_refuses_swapped_generators(self):
+        with pytest.raises(ValueError):
+            Q2.cross(xw(1), yw(1))
+
 
 UT = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
 
@@ -154,34 +158,38 @@ class TestCheckers:
     def test_twist_axioms_pass(self, q):
         assert check_twist_axioms(AlgebraTwist(q), CAPS).passed
 
-    def test_corrupted_map_fails_multiplicativity(self):
-        def corrupt(yform, xform):
-            out = Q2.cross(yform, xform)
-            extra = {}
-            for wy, cy in yform.terms.items():
-                for wx, cx in xform.terms.items():
-                    if wy == (1,) and wx == (1,):
-                        key = ((2,), (1,))
-                        extra[key] = extra.get(key, Fraction(0)) + cy * cx
-            return out + ProductForm(extra)
+    def test_corrupted_map_fails_multiplicativity(self, monkeypatch):
+        # one q too many on y^2 ⊗ x: y·y past x no longer equals the two
+        # single crossings
+        kernel = twist_module.word_twist
 
-        result = check_twist_axioms(Q2, Caps(2, 1), cross=corrupt)
+        def corrupt(wy, wx):
+            sign, e = kernel(wy, wx)
+            return (sign, e + 1) if (wy, wx) == ((2,), (1,)) else (sign, e)
+
+        monkeypatch.setattr(twist_module, "word_twist", corrupt)
+        result = check_twist_axioms(Q2, Caps(2, 1))
         assert result.failed
-        # the y-side multiplicativity rule is among the violated axioms
-        assert "product-left" in result.detail["failed_axioms"]
+        assert result.detail["failed_axioms"] == ["product-left"]
         assert result.cases == 178
-        assert result.witness == "product-right: b=y, a=x, a'=x"
+        assert result.witness == "product-left: b=y, b'=y, a=x"
 
-    def test_unit_failure_counts_only_the_failing_word(self):
-        # the unit loop stops at its first failing word: 2 cases for the
-        # word 1, then 1 case for each product loop
-        result = check_twist_axioms(
-            Q2, Caps(1, 1), cross=lambda y, x: Q2.cross(y, x).scale(3))
+    def test_unit_failure_counts_only_the_failing_word(self, monkeypatch):
+        # every exponent one too high: the unit loop stops at its first
+        # failing word, 2 cases for the word 1, and the product loop at its
+        # first triple; the witness renders the corrupted lift
+        kernel = twist_module.word_twist
+
+        def shifted(wy, wx):
+            sign, e = kernel(wy, wx)
+            return sign, e + 1
+
+        monkeypatch.setattr(twist_module, "word_twist", shifted)
+        result = check_twist_axioms(Q2, Caps(1, 1))
         assert result.to_dict() == {
             "name": "twist-axioms", "verdict": "fail", "cases": 4,
-            "witness": "unit: 1 ⊗ 1 -> 3 1 ⊗ 1",
-            "detail": {"failed_axioms": ["product-left", "product-right",
-                                         "unit"]}}
+            "witness": "unit: 1 ⊗ 1 -> 2 1 ⊗ 1",
+            "detail": {"failed_axioms": ["product-right", "unit"]}}
 
     def test_kernel_without_koszul_sign_fails_product_checks(self, monkeypatch):
         # dga-laws and the runtime lift share the word kernel, so a kernel
