@@ -46,23 +46,23 @@ Operator = Callable[[Term], ScaledColumn]
 
 def _left_term(twist: AlgebraTwist, rmt: RightModuleTwist,
                lmt: LeftModuleTwist, m: int, i: int, j: int,
-               t: Term) -> tuple[Fraction, list[tuple[Term, Fraction]]]:
+               t: Term) -> tuple[int, dict[Term, int]]:
     """x^i ⊗ y^j times one flat term, the kernel of the left action.
 
-    One pair-word product, with its coefficient c, spread over the slots
-    by row k of T^j (e-block slot k) or of S^{-i} (f-block slot k): the
-    value is c times the returned (term, row entry) pairs.
+    One pair-word product, with its coefficient ±q^e, spread over the slots
+    by row k of T^j (e-block slot k) or of S^{-i} (f-block slot k), as a
+    scaled table: ±q^e over the row's integer numerators.
     """
     slot, (vx, vy) = t
     sign, e = word_twist((j,), vx)
-    c = twist.qpow(e)
+    p = twist.qpow(e)
     pair = ((i + vx[0],) + vx[1:], word_mul((j,), vy))
     if slot < m:
         base, row = 0, lmt.matrix_power(j)[slot]
     else:
         base, row = m, rmt.matrix_power(-i)[slot - m]
-    return -c if sign < 0 else c, [((base + l, pair), r)
-                                   for l, r in enumerate(row) if r]
+    den, row = to_scaled(enumerate(row), p)
+    return den, {(base + l, pair): sign * r for l, r in row.items() if r}
 
 
 def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
@@ -71,12 +71,14 @@ def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
     if not w.is_homogeneous(0):
         raise ValueError("left action needs a degree-0 element")
     check_ranks(pv, (lmt.rank, rmt.rank))
-    out: dict[Term, Fraction] = {}
-    for (wx, wy), c in w.terms.items():
-        for t, cv in pv.terms.items():
-            cl, column = _left_term(twist, rmt, lmt, pv.m, wx[0], wy[0], t)
-            add_column(out, c * cv * cl, column)
-    return ProductVector.from_terms(out, pv.m, pv.n)
+    (dw, tw), (dv, tv) = to_scaled(w.terms.items()), to_scaled(pv.terms.items())
+    acc: dict[Term, int] = {}
+    den = 1
+    for (wx, wy), c in tw.items():
+        for t, cv in tv.items():
+            dl, column = _left_term(twist, rmt, lmt, pv.m, wx[0], wy[0], t)
+            den = add_scaled(acc, den, c * cv, dl, column.items())
+    return ProductVector.from_terms(from_scaled(den * dw * dv, acc), pv.m, pv.n)
 
 
 def _monomials(caps: Caps) -> list[tuple[int, int, ProductForm]]:
@@ -151,6 +153,12 @@ class ProductSwap:
         self.swap_e = swap_e
         self.swap_f = swap_f
         self.ops = ColumnTable()
+        # one f-block term from free to naive coordinates (f-slots count
+        # from 0), and one naive term back, each cached
+        self._naive = self.ops.from_kernel(("N",), lambda t: f_free_to_naive(
+            rmt, {(t[0] - self.m, t[1]): _ONE}).items())
+        self._to_free = self.ops.from_kernel(("B",), lambda u: naive_terms_to_free(
+            rmt, self.m, {u: _ONE}).items())
 
     @property
     def m(self) -> int:
@@ -162,11 +170,8 @@ class ProductSwap:
 
     def left(self, i: int, j: int) -> Operator:
         """act_left(x^i ⊗ y^j, ·) on flat terms."""
-        def kernel(t):
-            c, pairs = _left_term(self.twist, self.rmt, self.lmt, self.m,
-                                  i, j, t)
-            return [(u, c * r) for u, r in pairs]
-        return self.ops.from_kernel(("L", i, j), kernel)
+        return self.ops.operator(("L", i, j), lambda t: self.ops.store(
+            *_left_term(self.twist, self.rmt, self.lmt, self.m, i, j, t)))
 
     def right(self, i: int, j: int) -> Operator:
         """act_right_form(·, x^i ⊗ y^j) on flat terms."""
@@ -203,21 +208,21 @@ class ProductSwap:
         argument, so the column is the sum of co · G(cc) ∘ L(scalar) over
         the generator shapes, each factor a cached column.
         """
+        wx, wy = pair
+        # (coefficient, scalar moved onto the module, generator) per shape
+        if word_degree(wx) == 1:
+            shapes = [(co, self.left(tail, wy[0]), self._generator(("Gx", cc)))
+                      for cc, tail, co in _right_normal(wx[0], wx[1])]
+        else:
+            shapes = [(co, self.left(0, tail), self._generator(("Gy", wx[0], cc)))
+                      for cc, tail, co in _right_normal(wy[0], wy[1])]
+
         def make(t):
             acc: dict[Term, int] = {}
             den = 1
-            wx, wy = pair
-            # (generator tag, scalar moved onto the module, coefficient)
-            if word_degree(wx) == 1:
-                shapes = [(("Gx", cc), (tail, wy[0]), co)
-                          for cc, tail, co in _right_normal(wx[0], wx[1])]
-            else:
-                shapes = [(("Gy", wx[0], cc), (0, tail), co)
-                          for cc, tail, co in _right_normal(wy[0], wy[1])]
-            for tag, scalar, co in shapes:
-                ld, left = self.left(*scalar)(t)
-                generator = self._generator(tag)
-                for t2, v in left:
+            for co, left, generator in shapes:
+                ld, column = left(t)
+                for t2, v in column:
                     gd, col = generator(t2)
                     den = add_scaled(acc, den, co * v, ld * gd, col)
             return self.ops.store(den, acc)
@@ -238,22 +243,13 @@ class ProductSwap:
             swap, Form.gen_power(gen, cc).d(), *kw))
         return image((k, word))
 
-    def _naive(self, t: Term) -> ScaledColumn:
-        """A free f-block term in naive coordinates (f-slots count from 0),
-        cached."""
-        naive = self.ops.from_kernel(("N",), lambda t: f_free_to_naive(
-            self.rmt, {(t[0] - self.m, t[1]): _ONE}).items())
-        return naive(t)
-
     def _free(self, naive) -> tuple[int, dict]:
         """Σ (c/den) · (naive term u in free coordinates) over the (u, c,
-        den) of ``naive``, each u converted once and cached."""
+        den) of ``naive``."""
         acc: dict[Term, int] = {}
         den = 1
-        free = self.ops.from_kernel(("B",), lambda u: naive_terms_to_free(
-            self.rmt, self.m, {u: _ONE}).items())
         for u, c, d in naive:
-            bd, col = free(u)
+            bd, col = self._to_free(u)
             den = add_scaled(acc, den, c, d * bd, col)
         return den, acc
 
@@ -278,11 +274,11 @@ class ProductSwap:
         slot, (wx, wy) = t
         if slot < self.m:
             # e-block: carry y^cc across with the left module twist, then d
-            row = self.lmt.matrix_power(cc)[slot]
-            return to_scaled([((l, ((i + wx[0],), word_mul(w, wy))), s * r)
-                              for w, s in word_differential((cc,)).items()
-                              for l, r in enumerate(row) if r],
-                             twist.qpow(cc * wx[0]))
+            den, row = to_scaled(enumerate(self.lmt.matrix_power(cc)[slot]),
+                                 twist.qpow(cc * wx[0]))
+            return den, {(l, ((i + wx[0],), word_mul(w, wy))): s * r
+                         for w, s in word_differential((cc,)).items()
+                         for l, r in row.items() if r}
         # f-block: algebra twist past the scalar, then the f-factor swap,
         # in naive coordinates
         nd, naive = self._naive(t)
@@ -419,35 +415,39 @@ def _piece_morphism(ps: ProductSwap, caps: Caps, block: str,
                  else (f"x^{t} ⊗ {render_word('y', w)}", ((t,), w))
                  for w in _one_form_words_x(caps) for t in range(E + 1)]
 
-    basis = [(label, to_scaled(pv.terms.items()))
-             for label, pv in iter_naive_basis(ps.m, ps.rmt, caps, blocks=block)]
+    # each basis vector pv, and pv·w for each monomial w
+    basis = [(label, terms, [sum_scaled(terms, ps.right(i, j)) for i, j, _ in monos])
+             for label, pv in iter_naive_basis(ps.m, ps.rmt, caps, blocks=block)
+             for terms in [to_scaled(pv.terms.items())]]
 
     def comparisons():
         done: set[str] = set()
         for flabel, pair in one_forms:
-            # w·ω is one pair-word with a scaled coefficient, whatever pv is
-            products = [(i, j, w, wd, *next(iter(table.items())))
+            # w·ω is one pair-word with a scaled coefficient, whatever pv is;
+            # per monomial, its swap and the two actions of w
+            products = [(w, wd, wn, ps.columns(wpair), ps.left(i, j),
+                         ps.right(i, j))
                         for i, j, w in monos
                         for wd, table in [twist.mul_scaled(
-                            (1, {(0, ((i,), (j,))): 1}), (1, {pair: 1}))]]
+                            (1, {(0, ((i,), (j,))): 1}), (1, {pair: 1}))]
+                        for (_, wpair), wn in table.items()]
             swap = ps.columns(pair)
-            for plabel, terms in basis:
+            for plabel, terms, moved in basis:
                 den, table = terms
                 base = sum_scaled(terms, swap)
-                for i, j, w, wd, (_, wpair), wn in products:
+                for (w, wd, wn, wswap, left, right), pvw in zip(products, moved):
                     if "left" not in done:
                         lhs = sum_scaled(
                             (den * wd, {t: wn * n for t, n in table.items()}),
-                            ps.columns(wpair))
-                        if not scaled_equal(lhs, sum_scaled(base, ps.left(i, j))):
+                            wswap)
+                        if not scaled_equal(lhs, sum_scaled(base, left)):
                             done.add("left")
                             yield {"left": f"left: {w} . ({flabel}) ⊗ {plabel}"}
                         else:
                             yield None
                     if "right" not in done:
-                        right = ps.right(i, j)
-                        lhs = sum_scaled(sum_scaled(terms, right), swap)
-                        if not scaled_equal(lhs, sum_scaled(base, right)):
+                        if not scaled_equal(sum_scaled(pvw, swap),
+                                            sum_scaled(base, right)):
                             done.add("right")
                             yield {"right": f"right: ({flabel}) ⊗ {plabel} . {w}"}
                         else:

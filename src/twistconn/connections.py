@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .forms import Caps, Form
+from .forms import Caps, Form, add_column, word_mul
 from .reports import CheckResult, run_cases
 
 Vector = list[Form]
@@ -150,19 +150,17 @@ class FormSwap:
             raise ValueError("swap generator mismatch")
         if not one_form.is_zero and not one_form.is_homogeneous(1):
             raise ValueError("swap needs a homogeneous 1-form")
-        out = [Form.zero(self.gen) for _ in range(self.rank)]
-        for w, c in one_form.terms.items():
-            left = Form.word(self.gen, (w[0],), c)
-            right = Form.word(self.gen, (w[1],))
-            for k in range(self.rank):
-                if coords[k].is_zero:
-                    continue
-                tail = right * coords[k]
-                for l in range(self.rank):
-                    entry = self.values[l][k]
-                    if not entry.is_zero:
-                        out[l] = out[l] + left * entry * tail
-        return out
+        # out[l] += c t^a · values[l][k] · t^b coords[k], word by word
+        out: list[dict] = [{} for _ in range(self.rank)]
+        for (a, b), c in one_form.terms.items():
+            for k, coord in enumerate(coords):
+                tail = [(word_mul((b,), v), cv) for v, cv in coord.terms.items()]
+                for l, acc in enumerate(out):
+                    for u, cu in self.values[l][k].terms.items():
+                        head = word_mul((a,), u)
+                        add_column(acc, c * cu, [(word_mul(head, v), cv)
+                                                 for v, cv in tail])
+        return [Form(self.gen, acc) for acc in out]
 
 
 def check_bimodule_connection(conn: ModuleConnection, swap: FormSwap,

@@ -214,16 +214,21 @@ class ColumnTable:
     denominator 1 costs no more than its pairs.  It also maps each stored
     key to itself, so that equal keys in different columns share one
     object.  Callers give each operator a tag that is not itself a key.
-    The object that defines the operators owns the table, and it lives as
-    long as that object does.
+    ``made`` keeps the function of each tag.  The object that defines the
+    operators owns the table, and it lives as long as that object does.
     """
 
     def __init__(self):
         self.table: dict = {}
+        self.made: dict = {}
 
     def operator(self, tag: tuple, make):
         """Operator ``tag`` as a function from an input key to its scaled
-        column; ``make(t)`` gives the column of t once."""
+        column; ``make(t)`` gives the column of t once.  The function is
+        made on the first request for ``tag`` and returned again after."""
+        column = self.made.get(tag)
+        if column is not None:
+            return column
         cols = self.table.get(tag)
         if cols is None:
             cols = self.table[tag] = ({}, {})
@@ -238,6 +243,7 @@ class ColumnTable:
                     dens[t] = den
                 return den, col
             return dens.get(t, 1), col
+        self.made[tag] = column
         return column
 
     def from_kernel(self, tag: tuple, kernel):
@@ -249,8 +255,10 @@ class ColumnTable:
     def store(self, den: int, table: dict) -> tuple[int, tuple]:
         """A scaled table as a scaled column, in lowest terms, with its keys
         interned."""
-        g = math.gcd(den, *table.values())
         intern = self.table.setdefault
+        g = math.gcd(den, *table.values()) if den != 1 else 1
+        if g == 1:
+            return den, tuple([(intern(t, t), n) for t, n in table.items()])
         return den // g, tuple([(intern(t, t), n // g) for t, n in table.items()])
 
 

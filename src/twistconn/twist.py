@@ -207,7 +207,8 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     word_twist decides both: a unit holds iff its word's coefficient is 1,
     and a triple compares (sign, exponent) pairs as integers, else over the
     rationals.  Triples that hold are counted inline and reach ``tally`` as
-    one entry, sent before a failing triple and at the end.  Each of the two
+    one entry, sent before a failing triple and at the end; a triple that
+    breaks both product laws is one case that names both.  Each of the two
     loops stops at its first failure, and the other still runs; a failing
     unit renders its witness through ``cross``.
     """
@@ -247,19 +248,18 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                 for wa2, merged_a, twist_a in row(wa, len(upto) - len(wb) - len(wa) + 1):
                     s2, e2 = past(wa2)
                     got, want = past(merged_a), (s1 * s2, e1 + e2)
-                    if got != want and not twist.coeff_equal(got, want):
-                        witness = right(wb, wa, wa2)
+                    fails_right = got != want and not twist.coeff_equal(got, want)
                     # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-                    elif (got := word_twist(merged_b, wa2)) != (
-                            want := (s2 * twist_a[0], e2 + twist_a[1])) and \
-                            not twist.coeff_equal(got, want):
-                        witness = left(wb, wa, wa2)
-                    else:
+                    fails_left = (got := word_twist(merged_b, wa2)) != (
+                        want := (s2 * twist_a[0], e2 + twist_a[1])) and \
+                        not twist.coeff_equal(got, want)
+                    if not (fails_right or fails_left):
                         held += 1
                         continue
                     yield held  # the steps held before this one
                     held = 0
-                    yield witness
+                    yield (right(wb, wa, wa2) if fails_right else {}) | \
+                        (left(wb, wa, wa2) if fails_left else {})
         yield held
 
     tallies = [tally(units(), 2), tally(word_products(), 2)]

@@ -8,21 +8,26 @@ generator; the classical product connection and the signs-only tensor
 multiplication are written out directly.  The word-level axiom checks,
 ``lift-compat`` and ``leibniz`` have a literal per-case reference, which
 looks up the word kernels in ``twistconn.twist`` at every call, as the
-checks do.
+checks do.  The product swap has a reference of its columns built from
+Fraction kernels, and of the case loop of its morphism checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain, product
 
+import twistconn.bimodule as swap_module
+import twistconn.forms as forms_module
 import twistconn.twist as kernels
 from twistconn.forms import (UNIT_WORD, Caps, Form, Word, enumerate_words,
                              iter_word_tuples, render_word, scaled_equal,
                              sum_scaled, to_scaled, word_degree,
                              word_differential, word_letters, word_mul,
                              words_by_degree)
-from twistconn.product import _LEIBNIZ_RANDOM, ProductVector, _theorem_inputs
+from twistconn.product import (_LEIBNIZ_RANDOM, ProductVector, _theorem_inputs,
+                               iter_naive_basis)
 from twistconn.reports import CheckResult, failed, passed, run_cases, tally
 from twistconn.tdga import ProductForm, add_column, enumerate_monomials
 
@@ -365,17 +370,18 @@ def twist_axioms_reference(twist, caps: Caps) -> CheckResult:
         return kernels.word_mul(u, v)
 
     def word_products():
+        # a triple that breaks both laws is one case naming both
         for wb, wa, wa2 in iter_word_tuples(3, caps):
+            failures = {}
             if not agrees(coeff(wb, mul(wa, wa2)), coeff(wb, wa),
                           coeff(wb, wa2)):
-                yield {"product-right": f"b={render_word('y', wb)}, "
-                       f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"}
-            elif not agrees(coeff(mul(wb, wa), wa2), coeff(wb, wa2),
-                            coeff(wa, wa2)):
-                yield {"product-left": f"b={render_word('y', wb)}, "
-                       f"b'={render_word('y', wa)}, a={render_word('x', wa2)}"}
-            else:
-                yield None
+                failures["product-right"] = f"b={render_word('y', wb)}, " \
+                    f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"
+            if not agrees(coeff(mul(wb, wa), wa2), coeff(wb, wa2),
+                          coeff(wa, wa2)):
+                failures["product-left"] = f"b={render_word('y', wb)}, " \
+                    f"b'={render_word('y', wa)}, a={render_word('x', wa2)}"
+            yield failures or None
 
     tallies = [tally(units(), 2), tally(word_products(), 2)]
     failures = {axiom: w for _, found in tallies for axiom, w in found.items()}
@@ -471,3 +477,201 @@ def leibniz_reference(pc, caps: Caps, seed: int = 0) -> CheckResult:
                     else f"leibniz fails at {label} acted by {w}"
 
     return run_cases("leibniz", cases())
+
+
+# ---------------------------------------------------------------------------
+# a Fraction-kernel reference of the product swap's columns
+# ---------------------------------------------------------------------------
+
+def left_term(twist, rmt, lmt, m, i, j, t):
+    """x^i ⊗ y^j times one flat term, as a Fraction c and (term, row entry)
+    pairs whose values are c times the entries: row k of T^j on e-block
+    slot k, of S^{-i} on f-block slot k."""
+    slot, (vx, vy) = t
+    sign, e = swap_module.word_twist((j,), vx)
+    c = twist.qpow(e)
+    pair = ((i + vx[0],) + vx[1:], swap_module.word_mul((j,), vy))
+    if slot < m:
+        base, row = 0, lmt.matrix_power(j)[slot]
+    else:
+        base, row = m, rmt.matrix_power(-i)[slot - m]
+    return -c if sign < 0 else c, [((base + l, pair), r)
+                                   for l, r in enumerate(row) if r]
+
+
+def _lowest(den, table):
+    """A scaled table as a scaled column in lowest terms."""
+    g = math.gcd(den, *table.values())
+    return den // g, tuple((t, n // g) for t, n in table.items())
+
+
+class SwapReference:
+    """The columns of a ``bimodule.ProductSwap``, each built from a Fraction
+    kernel through ``to_scaled`` and summed with ``forms.add_scaled``.
+
+    It reads the swap's twists and factor swaps only.  The word kernels,
+    ``_right_normal`` and the coordinate changes are looked up on
+    ``bimodule`` at call time, the left action through :func:`left_term`
+    here, the right action and w·ω through ``AlgebraTwist.mul_scaled``, and
+    the factor swaps through ``FormSwap.apply``, so a patch of any of them
+    reaches the reference as it reaches the swap.  Each column is built
+    once per reference.
+    """
+
+    def __init__(self, ps):
+        self.twist, self.rmt, self.lmt = ps.twist, ps.rmt, ps.lmt
+        self.swap_e, self.swap_f, self.m = ps.swap_e, ps.swap_f, ps.m
+        self.memo = {}
+
+    def operator(self, tag, make):
+        cols = self.memo.setdefault(tag, {})
+
+        def column(t):
+            col = cols.get(t)
+            if col is None:
+                col = cols[t] = make(t)
+            return col
+        return column
+
+    def from_kernel(self, tag, kernel):
+        return self.operator(tag, lambda t: _lowest(*to_scaled(kernel(t))))
+
+    def left(self, i, j):
+        def kernel(t):
+            c, pairs = left_term(self.twist, self.rmt, self.lmt, self.m, i, j, t)
+            return [(u, c * r) for u, r in pairs]
+        return self.from_kernel(("L", i, j), kernel)
+
+    def right(self, i, j):
+        w = (1, {((i,), (j,)): 1})
+        return self.operator(("R", i, j), lambda t: _lowest(
+            *self.twist.mul_scaled((1, {t: 1}), w)))
+
+    def columns(self, pair):
+        def make(t):
+            acc = {}
+            den = 1
+            wx, wy = pair
+            if word_degree(wx) == 1:
+                shapes = [(("Gx", cc), (tail, wy[0]), co)
+                          for cc, tail, co in swap_module._right_normal(wx[0], wx[1])]
+            else:
+                shapes = [(("Gy", wx[0], cc), (0, tail), co)
+                          for cc, tail, co in swap_module._right_normal(wy[0], wy[1])]
+            for tag, scalar, co in shapes:
+                ld, left = self.left(*scalar)(t)
+                for t2, v in left:
+                    gd, col = self._generator(tag)(t2)
+                    den = forms_module.add_scaled(acc, den, co * v, ld * gd, col)
+            return _lowest(den, acc)
+        return self.operator(("S", pair), make)
+
+    def _generator(self, tag):
+        return self.operator(tag, lambda t: _lowest(
+            *(self._generator_x(tag[1], t) if tag[0] == "Gx"
+              else self._generator_y(tag[1], tag[2], t))))
+
+    def _factor_swap(self, gen, cc, k, word):
+        swap = self.swap_e if gen == "x" else self.swap_f
+
+        def image(kw):
+            vec = [Form.zero(gen)] * swap.rank
+            vec[kw[0]] = Form.word(gen, kw[1])
+            return [((l, w), c) for l, res in enumerate(
+                swap.apply(Form.gen_power(gen, cc).d(), vec))
+                for w, c in res.terms.items()]
+        return self.from_kernel(("F", gen, cc), image)((k, word))
+
+    def _naive(self, t):
+        return self.from_kernel(("N",), lambda t: swap_module.f_free_to_naive(
+            self.rmt, {(t[0] - self.m, t[1]): Fraction(1)}).items())(t)
+
+    def _free(self, naive):
+        acc = {}
+        den = 1
+        free = self.from_kernel(("B",), lambda u: swap_module.naive_terms_to_free(
+            self.rmt, self.m, {u: Fraction(1)}).items())
+        for u, c, d in naive:
+            bd, col = free(u)
+            den = forms_module.add_scaled(acc, den, c, d * bd, col)
+        return den, acc
+
+    def _generator_x(self, cc, t):
+        slot, (wx, wy) = t
+        if slot < self.m:
+            fd, image = self._factor_swap("x", cc, slot, wx)
+            return fd, {(l, (w, wy)): c for (l, w), c in image}
+        nd, naive = self._naive(t)
+        return self._free([((k, (swap_module.word_mul(w, wxk), wyk)), c * s, nd)
+                           for (k, (wxk, wyk)), c in naive
+                           for w, s in swap_module.word_differential((cc,)).items()])
+
+    def _generator_y(self, i, cc, t):
+        twist = self.twist
+        slot, (wx, wy) = t
+        if slot < self.m:
+            row = self.lmt.matrix_power(cc)[slot]
+            return to_scaled([((l, ((i + wx[0],), swap_module.word_mul(w, wy))), s * r)
+                              for w, s in swap_module.word_differential((cc,)).items()
+                              for l, r in enumerate(row) if r],
+                             twist.qpow(cc * wx[0]))
+        nd, naive = self._naive(t)
+        terms = []
+        for (k, (wxk, wyk)), c in naive:
+            q = twist.qpow(cc * wxk[0])
+            fd, image = self._factor_swap("y", cc, k, wyk)
+            terms += [((p, ((i + wxk[0],), w)), q.numerator * c * cw,
+                       q.denominator * fd * nd) for (p, w), cw in image]
+        return self._free(terms)
+
+
+def one_form_pairs(caps: Caps, form_side: str):
+    """(label, pair-word) of the 1-forms of one side, in the checks' order."""
+    E = caps.max_exponent
+    words = [(a, b) for a in range(E + 1) for b in range(E + 1)]
+    return [(f"{render_word('x', w)} ⊗ y^{t}", (w, (t,))) if form_side == "x"
+            else (f"x^{t} ⊗ {render_word('y', w)}", ((t,), w))
+            for w in words for t in range(E + 1)]
+
+
+def piece_morphism_reference(ref: SwapReference, caps: Caps, block: str,
+                             form_side: str) -> tuple[int, dict]:
+    """``bimodule._piece_morphism`` case by case on the reference's columns:
+    each case sums its columns afresh."""
+    twist = ref.twist
+    monos = [(wx[0], wy[0], ProductForm.pair(wx, wy))
+             for wx, wy in enumerate_monomials(caps.max_exponent)]
+    basis = [(label, to_scaled(pv.terms.items()))
+             for label, pv in iter_naive_basis(ref.m, ref.rmt, caps, blocks=block)]
+
+    def comparisons():
+        done = set()
+        for flabel, pair in one_form_pairs(caps, form_side):
+            products = [(i, j, w, wd, *next(iter(table.items())))
+                        for i, j, w in monos
+                        for wd, table in [twist.mul_scaled(
+                            (1, {(0, ((i,), (j,))): 1}), (1, {pair: 1}))]]
+            swap = ref.columns(pair)
+            for plabel, terms in basis:
+                den, table = terms
+                base = sum_scaled(terms, swap)
+                for i, j, w, wd, (_, wpair), wn in products:
+                    if "left" not in done:
+                        lhs = sum_scaled(
+                            (den * wd, {t: wn * n for t, n in table.items()}),
+                            ref.columns(wpair))
+                        if not scaled_equal(lhs, sum_scaled(base, ref.left(i, j))):
+                            done.add("left")
+                            yield {"left": f"left: {w} . ({flabel}) ⊗ {plabel}"}
+                        else:
+                            yield None
+                    if "right" not in done:
+                        right = ref.right(i, j)
+                        lhs = sum_scaled(sum_scaled(terms, right), swap)
+                        if not scaled_equal(lhs, sum_scaled(base, right)):
+                            done.add("right")
+                            yield {"right": f"right: ({flabel}) ⊗ {plabel} . {w}"}
+                        else:
+                            yield None
+
+    return tally(comparisons(), until=2)

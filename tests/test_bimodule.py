@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SwapReference
 from twistconn import bimodule, runner
 from twistconn.bimodule import (ProductSwap, act_left,
                                 check_bimodule_axiom,
@@ -21,7 +22,7 @@ from twistconn.forms import Caps, Form, from_scaled, parse_form, \
 from twistconn.tdga import ProductForm
 from twistconn.twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist
 from twistconn.product import ProductConnection, ProductVector, \
-    act_right_form, naive_terms_to_free, naive_vector
+    act_right_form, iter_naive_basis, naive_terms_to_free, naive_vector
 from twistconn.runner import run_checks
 from twistconn.scenario import load_scenario
 
@@ -311,7 +312,7 @@ class TestDenseSwap:
         kernel, public = bimodule._left_term, bimodule.act_left
 
         def counted(twist, rmt, lmt, m, i, j, t):
-            if not in_act_left:  # act_left sums Fractions, not columns
+            if not in_act_left:  # act_left calls the kernel, not columns
                 built[i, j, t] = built.get((i, j, t), 0) + 1
             return kernel(twist, rmt, lmt, m, i, j, t)
 
@@ -332,6 +333,47 @@ class TestDenseSwap:
             if check.group == "bimodule":
                 assert check.run(objs, scenario, None).passed, check.name
         assert built and set(built.values()) == {1}
+
+    def test_integer_kernels_form_no_fraction(self, monkeypatch):
+        """With the twists' powers and the F, N and B columns warm, building
+        the L, S, Gx and Gy columns that the three swap checks use forms no
+        Fraction, and act_left forms one per term of its value."""
+        pc, ps = dense(Fraction(3, 2), self.S)
+        for check in (check_swap_compat_e, check_swap_compat_f,
+                      check_swap_cross_morphisms):
+            assert check(ps, self.TINY).passed
+        fresh = ProductSwap(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
+        built = {}
+        for tag, (pairs, dens) in list(ps.ops.table.items()):
+            if tag[0] in ("F", "N", "B"):
+                warm = fresh.ops.table.setdefault(tag, ({}, {}))
+                warm[0].update(pairs)
+                warm[1].update(dens)
+            elif tag[0] in ("L", "S", "Gx", "Gy"):
+                built[tag] = list(pairs)
+        inputs = [(w, pv) for _, pv in iter_naive_basis(2, ps.rmt, self.TINY)
+                  for w in (ProductForm.monomial(1, 0, Fraction(2, 3)),
+                            ProductForm.monomial(1, 1) + ProductForm.unit())]
+        made = []  # on Python 3.11 every Fraction is made by __new__
+        monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__, made))
+        for tag, keys in built.items():
+            operator = fresh.columns(tag[1]) if tag[0] == "S" else \
+                fresh.left(*tag[1:]) if tag[0] == "L" else fresh._generator(tag)
+            for t in keys:
+                operator(t)
+        assert made == []
+        for w, pv in inputs:
+            out = act_left(ps.twist, ps.rmt, ps.lmt, w, pv)
+            assert len(made) == len(out.terms) > 0
+            made.clear()
+
+
+def counted(kernel, made):
+    """``kernel`` with each call recorded in ``made``."""
+    def call(*args, **kwargs):
+        made.append(args)
+        return kernel(*args, **kwargs)
+    return call
 
 
 class TestDenseSwapNonSymmetric(TestDenseSwap):
@@ -378,15 +420,23 @@ def image(column, vector, c=1):
                                     2, 2)
 
 
+@cache
+def reference(ps):
+    """The Fraction-kernel reference of the columns of ``ps``, kept as long
+    as ``ps`` is."""
+    return SwapReference(ps)
+
+
 class TestFlatColumns:
     """Integer sums of cached columns equal the public operators on random
-    input; ``act_left`` and ``act_right_form`` sum Fractions."""
+    input, and the swap's columns equal those of the Fraction-kernel
+    reference; ``act_right_form`` sums ``AlgebraTwist.mul_scaled``'s
+    products."""
 
     @given(twists, degree0_vectors, one_form_words)
     @settings(max_examples=80, deadline=None)
     def test_swap(self, ps, pv, pair):
-        assert image(ps.columns(pair), pv) == \
-            ps.apply(ProductForm({pair: 1}), pv)
+        assert image(ps.columns(pair), pv) == image(reference(ps).columns(pair), pv)
 
     @given(twists, degree0_vectors, one_form_words, monomials, coeffs)
     @settings(max_examples=80, deadline=None)

@@ -42,11 +42,12 @@ def kernel_with(monkeypatch, extra_sign=None, extra_exponent=None):
 
 class TestWordKernel:
     def test_fast_path_product_right(self, monkeypatch):
+        # the first failing triple breaks both laws, and names both
         kernel_with(monkeypatch, extra_exponent=lambda dx, dy: (dx * dy) ** 2)
         assert check_twist_axioms(Q2, Caps(1, 3)).to_dict() == {
             "name": "twist-axioms", "verdict": "fail", "cases": 906,
             "witness": "product-right: b=dy, a=dx, a'=dx",
-            "detail": {"failed_axioms": ["product-right"]}}
+            "detail": {"failed_axioms": ["product-left", "product-right"]}}
 
     def test_fast_path_product_left(self, monkeypatch):
         kernel_with(monkeypatch, extra_exponent=lambda dx, dy: dy * dy * dx)

@@ -177,7 +177,8 @@ class TestCheckers:
     def test_unit_failure_counts_only_the_failing_word(self, monkeypatch):
         # every exponent one too high: the unit loop stops at its first
         # failing word, 2 cases for the word 1, and the product loop at its
-        # first triple; the witness renders the corrupted lift
+        # first triple (1, 1, 1), which breaks both product laws and names
+        # both; the witness renders the corrupted lift
         kernel = twist_module.word_twist
 
         def shifted(wy, wx):
@@ -189,7 +190,8 @@ class TestCheckers:
         assert result.to_dict() == {
             "name": "twist-axioms", "verdict": "fail", "cases": 4,
             "witness": "unit: 1 ⊗ 1 -> 2 1 ⊗ 1",
-            "detail": {"failed_axioms": ["product-right", "unit"]}}
+            "detail": {"failed_axioms": ["product-left", "product-right",
+                                         "unit"]}}
 
     def test_kernel_without_koszul_sign_fails_product_checks(self, monkeypatch):
         # dga-laws and the runtime lift share the word kernel, so a kernel
