@@ -25,8 +25,9 @@ from typing import Callable
 
 from .connections import FormSwap, ModuleConnection
 from .forms import Caps, ColumnTable, Form, Word, UNIT_WORD, add_column, \
-    add_scaled, from_scaled, render_word, scaled_equal, sum_scaled, \
-    to_scaled, word_degree, word_differential, word_letters, word_mul
+    add_scaled, from_scaled, render_word, scaled_equal, scaled_row, \
+    sum_scaled, to_scaled, word_degree, word_differential, word_letters, \
+    word_mul
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, enumerate_monomials
 from .twist import AlgebraTwist, LeftModuleTwist, RightModuleTwist, word_twist
@@ -61,8 +62,8 @@ def _left_term(twist: AlgebraTwist, rmt: RightModuleTwist,
         base, row = 0, lmt.matrix_power(j)[slot]
     else:
         base, row = m, rmt.matrix_power(-i)[slot - m]
-    den, row = to_scaled(enumerate(row), p)
-    return den, {(base + l, pair): sign * r for l, r in row.items() if r}
+    den, row = scaled_row(row, p)
+    return den, {(base + l, pair): sign * r for l, r in enumerate(row) if r}
 
 
 def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
@@ -153,8 +154,7 @@ class ProductSwap:
         self.swap_e = swap_e
         self.swap_f = swap_f
         self.ops = ColumnTable()
-        # one f-block term from free to naive coordinates (f-slots count
-        # from 0), and one naive term back, each cached
+        # an f-block term in naive coordinates (f-slots from 0), and back
         self._naive = self.ops.from_kernel(("N",), lambda t: f_free_to_naive(
             rmt, {(t[0] - self.m, t[1]): _ONE}).items())
         self._to_free = self.ops.from_kernel(("B",), lambda u: naive_terms_to_free(
@@ -170,8 +170,8 @@ class ProductSwap:
 
     def left(self, i: int, j: int) -> Operator:
         """act_left(x^i ⊗ y^j, ·) on flat terms."""
-        return self.ops.operator(("L", i, j), lambda t: self.ops.store(
-            *_left_term(self.twist, self.rmt, self.lmt, self.m, i, j, t)))
+        args, store = (self.twist, self.rmt, self.lmt, self.m, i, j), self.ops.store
+        return self.ops.operator(("L", i, j), lambda t: store(*_left_term(*args, t)))
 
     def right(self, i: int, j: int) -> Operator:
         """act_right_form(·, x^i ⊗ y^j) on flat terms."""
@@ -274,11 +274,11 @@ class ProductSwap:
         slot, (wx, wy) = t
         if slot < self.m:
             # e-block: carry y^cc across with the left module twist, then d
-            den, row = to_scaled(enumerate(self.lmt.matrix_power(cc)[slot]),
-                                 twist.qpow(cc * wx[0]))
+            den, row = scaled_row(self.lmt.matrix_power(cc)[slot],
+                                  twist.qpow(cc * wx[0]))
             return den, {(l, ((i + wx[0],), word_mul(w, wy))): s * r
                          for w, s in word_differential((cc,)).items()
-                         for l, r in row.items() if r}
+                         for l, r in enumerate(row) if r}
         # f-block: algebra twist past the scalar, then the f-factor swap,
         # in naive coordinates
         nd, naive = self._naive(t)

@@ -201,6 +201,13 @@ def to_scaled(pairs, c=1) -> tuple[int, dict]:
     return den * c.denominator, {t: n * v * (den // d) for t, v, d in pairs}
 
 
+def scaled_row(row, c=1) -> tuple[int, list[int]]:
+    """c times a row of rationals as (den, integer numerators), den > 0."""
+    den = math.lcm(*[r.denominator for r in row])
+    n = c.numerator
+    return den * c.denominator, [n * r.numerator * (den // r.denominator) for r in row]
+
+
 def from_scaled(den: int, table: dict) -> dict:
     """A scaled table as a table of Fractions."""
     return {t: Fraction(n, den) for t, n in table.items()}
@@ -255,10 +262,8 @@ class ColumnTable:
     def store(self, den: int, table: dict) -> tuple[int, tuple]:
         """A scaled table as a scaled column, in lowest terms, with its keys
         interned."""
-        intern = self.table.setdefault
         g = math.gcd(den, *table.values()) if den != 1 else 1
-        if g == 1:
-            return den, tuple([(intern(t, t), n) for t, n in table.items()])
+        intern = self.table.setdefault
         return den // g, tuple([(intern(t, t), n // g) for t, n in table.items()])
 
 
