@@ -73,7 +73,7 @@ def act_left(twist: AlgebraTwist, rmt: RightModuleTwist, lmt: LeftModuleTwist,
         raise ValueError("left action needs a degree-0 element")
     check_ranks(pv, (lmt.rank, rmt.rank))
     (dw, tw), (dv, tv) = to_scaled(w.terms.items()), to_scaled(pv.terms.items())
-    acc: dict[Term, int] = {}
+    acc = {}
     den = 1
     for (wx, wy), c in tw.items():
         for t, cv in tv.items():
@@ -153,20 +153,13 @@ class ProductSwap:
         self.lmt = lmt
         self.swap_e = swap_e
         self.swap_f = swap_f
+        self.m, self.n = swap_e.rank, swap_f.rank
         self.ops = ColumnTable()
         # an f-block term in naive coordinates (f-slots from 0), and back
         self._naive = self.ops.from_kernel(("N",), lambda t: f_free_to_naive(
             rmt, {(t[0] - self.m, t[1]): _ONE}).items())
         self._to_free = self.ops.from_kernel(("B",), lambda u: naive_terms_to_free(
             rmt, self.m, {u: _ONE}).items())
-
-    @property
-    def m(self) -> int:
-        return self.swap_e.rank
-
-    @property
-    def n(self) -> int:
-        return self.swap_f.rank
 
     def left(self, i: int, j: int) -> Operator:
         """act_left(x^i ⊗ y^j, ·) on flat terms."""
@@ -218,7 +211,7 @@ class ProductSwap:
                       for cc, tail, co in _right_normal(wy[0], wy[1])]
 
         def make(t):
-            acc: dict[Term, int] = {}
+            acc = {}
             den = 1
             for co, left, generator in shapes:
                 ld, column = left(t)

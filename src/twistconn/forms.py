@@ -219,8 +219,10 @@ class ColumnTable:
     ``table`` maps a tag to the operator's pairs by input key and its
     denominators other than 1, kept apart so that the common column with
     denominator 1 costs no more than its pairs.  It also maps each stored
-    key to itself, so that equal keys in different columns share one
-    object.  Callers give each operator a tag that is not itself a key.
+    key and each stored column to itself, so that equal keys in different
+    columns, and equal columns of different operators or inputs, share one
+    object.  Callers give each operator a tag that is neither a key nor a
+    column.
     ``made`` keeps the function of each tag.  The object that defines the
     operators owns the table, and it lives as long as that object does.
     """
@@ -249,7 +251,7 @@ class ColumnTable:
                 if den != 1:
                     dens[t] = den
                 return den, col
-            return dens.get(t, 1), col
+            return dens.get(t, 1) if dens else 1, col
         self.made[tag] = column
         return column
 
@@ -261,10 +263,11 @@ class ColumnTable:
 
     def store(self, den: int, table: dict) -> tuple[int, tuple]:
         """A scaled table as a scaled column, in lowest terms, with its keys
-        interned."""
+        and the column interned."""
         g = math.gcd(den, *table.values()) if den != 1 else 1
         intern = self.table.setdefault
-        return den // g, tuple([(intern(t, t), n // g) for t, n in table.items()])
+        col = tuple([(intern(t, t), n // g) for t, n in table.items()])
+        return den // g, intern(col, col)
 
 
 class Terms:

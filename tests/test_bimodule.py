@@ -344,13 +344,14 @@ class TestDenseSwap:
             assert check(ps, self.TINY).passed
         fresh = ProductSwap(ps.twist, ps.rmt, ps.lmt, ps.swap_e, ps.swap_f)
         built = {}
-        for tag, (pairs, dens) in list(ps.ops.table.items()):
-            if tag[0] in ("F", "N", "B"):
+        for tag, entry in list(ps.ops.table.items()):
+            kind = tag[:1]  # the table also holds its interned keys
+            if kind in (("F",), ("N",), ("B",)):
                 warm = fresh.ops.table.setdefault(tag, ({}, {}))
-                warm[0].update(pairs)
-                warm[1].update(dens)
-            elif tag[0] in ("L", "S", "Gx", "Gy"):
-                built[tag] = list(pairs)
+                warm[0].update(entry[0])
+                warm[1].update(entry[1])
+            elif kind in (("L",), ("S",), ("Gx",), ("Gy",)):
+                built[tag] = list(entry[0])
         inputs = [(w, pv) for _, pv in iter_naive_basis(2, ps.rmt, self.TINY)
                   for w in (ProductForm.monomial(1, 0, Fraction(2, 3)),
                             ProductForm.monomial(1, 1) + ProductForm.unit())]
