@@ -154,7 +154,8 @@ class ProductSwap:
         self.swap_e = swap_e
         self.swap_f = swap_f
         self.m, self.n = swap_e.rank, swap_f.rank
-        self.ops = ColumnTable()
+        # its operators repeat many columns (half of them at shipped caps)
+        self.ops = ColumnTable(share_columns=True)
         # an f-block term in naive coordinates (f-slots from 0), and back
         self._naive = self.ops.from_kernel(("N",), lambda t: f_free_to_naive(
             rmt, {(t[0] - self.m, t[1]): _ONE}).items())

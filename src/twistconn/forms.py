@@ -219,17 +219,18 @@ class ColumnTable:
     ``table`` maps a tag to the operator's pairs by input key and its
     denominators other than 1, kept apart so that the common column with
     denominator 1 costs no more than its pairs.  It also maps each stored
-    key and each stored column to itself, so that equal keys in different
-    columns, and equal columns of different operators or inputs, share one
-    object.  Callers give each operator a tag that is neither a key nor a
-    column.
-    ``made`` keeps the function of each tag.  The object that defines the
-    operators owns the table, and it lives as long as that object does.
+    key to itself, so that equal keys in different columns share one
+    object, and with ``share_columns`` each stored column too, for tables
+    whose operators give many equal columns.  Callers give each operator a
+    tag that is neither a key nor a column.  ``made`` keeps the function of
+    each tag.  The object that defines the operators owns the table, and
+    it lives as long as that object does.
     """
 
-    def __init__(self):
+    def __init__(self, share_columns: bool = False):
         self.table: dict = {}
         self.made: dict = {}
+        self.share_columns = share_columns
 
     def operator(self, tag: tuple, make):
         """Operator ``tag`` as a function from an input key to its scaled
@@ -263,11 +264,11 @@ class ColumnTable:
 
     def store(self, den: int, table: dict) -> tuple[int, tuple]:
         """A scaled table as a scaled column, in lowest terms, with its keys
-        and the column interned."""
+        interned, and the column too if columns are shared."""
         g = math.gcd(den, *table.values()) if den != 1 else 1
         intern = self.table.setdefault
         col = tuple([(intern(t, t), n // g) for t, n in table.items()])
-        return den // g, intern(col, col)
+        return den // g, intern(col, col) if self.share_columns else col
 
 
 class Terms:
