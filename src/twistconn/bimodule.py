@@ -239,7 +239,7 @@ class ProductSwap:
 
     def _free(self, naive) -> tuple[int, dict]:
         """Σ (c/den) · (naive term u in free coordinates) over the (u, c,
-        den) of ``naive``."""
+        den) of ``naive``, each u converted once and cached."""
         acc: dict[Term, int] = {}
         den = 1
         for u, c, d in naive:

@@ -201,7 +201,7 @@ def to_scaled(pairs, c=1) -> tuple[int, dict]:
     return den * c.denominator, {t: n * v * (den // d) for t, v, d in pairs}
 
 
-def scaled_row(row, c=1) -> tuple[int, list[int]]:
+def scaled_row(row, c) -> tuple[int, list[int]]:
     """c times a row of rationals as (den, integer numerators), den > 0."""
     den = math.lcm(*[r.denominator for r in row])
     n = c.numerator
