@@ -338,7 +338,7 @@ class TestDenseSwap:
         """With the twists' powers and the F, N and B columns warm, building
         the L, S, Gx and Gy columns that the three swap checks use forms no
         Fraction, and act_left forms one per term of its value."""
-        pc, ps = dense(Fraction(3, 2), self.S)
+        _, ps = dense(Fraction(3, 2), self.S)
         for check in (check_swap_compat_e, check_swap_compat_f,
                       check_swap_cross_morphisms):
             assert check(ps, self.TINY).passed
