@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import SwapReference, left_term, one_form_pairs, \
     piece_morphism_reference
 from test_bimodule import HALVING_S, NON_SYMMETRIC_S
@@ -21,7 +22,6 @@ from test_mutants import (form_swap_right_power_first, lcm_merge_unscaled,
                           left_with_s_forward, left_with_t_inverse,
                           product_kernel_odd_powers_dropped,
                           right_normal_base_sign_flipped)
-import oracles
 from twistconn import bimodule, runner
 from twistconn.bimodule import (check_swap_compat_e, check_swap_compat_f,
                                 check_swap_cross_morphisms)
