@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .connections import FormSwap, ModuleConnection
-from .forms import Caps, ColumnTable, Form, Word, UNIT_WORD, add_column, \
+from .forms import Caps, ColumnTable, Form, Word, UNIT_WORD, \
     add_scaled, from_scaled, render_word, scaled_equal, scaled_row, \
     sum_scaled, to_scaled, word_degree, word_differential, word_letters, \
     word_mul
@@ -342,26 +342,33 @@ def _swap_compat(ps: ProductSwap, caps: Caps, block: str) -> CheckResult:
         gen, swap, mt, iff = "y", ps.swap_f, ps.rmt, "right"
         where = "{w} ⊗ f_{k} ⊗ x^{s}"
     words = _one_form_words_x(caps)
-    # the factor swap of each 1-form word past each basis vector
-    images = {(w, l): _swap_image(swap, Form.word(gen, w), l, UNIT_WORD)
+    # the factor swap of each 1-form word past each basis vector, scaled
+    images = {(w, l): to_scaled(_swap_image(swap, Form.word(gen, w), l, UNIT_WORD))
               for w in words for l in range(swap.rank)}
 
     def equation():
+        # both sides summed over the integers: row entries of the power, times
+        # the q-weight of the 1-form word, scale the scaled images
         for s_exp in range(caps.max_exponent + 1):
             power = mt.matrix_power(s_exp)
             for w in words:
-                scale = twist.qpow(s_exp * word_letters(w))
                 for k in range(swap.rank):
-                    lhs: dict[tuple[int, Word], Fraction] = {}
-                    rhs: dict[tuple[int, Word], Fraction] = {}
-                    for l, r in enumerate(power[k]):
+                    rd, row = scaled_row(power[k], twist.qpow(s_exp * word_letters(w)))
+                    lhs: dict[tuple[int, Word], int] = {}
+                    lden = 1
+                    for l, r in enumerate(row):
                         if r:
-                            add_column(lhs, scale * r, images[w, l])
-                    for (p, wres), c in images[w, k]:
-                        add_column(rhs, twist.qpow(s_exp * word_letters(wres)) * c,
-                                   [((l, wres), r) for l, r in enumerate(power[p])
-                                    if r])
-                    yield None if lhs == rhs else where.format(
+                            d, image = images[w, l]
+                            lden = add_scaled(lhs, lden, r, rd * d, image.items())
+                    d, image = images[w, k]
+                    rhs: dict[tuple[int, Word], int] = {}
+                    rden = 1
+                    for (p, wres), c in image.items():
+                        pd, prow = scaled_row(power[p],
+                                              twist.qpow(s_exp * word_letters(wres)))
+                        rden = add_scaled(rhs, rden, c, d * pd,
+                                          [((l, wres), r) for l, r in enumerate(prow) if r])
+                    yield None if scaled_equal((lden, lhs), (rden, rhs)) else where.format(
                         s=s_exp, w=render_word(gen, w), k=k + 1)
 
     # the equation runs on every case, so that its verdict is complete

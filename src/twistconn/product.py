@@ -455,29 +455,70 @@ def _theorem_inputs(pc: ProductConnection, caps: Caps, seed: int, count: int):
         yield "random", random_degree0_vector(rng, pc.m, pc.n, caps)
 
 
+def _decided_by_terms(pc: ProductConnection, caps: Caps, seed: int, count: int,
+                      cases, per_input: int):
+    """The entries of a theorem check over :func:`_theorem_inputs`, decided
+    from one fact per flat term.
+
+    ``cases(label, pv)`` yields the ``per_input`` entries of the input pv,
+    each comparing two sides that are linear in pv.  The fact at a flat
+    term t is that every case of the one-term input t holds; it is
+    evaluated once, on the first input that contains t, and kept in a table
+    local to the call.  An input pv = Σ c_t t whose terms all hold is one
+    int entry of held cases: each side at pv is Σ c_t times that side at t,
+    so the sides are equal at pv.  An input with a failing term runs
+    ``cases`` in order, so cases, order and witnesses are those of deciding
+    each case alone.
+    """
+    facts: dict[Term, bool] = {}
+
+    def holds(t: Term) -> bool:
+        if t not in facts:
+            # witnesses are nonempty strings, so any() finds a failing case
+            facts[t] = not any(cases("", ProductVector.from_terms(
+                {t: _ONE}, pc.m, pc.n)))
+        return facts[t]
+
+    for label, pv in _theorem_inputs(pc, caps, seed, count):
+        if all(holds(t) for t in pv.terms):
+            yield per_input
+        else:
+            yield from cases(label, pv)
+
+
 def check_connection_leibniz(pc: ProductConnection, caps: Caps,
                              seed: int = 0) -> CheckResult:
     """Right Leibniz rule of the product connection on bounded bases:
-    nabla(v . w) = nabla(v) . w + v . dw, with nabla(v) taken once per input.
+    nabla(v . w) = nabla(v) . w + v . dw, for each input v and degree-0
+    monomial w, with nabla(v) taken once per input.
+
     Both sides are integer-scaled tables: the products come from
     ``AlgebraTwist.mul_scaled``, and nabla(v . w) is summed from the
-    connection's columns."""
+    connection's columns.  Both are linear in v, for any word kernels and
+    any ∇ columns: ``mul_scaled`` sums its products over the terms of its
+    first table, ``sum_scaled`` (and so ``ProductConnection.nabla``) sums
+    columns over the terms of its table, and all of it is exact integer
+    arithmetic.  So (v, w) holds when (t, w) holds for every flat term t of
+    v, and :func:`_decided_by_terms` decides an input from the facts of its
+    terms: ∇(t · w) = ∇(t) · w + t · dw for every w, with ∇(t) taken by
+    ``nabla`` on the one-term input.
+    """
     mul = pc.twist.mul_scaled
     monomials = [(w, to_scaled(w.terms.items()), to_scaled(w.d().terms.items()))
                  for w in (ProductForm.pair(wx, wy)
                            for wx, wy in enumerate_monomials(caps.max_exponent))]
 
-    def cases():
-        for label, pv in _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM):
-            v, nabla = to_scaled(pv.terms.items()), to_scaled(pc.nabla(pv).terms.items())
-            for w, sw, dw in monomials:
-                lhs = sum_scaled(mul(v, sw), pc.scaled_nabla)
-                (den, rhs), (dd, extra) = mul(nabla, sw), mul(v, dw)
-                den = add_scaled(rhs, den, 1, dd, extra.items())
-                yield None if scaled_equal(lhs, (den, rhs)) \
-                    else f"leibniz fails at {label} acted by {w}"
+    def cases(label, pv):
+        v, nabla = to_scaled(pv.terms.items()), to_scaled(pc.nabla(pv).terms.items())
+        for w, sw, dw in monomials:
+            lhs = sum_scaled(mul(v, sw), pc.scaled_nabla)
+            (den, rhs), (dd, extra) = mul(nabla, sw), mul(v, dw)
+            den = add_scaled(rhs, den, 1, dd, extra.items())
+            yield None if scaled_equal(lhs, (den, rhs)) \
+                else f"leibniz fails at {label} acted by {w}"
 
-    return run_cases("leibniz", cases())
+    return run_cases("leibniz", _decided_by_terms(
+        pc, caps, seed, _LEIBNIZ_RANDOM, cases, len(monomials)))
 
 
 def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVector:
@@ -493,11 +534,21 @@ def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVe
 
 def check_curvature_formula(pc: ProductConnection, caps: Caps,
                             seed: int = 0) -> CheckResult:
-    """Main identity: the product curvature equals the blockwise formula."""
-    return run_cases("curvature-formula", (
-        None if pc.curvature(pv) == curvature_formula_rhs(pc, pv)
-        else f"curvature formula fails at {label}"
-        for label, pv in _theorem_inputs(pc, caps, seed, _CURVATURE_RANDOM)))
+    """Main identity: the product curvature equals the blockwise formula.
+
+    Both sides are linear in the input: ``curvature`` sums ∇ columns twice,
+    and :func:`curvature_formula_rhs` sums, slot by slot and term by term,
+    twisted products and coordinate changes of each coordinate, all in
+    exact arithmetic.  So an input holds when every flat term of it does,
+    and :func:`_decided_by_terms` decides each input from the facts
+    curvature(t) == curvature_formula_rhs(pc, t) of its terms t.
+    """
+    def cases(label, pv):
+        yield None if pc.curvature(pv) == curvature_formula_rhs(pc, pv) \
+            else f"curvature formula fails at {label}"
+
+    return run_cases("curvature-formula", _decided_by_terms(
+        pc, caps, seed, _CURVATURE_RANDOM, cases, 1))
 
 
 def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:

@@ -8,7 +8,7 @@ generator; the classical product connection and the signs-only tensor
 multiplication are written out directly.  The word-level axiom checks,
 ``lift-compat`` and ``leibniz`` have a literal per-case reference, which
 looks up the word kernels in ``twistconn.twist`` at every call, as the
-checks do.  The product swap has a reference of its columns built from
+checks do; ``curvature-formula`` has its input-by-input loop.  The product swap has a reference of its columns built from
 Fraction kernels, and of the case loop of its morphism checks.
 """
 
@@ -26,7 +26,8 @@ from twistconn.forms import (UNIT_WORD, Caps, Form, Word, enumerate_words,
                              sum_scaled, to_scaled, word_degree,
                              word_differential, word_letters, word_mul,
                              words_by_degree)
-from twistconn.product import (_LEIBNIZ_RANDOM, ProductVector, _theorem_inputs,
+from twistconn.product import (_CURVATURE_RANDOM, _LEIBNIZ_RANDOM, ProductVector,
+                               _theorem_inputs, curvature_formula_rhs,
                                iter_naive_basis)
 from twistconn.reports import CheckResult, failed, passed, run_cases, tally
 from twistconn.tdga import ProductForm, add_column, enumerate_monomials
@@ -394,7 +395,8 @@ def twist_axioms_reference(twist, caps: Caps) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# per-case references of lift-compat and leibniz, on Fraction elements
+# per-case references of lift-compat and leibniz, on Fraction elements, and
+# the input-by-input loop of curvature-formula
 # ---------------------------------------------------------------------------
 
 def lift_compat_reference(twist, caps: Caps) -> CheckResult:
@@ -477,6 +479,15 @@ def leibniz_reference(pc, caps: Caps, seed: int = 0) -> CheckResult:
                     else f"leibniz fails at {label} acted by {w}"
 
     return run_cases("leibniz", cases())
+
+
+def curvature_formula_reference(pc, caps: Caps, seed: int = 0) -> CheckResult:
+    """check_curvature_formula decided input by input: the curvature of
+    each input against the blockwise formula."""
+    return run_cases("curvature-formula", (
+        None if pc.curvature(pv) == curvature_formula_rhs(pc, pv)
+        else f"curvature formula fails at {label}"
+        for label, pv in _theorem_inputs(pc, caps, seed, _CURVATURE_RANDOM)))
 
 
 # ---------------------------------------------------------------------------

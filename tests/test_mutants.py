@@ -11,6 +11,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,9 @@ from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from test_fail_paths import (doubled_on_odd_letters, drop_letter,
                              merge_equal_exponents)
 from twistconn import bimodule, connections, forms, product, runner
-from twistconn.forms import Form, to_scaled, word_differential, word_mul
+from twistconn.forms import Caps, Form, to_scaled, word_differential, word_mul
 from twistconn.reports import Report
-from twistconn.scenario import KNOWN_CHECKS, load_scenario
+from twistconn.scenario import KNOWN_CHECKS, load_scenario, load_scenario_file
 from twistconn.tdga import ProductForm, add_column, pair_degree
 from twistconn.twist import AlgebraTwist, word_twist
 
@@ -608,6 +609,27 @@ def test_lcm_merge_unscaled_turns_cross_morphisms_red(monkeypatch):
         red("swap-cross-morphisms", 687,
             "left: x ⊗ y . (dx ⊗ y^0) ⊗ x^1 ⊗ f_1 y^0",
             **morphisms(f_left="fail", f_right="fail"))]
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("caps", [Caps(2, 1), None], ids=["caps2,1", "shipped"])
+def test_odd_powers_dropped_turns_leibniz_red(monkeypatch, caps):
+    """leibniz, called ungated, turns red on bad_hypothesis_q2, whose
+    y-side potential meets odd powers of q; it stays green on
+    potential_e_q2 (an x-side potential) and on classical_q1 (q = 1)."""
+    product_kernel_odd_powers_dropped(monkeypatch)
+
+    def leibniz(name):
+        sc = load_scenario_file(str(SCENARIO_DIR / f"{name}.cfg"))
+        return product.check_connection_leibniz(
+            runner.build_objects(sc).pc, caps or sc.caps, sc.seed).to_dict()
+
+    assert leibniz("bad_hypothesis_q2") == red(
+        "leibniz", 88, "leibniz fails at x^0 ⊗ f_1 y^0 acted by x^2 ⊗ 1")
+    assert leibniz("potential_e_q2")["verdict"] == "pass"
+    assert leibniz("classical_q1")["verdict"] == "pass"
 
 
 def test_right_normal_matches_recursion():

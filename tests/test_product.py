@@ -356,26 +356,43 @@ class TestTheoremChecks:
     def test_leibniz_multiplies_with_the_scaled_kernel(self, monkeypatch):
         """On potential_e_q2, leibniz forms its products with
         AlgebraTwist.mul_scaled: no act_right_form call (3,504 before), and
-        ∇ once per input, over the same 1,168 cases."""
-        calls = {"act_right_form": 0, "nabla": 0}
+        ∇ once per flat term of the inputs (48 terms; once per input, 73
+        calls, before), over the same 1,168 cases.  Its own products are
+        at most three per term and monomial (3,504 before), besides those
+        of the ∇ columns, and the ∇ table keeps its 147 columns."""
+        calls = {"act_right_form": 0, "nabla": 0, "mul_scaled": 0, "columns": 0}
+        in_column = []
 
         def counted(name, fn):
             def wrapper(*args):
-                calls[name] += 1
+                calls["columns" if name == "mul_scaled" and in_column else name] += 1
                 return fn(*args)
             return wrapper
 
+        def column(self, *t):
+            in_column.append(t)
+            try:
+                return nabla_term(self, *t)
+            finally:
+                in_column.pop()
+
+        nabla_term = ProductConnection._nabla_term
         monkeypatch.setattr(product, "act_right_form",
                             counted("act_right_form", product.act_right_form))
         monkeypatch.setattr(ProductConnection, "nabla",
                             counted("nabla", ProductConnection.nabla))
+        monkeypatch.setattr(AlgebraTwist, "mul_scaled",
+                            counted("mul_scaled", AlgebraTwist.mul_scaled))
+        monkeypatch.setattr(ProductConnection, "_nabla_term", column)
         sc = load_scenario_file(str(
             Path(__file__).resolve().parent.parent / "scenarios" / "potential_e_q2.cfg"))
-        result = check_connection_leibniz(runner.build_objects(sc).pc, sc.caps,
-                                          seed=sc.seed)
+        pc = runner.build_objects(sc).pc
+        result = check_connection_leibniz(pc, sc.caps, seed=sc.seed)
         assert result.to_dict() == {"name": "leibniz", "verdict": "pass",
                                     "cases": 1168}
-        assert calls == {"act_right_form": 0, "nabla": 73}
+        assert calls["act_right_form"] == 0 and calls["nabla"] == 48
+        assert calls["mul_scaled"] <= 3 * 48 * 16
+        assert len(pc.ops.table[("∇",)][0]) == 147
 
     def test_curvature_formula_bounded(self):
         for pc in (grassmann_pc(Q2), potential_pc(Q2, n=2, matrix=UT)):

@@ -11,20 +11,28 @@ the inputs that a seeded hash selects, so it fails somewhere inside a loop,
 or nowhere.
 """
 
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
 import twistconn.twist as twist_module
-from oracles import (dga_laws_reference, leibniz_reference,
-                     lift_compat_reference, twist_axioms_reference)
+from twistconn import product
+from oracles import (curvature_formula_reference, dga_laws_reference,
+                     leibniz_reference, lift_compat_reference,
+                     twist_axioms_reference)
+from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S
 from test_fail_paths import drop_letter, merge_equal_exponents
-from test_mutants import _kernel_replaced
-from twistconn.forms import UNIT_WORD, Caps
-from twistconn.product import check_connection_leibniz
+from test_mutants import (Y_POTENTIAL, _kernel_replaced, f_rest_negated,
+                          free_to_naive_transposed, inverse_twist_dropped,
+                          koszul_sign_dropped, lcm_merge_unscaled)
+from test_mutants import scenario as mutation_scenario
+from twistconn.forms import UNIT_WORD, Caps, add_column
+from twistconn.product import check_connection_leibniz, check_curvature_formula
 from twistconn.runner import build_objects
-from twistconn.scenario import load_scenario_file
+from twistconn.scenario import load_scenario, load_scenario_file
+from twistconn.tdga import enumerate_monomials
 from twistconn.twist import (AlgebraTwist, check_dga_laws, check_lift_compat,
                              check_twist_axioms)
 
@@ -174,34 +182,130 @@ SCENARIOS = [SCENARIO_DIR / f"{name}.cfg"
              for name in ("potential_e_q2", "bad_hypothesis_q2", "classical_q1")]
 ORIGINAL = {"word_twist": KERNEL, "word_mul": PRODUCT,
             "word_differential": DIFFERENTIAL}
+# three --seed values: the random inputs after the naive basis
+SEEDS = (0, 1, 2)
+THEOREM_CHECKS = {
+    "leibniz": (check_connection_leibniz, leibniz_reference),
+    "curvature-formula": (check_curvature_formula, curvature_formula_reference)}
 
 
-def leibniz_pair(path, caps=None):
-    """check_connection_leibniz and its reference on the scenario at
-    ``path``, on objects built under the kernels patched now."""
-    sc = load_scenario_file(str(path))
+def theorem_pairs(name, sc, caps=None, seeds=SEEDS):
+    """The theorem check ``name`` and its reference on scenario ``sc`` at
+    each seed, each on its own objects built under the kernels patched
+    now."""
+    check, reference = THEOREM_CHECKS[name]
     caps = caps or sc.caps
-    pc = build_objects(sc).pc
-    return check_connection_leibniz(pc, caps, sc.seed).to_dict(), \
-        leibniz_reference(pc, caps, sc.seed).to_dict()
+    return [(check(build_objects(sc).pc, caps, seed).to_dict(),
+             reference(build_objects(sc).pc, caps, seed).to_dict())
+            for seed in seeds]
+
+
+def assert_theorem_check_matches(name, kernel, mutant_name, path):
+    # patched in every twistconn module that holds the kernel
+    sc = load_scenario_file(str(path))
+    for seed, rate in [(1, 5), (2, 40)]:
+        with pytest.MonkeyPatch.context() as mp:
+            _kernel_replaced(mp, ORIGINAL[kernel],
+                             mutant(kernel, mutant_name, seed, rate))
+            for got, want in theorem_pairs(name, sc, Caps(2, 1)):
+                assert got == want
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
 @pytest.mark.parametrize("kernel, name", MUTANTS,
                          ids=[f"{k}-{n}" for k, n in MUTANTS])
 def test_leibniz_matches_reference(kernel, name, path):
-    # patched in every twistconn module that holds the kernel
-    for seed, rate in [(1, 5), (2, 40)]:
-        with pytest.MonkeyPatch.context() as mp:
-            _kernel_replaced(mp, ORIGINAL[kernel], mutant(kernel, name, seed, rate))
-            got, want = leibniz_pair(path, Caps(2, 1))
-            assert got == want
+    assert_theorem_check_matches("leibniz", kernel, name, path)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+@pytest.mark.parametrize("kernel, name", MUTANTS,
+                         ids=[f"{k}-{n}" for k, n in MUTANTS])
+def test_curvature_formula_matches_reference(kernel, name, path):
+    assert_theorem_check_matches("curvature-formula", kernel, name, path)
 
 
 def test_unmutated_leibniz_matches_reference():
-    got, want = leibniz_pair(SCENARIO_DIR / "potential_e_q2.cfg")
+    sc = load_scenario_file(str(SCENARIO_DIR / "potential_e_q2.cfg"))
+    [(got, want)] = theorem_pairs("leibniz", sc, seeds=[sc.seed])
     assert got == want
     assert got == {"name": "leibniz", "verdict": "pass", "cases": 1168}
+
+
+def test_unmutated_curvature_formula_matches_reference():
+    sc = load_scenario_file(str(SCENARIO_DIR / "potential_e_q2.cfg"))
+    for got, want in theorem_pairs("curvature-formula", sc):
+        assert got == want
+        assert got == {"name": "curvature-formula", "verdict": "pass",
+                       "cases": 58}
+
+
+# the mutants of the ∇ layer, on the mutation scenario of tests/test_mutants.py
+# (m = n = 2, dense S and T, caps 1,1) and on the y-potential scenario, where
+# f_rest_negated turns curvature-formula red
+NABLA_MUTANTS = [inverse_twist_dropped, f_rest_negated, koszul_sign_dropped,
+                 free_to_naive_transposed]
+NABLA_INPUTS = [(2, NON_SYMMETRIC_S), (-3, SYMMETRIC_S), (-3, NON_SYMMETRIC_S)]
+
+
+@pytest.mark.parametrize("check", THEOREM_CHECKS)
+@pytest.mark.parametrize("mutate", NABLA_MUTANTS,
+                         ids=[m.__name__ for m in NABLA_MUTANTS])
+def test_theorem_checks_match_reference_under_nabla_mutants(monkeypatch, mutate,
+                                                           check):
+    mutate(monkeypatch)
+    scenarios = [mutation_scenario(q, s) for q, s in NABLA_INPUTS] + \
+        [load_scenario(Y_POTENTIAL)] + \
+        [load_scenario_file(str(path)) for path in SCENARIOS]
+    for sc in scenarios:
+        for got, want in theorem_pairs(check, sc, Caps(2, 1) if sc.caps.max_exponent
+                                       > 2 else None):
+            assert got == want
+
+
+@pytest.mark.parametrize("check", THEOREM_CHECKS)
+@pytest.mark.parametrize("caps", [Caps(1, 1), Caps(2, 1)], ids=["caps1,1", "caps2,1"])
+def test_theorem_checks_match_reference_under_lcm_merge_unscaled(monkeypatch,
+                                                                 caps, check):
+    """With S = [[2, 0], [1, 1]] (det 2) and q = 3/2 the ∇ columns have
+    denominators 2 and 3, which the unscaled merge of column sums mixes."""
+    lcm_merge_unscaled(monkeypatch)
+    for got, want in theorem_pairs(check, mutation_scenario(Fraction(3, 2), HALVING_S),
+                                   caps):
+        assert got == want
+
+
+def one_column_corrupted(monkeypatch, target):
+    """∇ of the flat term ``target`` gains x dx ⊗ 1 in its own slot, which
+    breaks both the Leibniz rule and the curvature formula at that term."""
+    kernel = product.ProductConnection._nabla_term
+
+    def corrupted(self, slot, pair):
+        out = kernel(self, slot, pair)
+        if (slot, pair) == target:
+            out = dict(out)
+            add_column(out, 1, [((slot, ((1, 0), UNIT_WORD)), 1)])
+        return out
+
+    monkeypatch.setattr(product.ProductConnection, "_nabla_term", corrupted)
+
+
+@pytest.mark.parametrize("check", THEOREM_CHECKS)
+def test_each_failing_term_decides_like_the_reference(check):
+    """∇ corrupted at one flat term, for each term in turn: the input that
+    first holds it, as a term of several in free coordinates (dense S) or
+    alone, fails as the reference fails, with the same witness and cases."""
+    sc = mutation_scenario(2, NON_SYMMETRIC_S)
+    terms = [(slot, pair) for slot in range(4)
+             for pair in enumerate_monomials(sc.caps.max_exponent)]
+    verdicts = set()
+    for t in terms:
+        with pytest.MonkeyPatch.context() as mp:
+            one_column_corrupted(mp, t)
+            for got, want in theorem_pairs(check, sc):
+                assert got == want
+                verdicts.add(got["verdict"])
+    assert verdicts == {"fail"}
 
 
 WORD_CHECKS = [(check_dga_laws, dga_laws_reference),
