@@ -342,34 +342,30 @@ def _swap_compat(ps: ProductSwap, caps: Caps, block: str) -> CheckResult:
         gen, swap, mt, iff = "y", ps.swap_f, ps.rmt, "right"
         where = "{w} ⊗ f_{k} ⊗ x^{s}"
     words = _one_form_words_x(caps)
-    # the factor swap of each 1-form word past each basis vector, scaled
-    images = {(w, l): to_scaled(_swap_image(swap, Form.word(gen, w), l, UNIT_WORD))
-              for w in words for l in range(swap.rank)}
+    # the factor swap of a 1-form word past a basis vector, as a column
+    image = ps.ops.from_kernel(("W", gen), lambda wl: _swap_image(
+        swap, Form.word(gen, wl[0]), wl[1], UNIT_WORD))
 
     def equation():
-        # both sides summed over the integers: row entries of the power, times
-        # the q-weight of the 1-form word, scale the scaled images
+        # both sides are integer sums of images and of rows of the power
         for s_exp in range(caps.max_exponent + 1):
             power = mt.matrix_power(s_exp)
+
+            def row(p, w):  # row p of the power times q^{s_exp · letters(w)}
+                den, entries = scaled_row(power[p], twist.qpow(s_exp * word_letters(w)))
+                return den, {l: r for l, r in enumerate(entries) if r}
+
+            def moved(t):  # the image term t = (p, wres) carried by row p
+                den, entries = row(*t)
+                return den, [((l, t[1]), r) for l, r in entries.items()]
+
             for w in words:
                 for k in range(swap.rank):
-                    rd, row = scaled_row(power[k], twist.qpow(s_exp * word_letters(w)))
-                    lhs: dict[tuple[int, Word], int] = {}
-                    lden = 1
-                    for l, r in enumerate(row):
-                        if r:
-                            d, image = images[w, l]
-                            lden = add_scaled(lhs, lden, r, rd * d, image.items())
-                    d, image = images[w, k]
-                    rhs: dict[tuple[int, Word], int] = {}
-                    rden = 1
-                    for (p, wres), c in image.items():
-                        pd, prow = scaled_row(power[p],
-                                              twist.qpow(s_exp * word_letters(wres)))
-                        rden = add_scaled(rhs, rden, c, d * pd,
-                                          [((l, wres), r) for l, r in enumerate(prow) if r])
-                    yield None if scaled_equal((lden, lhs), (rden, rhs)) else where.format(
-                        s=s_exp, w=render_word(gen, w), k=k + 1)
+                    d, col = image((w, k))
+                    yield None if scaled_equal(
+                        sum_scaled(row(k, w), lambda l: image((w, l))),
+                        sum_scaled((d, dict(col)), moved)) else where.format(
+                            s=s_exp, w=render_word(gen, w), k=k + 1)
 
     # the equation runs on every case, so that its verdict is complete
     eq_cases, eq = tally(equation(), until=None)

@@ -258,8 +258,7 @@ def test_theorem_checks_match_reference_under_nabla_mutants(monkeypatch, mutate,
         [load_scenario(Y_POTENTIAL)] + \
         [load_scenario_file(str(path)) for path in SCENARIOS]
     for sc in scenarios:
-        for got, want in theorem_pairs(check, sc, Caps(2, 1) if sc.caps.max_exponent
-                                       > 2 else None):
+        for got, want in theorem_pairs(check, sc):
             assert got == want
 
 
