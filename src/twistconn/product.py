@@ -455,10 +455,9 @@ def _theorem_inputs(pc: ProductConnection, caps: Caps, seed: int, count: int):
         yield "random", random_degree0_vector(rng, pc.m, pc.n, caps)
 
 
-def _decided_by_terms(pc: ProductConnection, caps: Caps, seed: int, count: int,
-                      cases, per_input: int):
-    """The entries of a theorem check over :func:`_theorem_inputs`, decided
-    from one fact per flat term.
+def _decided_by_terms(pc: ProductConnection, inputs, cases, per_input: int):
+    """The entries of a theorem check over the labelled ``inputs`` of
+    :func:`_theorem_inputs`, decided from one fact per flat term.
 
     ``cases(label, pv)`` yields the ``per_input`` entries of the input pv,
     each comparing two sides that are linear in pv.  The fact at a flat
@@ -479,7 +478,7 @@ def _decided_by_terms(pc: ProductConnection, caps: Caps, seed: int, count: int,
                 {t: _ONE}, pc.m, pc.n)))
         return facts[t]
 
-    for label, pv in _theorem_inputs(pc, caps, seed, count):
+    for label, pv in inputs:
         if all(holds(t) for t in pv.terms):
             yield per_input
         else:
@@ -517,8 +516,8 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
             yield None if scaled_equal(lhs, (den, rhs)) \
                 else f"leibniz fails at {label} acted by {w}"
 
-    return run_cases("leibniz", _decided_by_terms(
-        pc, caps, seed, _LEIBNIZ_RANDOM, cases, len(monomials)))
+    inputs = _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM)
+    return run_cases("leibniz", _decided_by_terms(pc, inputs, cases, len(monomials)))
 
 
 def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVector:
@@ -547,8 +546,8 @@ def check_curvature_formula(pc: ProductConnection, caps: Caps,
         yield None if pc.curvature(pv) == curvature_formula_rhs(pc, pv) \
             else f"curvature formula fails at {label}"
 
-    return run_cases("curvature-formula", _decided_by_terms(
-        pc, caps, seed, _CURVATURE_RANDOM, cases, 1))
+    inputs = _theorem_inputs(pc, caps, seed, _CURVATURE_RANDOM)
+    return run_cases("curvature-formula", _decided_by_terms(pc, inputs, cases, 1))
 
 
 def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:

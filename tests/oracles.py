@@ -8,8 +8,9 @@ generator; the classical product connection and the signs-only tensor
 multiplication are written out directly.  The word-level axiom checks,
 ``lift-compat`` and ``leibniz`` have a literal per-case reference, which
 looks up the word kernels in ``twistconn.twist`` at every call, as the
-checks do; ``curvature-formula`` has its input-by-input loop.  The product swap has a reference of its columns built from
-Fraction kernels, and of the case loop of its morphism checks.
+checks do; ``curvature-formula`` has its input-by-input loop.  The product
+swap has a reference of its columns built from Fraction kernels, and of
+the case loop of its morphism checks.
 """
 
 from __future__ import annotations

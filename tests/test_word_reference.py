@@ -1,14 +1,16 @@
-"""The word-level checks against their per-case reference.
+"""The word-level and theorem checks against their per-case reference.
 
 ``check_dga_laws``, ``check_twist_axioms`` and ``check_lift_compat`` decide
 most cases from facts about words and word pairs, and
-``check_connection_leibniz`` compares integer-scaled tables.  Under
-corrupted word kernels, patched where both the checks and the reference
-look them up, their full ``to_dict()`` (verdict, cases, witness and detail)
-must equal that of the reference in tests/oracles.py, which calls the
-kernels and compares full tables for every case.  Each mutant corrupts only
-the inputs that a seeded hash selects, so it fails somewhere inside a loop,
-or nowhere.
+``check_connection_leibniz`` and ``check_curvature_formula`` decide most
+inputs from facts about their flat terms.  Under corrupted word kernels,
+patched where both the checks and the reference look them up, their full
+``to_dict()`` (verdict, cases, witness and detail) must equal that of the
+reference in tests/oracles.py, which calls the kernels and compares full
+tables for every case.  Each mutant corrupts only the inputs that a seeded
+hash selects, so it fails somewhere inside a loop, or nowhere.  The theorem
+checks are also held to their references under the ∇-layer mutants of
+tests/test_mutants.py and with ∇ corrupted at one flat term at a time.
 """
 
 from fractions import Fraction
@@ -18,7 +20,6 @@ from types import MappingProxyType
 import pytest
 
 import twistconn.twist as twist_module
-from twistconn import product
 from oracles import (curvature_formula_reference, dga_laws_reference,
                      leibniz_reference, lift_compat_reference,
                      twist_axioms_reference)
@@ -28,6 +29,7 @@ from test_mutants import (Y_POTENTIAL, _kernel_replaced, f_rest_negated,
                           free_to_naive_transposed, inverse_twist_dropped,
                           koszul_sign_dropped, lcm_merge_unscaled)
 from test_mutants import scenario as mutation_scenario
+from twistconn import product
 from twistconn.forms import UNIT_WORD, Caps, add_column
 from twistconn.product import check_connection_leibniz, check_curvature_formula
 from twistconn.runner import build_objects
@@ -266,8 +268,10 @@ def test_theorem_checks_match_reference_under_nabla_mutants(monkeypatch, mutate,
 @pytest.mark.parametrize("caps", [Caps(1, 1), Caps(2, 1)], ids=["caps1,1", "caps2,1"])
 def test_theorem_checks_match_reference_under_lcm_merge_unscaled(monkeypatch,
                                                                  caps, check):
-    """With S = [[2, 0], [1, 1]] (det 2) and q = 3/2 the ∇ columns have
-    denominators 2 and 3, which the unscaled merge of column sums mixes."""
+    """q = 3/2 and S = [[2, 0], [1, 1]] (det 2), where the swap's columns
+    have denominators.  No sum of ∇ columns in either check or reference
+    rescales a nonempty accumulator there, so the mutant changes no value
+    and both pass; a ∇ column with a new denominator would show here."""
     lcm_merge_unscaled(monkeypatch)
     for got, want in theorem_pairs(check, mutation_scenario(Fraction(3, 2), HALVING_S),
                                    caps):
@@ -292,7 +296,7 @@ def one_column_corrupted(monkeypatch, target):
 @pytest.mark.parametrize("check", THEOREM_CHECKS)
 def test_each_failing_term_decides_like_the_reference(check):
     """∇ corrupted at one flat term, for each term in turn: the input that
-    first holds it, as a term of several in free coordinates (dense S) or
+    first contains it, as a term of several in free coordinates (dense S) or
     alone, fails as the reference fails, with the same witness and cases."""
     sc = mutation_scenario(2, NON_SYMMETRIC_S)
     terms = [(slot, pair) for slot in range(4)
