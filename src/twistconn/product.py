@@ -455,34 +455,34 @@ def _theorem_inputs(pc: ProductConnection, caps: Caps, seed: int, count: int):
         yield "random", random_degree0_vector(rng, pc.m, pc.n, caps)
 
 
-def _decided_by_terms(pc: ProductConnection, inputs, cases, per_input: int):
-    """The entries of a theorem check over the labelled ``inputs`` of
-    :func:`_theorem_inputs`, decided from one fact per flat term.
+def _decided_by_terms(inputs, cases, per_input: int):
+    """The entries of a check over the labelled module elements ``inputs``,
+    decided from one fact per flat term.
 
     ``cases(label, pv)`` yields the ``per_input`` entries of the input pv,
-    each comparing two sides that are linear in pv.  The fact at a flat
-    term t is that every case of the one-term input t holds; it is
-    evaluated once, on the first input that contains t, and kept in a table
-    local to the call.  An input pv = Σ c_t t whose terms all hold is one
-    int entry of held cases: each side at pv is Σ c_t times that side at t,
-    so the sides are equal at pv.  An input with a failing term runs
-    ``cases`` in order, so cases, order and witnesses are those of deciding
-    each case alone.
+    each comparing two sides linear in pv (each caller says why).  The fact
+    at a flat term t is that every case of the one-term input t, of pv's
+    ranks, holds; it is evaluated once, on the first input that contains t
+    (on that input itself when it is c·t: its sides are c ≠ 0 times those
+    at t), and kept in a table local to the call.  An input pv = Σ c_t t
+    whose terms all hold is one int entry of held cases: each side at pv
+    is Σ c_t times that side at t, so the sides are equal at pv.  An input
+    with a failing term runs ``cases`` in order, so cases, order and
+    witnesses are those of deciding each case alone.
     """
     facts: dict[Term, bool] = {}
-
-    def holds(t: Term) -> bool:
-        if t not in facts:
-            # witnesses are nonempty strings, so any() finds a failing case
-            facts[t] = not any(cases("", ProductVector.from_terms(
-                {t: _ONE}, pc.m, pc.n)))
-        return facts[t]
-
     for label, pv in inputs:
-        if all(holds(t) for t in pv.terms):
-            yield per_input
+        for t in pv.terms:
+            if t not in facts:
+                # witnesses are nonempty strings, so any() finds a failing case
+                one = pv if len(pv.terms) == 1 else \
+                    ProductVector.from_terms({t: _ONE}, pv.m, pv.n)
+                facts[t] = not any(cases("", one))
+            if not facts[t]:
+                yield from cases(label, pv)
+                break
         else:
-            yield from cases(label, pv)
+            yield per_input
 
 
 def check_connection_leibniz(pc: ProductConnection, caps: Caps,
@@ -496,11 +496,7 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
     connection's columns.  Both are linear in v, for any word kernels and
     any ∇ columns: ``mul_scaled`` sums its products over the terms of its
     first table, ``sum_scaled`` (and so ``ProductConnection.nabla``) sums
-    columns over the terms of its table, and all of it is exact integer
-    arithmetic.  So (v, w) holds when (t, w) holds for every flat term t of
-    v, and :func:`_decided_by_terms` decides an input from the facts of its
-    terms: ∇(t · w) = ∇(t) · w + t · dw for every w, with ∇(t) taken by
-    ``nabla`` on the one-term input.
+    columns over the terms of its table, all in exact integer arithmetic.
     """
     mul = pc.twist.mul_scaled
     monomials = [(w, to_scaled(w.terms.items()), to_scaled(w.d().terms.items()))
@@ -517,7 +513,7 @@ def check_connection_leibniz(pc: ProductConnection, caps: Caps,
                 else f"leibniz fails at {label} acted by {w}"
 
     inputs = _theorem_inputs(pc, caps, seed, _LEIBNIZ_RANDOM)
-    return run_cases("leibniz", _decided_by_terms(pc, inputs, cases, len(monomials)))
+    return run_cases("leibniz", _decided_by_terms(inputs, cases, len(monomials)))
 
 
 def curvature_formula_rhs(pc: ProductConnection, pv: ProductVector) -> ProductVector:
@@ -538,26 +534,28 @@ def check_curvature_formula(pc: ProductConnection, caps: Caps,
     Both sides are linear in the input: ``curvature`` sums ∇ columns twice,
     and :func:`curvature_formula_rhs` sums, slot by slot and term by term,
     twisted products and coordinate changes of each coordinate, all in
-    exact arithmetic.  So an input holds when every flat term of it does,
-    and :func:`_decided_by_terms` decides each input from the facts
-    curvature(t) == curvature_formula_rhs(pc, t) of its terms t.
+    exact arithmetic.
     """
     def cases(label, pv):
         yield None if pc.curvature(pv) == curvature_formula_rhs(pc, pv) \
             else f"curvature formula fails at {label}"
 
     inputs = _theorem_inputs(pc, caps, seed, _CURVATURE_RANDOM)
-    return run_cases("curvature-formula", _decided_by_terms(pc, inputs, cases, 1))
+    return run_cases("curvature-formula", _decided_by_terms(inputs, cases, 1))
 
 
 def check_flatness(pc: ProductConnection, caps: Caps) -> CheckResult:
-    """Zero potentials must give identically zero product curvature."""
+    """Zero potentials must give identically zero product curvature, which
+    is linear in the input: ``curvature`` sums ∇ columns twice, exactly."""
     name = "flatness"
     if not (pc.conn_e.is_grassmann and pc.conn_f.is_grassmann):
         return inadmissible(name, "connections are not both Grassmann")
-    return run_cases(name, (
-        None if pc.curvature(pv).is_zero else f"nonzero curvature at {label}"
-        for label, pv in iter_naive_basis(pc.m, pc.rmt, caps)))
+
+    def cases(label, pv):
+        yield None if pc.curvature(pv).is_zero else f"nonzero curvature at {label}"
+
+    return run_cases(name, _decided_by_terms(iter_naive_basis(pc.m, pc.rmt, caps),
+                                             cases, 1))
 
 
 def check_twist_independence(pc: ProductConnection, rmt2: RightModuleTwist,

@@ -8,7 +8,8 @@ generator; the classical product connection and the signs-only tensor
 multiplication are written out directly.  The word-level axiom checks,
 ``lift-compat`` and ``leibniz`` have a literal per-case reference, which
 looks up the word kernels in ``twistconn.twist`` at every call, as the
-checks do; ``curvature-formula`` has its input-by-input loop.  The product
+checks do; ``curvature-formula``, ``flatness``, ``bimodule-axiom`` and
+``bimodule-theorem`` have their input-by-input loops.  The product
 swap has a reference of its columns built from Fraction kernels, and of
 the case loop of its morphism checks.
 """
@@ -30,7 +31,8 @@ from twistconn.forms import (UNIT_WORD, Caps, Form, Word, enumerate_words,
 from twistconn.product import (_CURVATURE_RANDOM, _LEIBNIZ_RANDOM, ProductVector,
                                _theorem_inputs, curvature_formula_rhs,
                                iter_naive_basis)
-from twistconn.reports import CheckResult, failed, passed, run_cases, tally
+from twistconn.reports import (CheckResult, failed, inadmissible, passed,
+                               run_cases, tally)
 from twistconn.tdga import ProductForm, add_column, enumerate_monomials
 
 
@@ -397,7 +399,8 @@ def twist_axioms_reference(twist, caps: Caps) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # per-case references of lift-compat and leibniz, on Fraction elements, and
-# the input-by-input loop of curvature-formula
+# the input-by-input loops of curvature-formula, flatness, bimodule-axiom
+# and bimodule-theorem
 # ---------------------------------------------------------------------------
 
 def lift_compat_reference(twist, caps: Caps) -> CheckResult:
@@ -489,6 +492,60 @@ def curvature_formula_reference(pc, caps: Caps, seed: int = 0) -> CheckResult:
         None if pc.curvature(pv) == curvature_formula_rhs(pc, pv)
         else f"curvature formula fails at {label}"
         for label, pv in _theorem_inputs(pc, caps, seed, _CURVATURE_RANDOM)))
+
+
+def flatness_reference(pc, caps: Caps) -> CheckResult:
+    """check_flatness decided input by input: the curvature of each naive
+    basis vector."""
+    if not (pc.conn_e.is_grassmann and pc.conn_f.is_grassmann):
+        return inadmissible("flatness", "connections are not both Grassmann")
+    return run_cases("flatness", (
+        None if pc.curvature(pv).is_zero else f"nonzero curvature at {label}"
+        for label, pv in iter_naive_basis(pc.m, pc.rmt, caps)))
+
+
+def _monomials(caps: Caps):
+    """(i, j, x^i ⊗ y^j) for the degree-0 monomials within caps."""
+    return [(wx[0], wy[0], ProductForm.pair(wx, wy))
+            for wx, wy in enumerate_monomials(caps.max_exponent)]
+
+
+def bimodule_axiom_reference(ps, caps: Caps) -> CheckResult:
+    """check_bimodule_axiom decided input by input: both orders of the two
+    actions on each naive basis vector, for each pair of monomials."""
+    monos = _monomials(caps)
+
+    def cases():
+        for label, pv in iter_naive_basis(ps.m, ps.rmt, caps):
+            terms = to_scaled(pv.terms.items())
+            for il, jl, wl in monos:
+                left = ps.left(il, jl)
+                moved = sum_scaled(terms, left)
+                for ir, jr, wr in monos:
+                    right = ps.right(ir, jr)
+                    lhs = sum_scaled(sum_scaled(terms, right), left)
+                    yield None if scaled_equal(lhs, sum_scaled(moved, right)) \
+                        else f"{label} between {wl} and {wr}"
+
+    return run_cases("bimodule-axiom", cases())
+
+
+def bimodule_theorem_reference(pc, ps, caps: Caps) -> CheckResult:
+    """check_bimodule_theorem decided input by input: ∇(w·v) against
+    w·∇(v) + swap(dw ⊗ v) on each naive basis vector v."""
+    twist, rmt, lmt = ps.twist, ps.rmt, ps.lmt
+    monos = _monomials(caps)
+
+    def cases():
+        for label, pv in iter_naive_basis(pc.m, pc.rmt, caps):
+            nabla = pc.nabla(pv)
+            for _, _, w in monos:
+                lhs = pc.nabla(swap_module.act_left(twist, rmt, lmt, w, pv))
+                rhs = swap_module.act_left(twist, rmt, lmt, w, nabla) + \
+                    ps.apply(w.d(), pv)
+                yield None if lhs == rhs else f"{w} . ({label})"
+
+    return run_cases("bimodule-theorem", cases())
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +708,7 @@ def piece_morphism_reference(ref: SwapReference, caps: Caps, block: str,
     """``bimodule._piece_morphism`` case by case on the reference's columns:
     each case sums its columns afresh."""
     twist = ref.twist
-    monos = [(wx[0], wy[0], ProductForm.pair(wx, wy))
-             for wx, wy in enumerate_monomials(caps.max_exponent)]
+    monos = _monomials(caps)
     basis = [(label, to_scaled(pv.terms.items()))
              for label, pv in iter_naive_basis(ref.m, ref.rmt, caps, blocks=block)]
 
