@@ -49,9 +49,9 @@ from functools import cache
 from itertools import chain, product
 from typing import Callable, Sequence
 
-from .forms import (Caps, Form, Word, UNIT_WORD, enumerate_words, iter_word_tuples,
-                    render_word, to_scaled, word_differential, word_letters, word_mul,
-                    words_by_degree)
+from .forms import (Caps, Form, Word, UNIT_WORD, add_scaled, enumerate_words,
+                    iter_word_tuples, render_word, scaled_equal, to_scaled,
+                    word_differential, word_letters, word_mul, words_by_degree)
 from .rationals import Matrix, MatrixPowers, identity
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, add_column, embed_x, embed_y
@@ -75,6 +75,18 @@ def word_twist(wy: Word, wx: Word) -> tuple[int, int]:
 def parity(w: Word) -> int:
     """e(w) = (-1)^{deg w}."""
     return 1 if len(w) % 2 else -1
+
+
+def pair_differential(pair: PairWord, sides: str = "xy") -> dict[PairWord, int]:
+    """d(wx ⊗ wy) = d wx ⊗ wy + e(wx) wx ⊗ d wy, or its half on the x- or
+    y-word alone, as a table of nonzero integers."""
+    (wx, wy), out = pair, {}
+    if "x" in sides:
+        add_column(out, 1, [((w, wy), s) for w, s in word_differential(wx).items()])
+    if "y" in sides:
+        add_column(out, parity(wx), [((wx, w), s)
+                                     for w, s in word_differential(wy).items()])
+    return {p: s for p, s in out.items() if s}
 
 
 class AlgebraTwist:
@@ -294,17 +306,6 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     # the words of d(w) with nonzero coefficients, and e(w)
     steps = cache(lambda w: ([a for a, t in word_differential(w).items() if t], parity(w)))
 
-    def apply_d(p: ProductForm, side: int) -> ProductForm:
-        # d on the x-factor (side 0) or the y-factor (side 1) of each pair,
-        # signed by the degree of the other factor
-        out: dict[PairWord, Fraction] = {}
-        for pair, c in p.terms.items():
-            other = pair[1 - side]
-            c = c if len(other) % 2 else -c
-            add_column(out, 1, [((nw, other) if side == 0 else (other, nw), c * s)
-                                for nw, s in word_differential(pair[side]).items()])
-        return ProductForm(out)
-
     def cases():
         held = 0
         for wb, wa in iter_word_tuples(2, caps):
@@ -322,10 +323,13 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             held = 0
             yb, xa = Form.word("y", wb), Form.word("x", wa)
             dyb, dxa = Form("y", word_differential(wb)), Form("x", word_differential(wa))
-            base = twist.cross(yb, xa)
-            side, lhs, rhs = "y", twist.cross(dyb, xa), apply_d(base, 1)
+            # d on one word of the crossed pair, signed by the other's degree
+            (pair, c), = twist.cross(yb, xa).terms.items()
+            side, lhs, rhs = "y", twist.cross(dyb, xa), c * ProductForm(
+                pair_differential(pair, "y"))
             if lhs == rhs:
-                side, lhs, rhs = "x", twist.cross(yb, dxa), apply_d(base, 0)
+                side, lhs, rhs = "x", twist.cross(yb, dxa), \
+                    c * parity(pair[1]) * ProductForm(pair_differential(pair, "x"))
             yield None if lhs == rhs else (
                 f"d on {side}-side at ({render_word('y', wb)}, "
                 f"{render_word('x', wa)}): {lhs} != {rhs}")
@@ -446,15 +450,7 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     room shrinks as l and d grow, so (a, b) of P associating with every word
     of the room of its own (l, d) covers every room in which it occurs.
     """
-    qpow = twist.qpow
     by_deg = words_by_degree(caps.max_degree, caps.max_exponent)
-
-    def rational(table: dict[tuple[int, PairWord], int]) -> dict[PairWord, Fraction]:
-        # the exact value of a table keyed by (q-exponent, pair-word)
-        out: dict[PairWord, Fraction] = {}
-        for (e, key), s in table.items():
-            out[key] = out.get(key, 0) + s * qpow(e)
-        return {k: v for k, v in out.items() if v}
 
     def pairs(*words: tuple[Word, Word]) -> str:
         return ", ".join(f"({render_word('x', wx)}, {render_word('y', wy)})"
@@ -509,7 +505,7 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
 
     def leibniz():
         # graded Leibniz on pairs of bounded total degree: (L) and (C), else
-        # the integer tables, decided over the rationals if unequal
+        # d(uv) against d(u) v + e(u) u d(v) on products of ``mul_scaled``
         mul = cache(lambda u, v: word_mul(u, v))  # globals read at call time
         coeff = cache(lambda wy, wx: word_twist(wy, wx))
 
@@ -533,9 +529,8 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             yield sum(n for _, _, n in visits)
             return
         for l1, d1, ux, uy in budget:
-            sign = -1 if d1 % 2 else 1
-            su = parity(ux)
-            dux, duy = word_differential(ux).items(), word_differential(uy).items()
+            u = (1, {(0, (ux, uy)): 1})
+            du = (1, {(0, p): s for p, s in pair_differential((ux, uy)).items()})
             for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
@@ -544,25 +539,15 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                 if word_leibniz(ux, vx) and word_leibniz(uy, vy) and commutes(uy, vx):
                     yield None
                     continue
-                cuv, euv = coeff(uy, vx)
-                px, py = mul(ux, vx), mul(uy, vy)
-                lhs = {(euv, (a, py)): cuv * s
-                       for a, s in word_differential(px).items()}
-                lhs.update(((euv, (px, b)), (cuv if len(px) % 2 else -cuv) * t)
-                           for b, t in word_differential(py).items())
-                rhs: dict[tuple[int, PairWord], int] = {}
-                add_column(rhs, 1, chain(
-                    (((euv, (mul(a, vx), py)), s * cuv) for a, s in dux),
-                    (((e, (px, mul(b, vy))), su * t * c)
-                     for b, t in duy for c, e in [coeff(b, vx)]),
-                    (((e, (mul(ux, a), py)), sign * s * c)
-                     for a, s in word_differential(vx).items()
-                     for c, e in [coeff(uy, a)]),
-                    (((euv, (px, mul(uy, b))), (sign if len(vx) % 2 else -sign) * cuv * t)
-                     for b, t in word_differential(vy).items())))
-                rhs = {k: v for k, v in rhs.items() if v}
-                yield f"graded Leibniz at {pairs((ux, uy))} * {pairs((vx, vy))}" \
-                    if lhs != rhs and rational(lhs) != rational(rhs) else None
+                v = (1, {(vx, vy): 1})
+                den, uv = twist.mul_scaled(u, v)
+                ((_, p), n), = uv.items()
+                lhs = (den, {(0, w): n * s for w, s in pair_differential(p).items()})
+                (den, rhs), (dd, extra) = twist.mul_scaled(du, v), \
+                    twist.mul_scaled(u, (1, pair_differential((vx, vy))))
+                den = add_scaled(rhs, den, -1 if d1 % 2 else 1, dd, extra.items())
+                yield None if scaled_equal(lhs, (den, rhs)) else \
+                    f"graded Leibniz at {pairs((ux, uy))} * {pairs((vx, vy))}"
 
     def associativity():
         # bounded triples, decided on word triples.  A room keeps its third
