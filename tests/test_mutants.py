@@ -19,10 +19,11 @@ from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from test_fail_paths import (doubled_on_odd_letters, drop_letter,
                              merge_equal_exponents)
 from twistconn import bimodule, connections, forms, product, runner
-from twistconn.forms import Caps, Form, to_scaled, word_differential, word_mul
+from twistconn.forms import (Caps, Form, sum_scaled, to_scaled, word_differential,
+                             word_mul)
 from twistconn.reports import Report
 from twistconn.scenario import KNOWN_CHECKS, load_scenario, load_scenario_file
-from twistconn.tdga import ProductForm, add_column, pair_degree
+from twistconn.tdga import ProductForm, add_column, embed_x, pair_degree
 from twistconn.twist import AlgebraTwist, word_twist
 
 SWAP_CHECKS = {"swap-compat-e", "swap-compat-f", "swap-cross-morphisms"}
@@ -241,6 +242,36 @@ def lcm_merge_unscaled(monkeypatch):
         monkeypatch.setattr(module, "add_scaled", _unscaled_add)
 
 
+def _last_term_dropped(table, column):
+    """forms.sum_scaled that drops the last term of a table of two or more
+    terms."""
+    den, terms = table
+    if len(terms) > 1:
+        terms = dict(list(terms.items())[:-1])
+    return sum_scaled((den, terms), column)
+
+
+# column sums that lose a term, wherever a table has two or more: ∇ sums
+# through product's copy, the swap checks and bimodule-axiom through
+# bimodule's
+def sum_scaled_last_term_dropped(monkeypatch):
+    for module in (forms, product, bimodule):
+        monkeypatch.setattr(module, "sum_scaled", _last_term_dropped)
+
+
+# the e-block image of a matrix of x-forms with the twisted product's
+# operands swapped: coord · (entry ⊗ 1) in place of (entry ⊗ 1) · coord
+# (written here, apart from the kernel)
+def e_matrix_image_operands_swapped(monkeypatch):
+    def swapped(twist, coords, matrix):
+        return [sum((twist.mul(coord, embed_x(entry))
+                     for entry, coord in zip(row, coords)
+                     if not entry.is_zero and not coord.is_zero), ProductForm.zero())
+                for row in matrix]
+
+    monkeypatch.setattr(product, "e_matrix_image", swapped)
+
+
 # the product differential without the Koszul sign (-1)^{deg u} on the
 # y-part, in the key differential the shared Terms.d sums
 def koszul_sign_dropped(monkeypatch):
@@ -299,6 +330,11 @@ def product_kernel_odd_powers_dropped(monkeypatch):
 NABLA_CHECKS = {"leibniz", "curvature-formula", "flatness",
                 "quantum-plane-report", "bimodule-theorem"}
 
+# every check whose sums meet a table of two or more terms on the
+# mutation scenario
+SUMMATION_CHECKS = {"curvature-formula", "flatness", "quantum-plane-report",
+                    "bimodule-axiom"} | SWAP_CHECKS | {"bimodule-theorem"}
+
 ROWS = [
     (left_with_t_inverse, SYMMETRIC_S,
      {"swap-cross-morphisms", "bimodule-theorem"}),
@@ -337,6 +373,11 @@ ROWS = [
     # test_lcm_merge_unscaled_turns_cross_morphisms_red)
     (lcm_merge_unscaled, SYMMETRIC_S, set()),
     (lcm_merge_unscaled, NON_SYMMETRIC_S, set()),
+    (sum_scaled_last_term_dropped, SYMMETRIC_S, SUMMATION_CHECKS),
+    (sum_scaled_last_term_dropped, NON_SYMMETRIC_S, SUMMATION_CHECKS),
+    # survives every check here: with no potential, e_matrix_image meets only
+    # zero curvature matrices (see test_e_matrix_image_row_on_shipped_scenarios)
+    (e_matrix_image_operands_swapped, SYMMETRIC_S, set()),
     (word_mul_merging_equal_exponents, SYMMETRIC_S,
      {"twist-axioms", "dga-laws", "leibniz", "bimodule-axiom"}
      | SWAP_CHECKS | {"bimodule-theorem"}),
@@ -431,6 +472,22 @@ _KOSZUL_SIGN_DROPPED = [
 
 # every red result of each row, the same at q = 2 and q = -3: verdict,
 # cases, witness and detail of each check that turns red
+_SUM_SCALED_LAST_TERM_DROPPED = [
+    red("curvature-formula", 4, "curvature formula fails at e_1 x^1 ⊗ y^1"),
+    red("flatness", 4, "nonzero curvature at e_1 x^1 ⊗ y^1"),
+    red("quantum-plane-report", 0,
+        "symbolic display did not match the computed connection"),
+    red("swap-compat-e", 82, "y^1 ⊗ dx ⊗ e_1",
+        **compat(equation="fail", left="fail", right="fail")),
+    red("swap-compat-f", 82, "dy ⊗ f_1 ⊗ x^1",
+        **compat(equation="fail", left="fail", right="fail")),
+    red("swap-cross-morphisms", 4, "left: 1 ⊗ 1 . (x^0 ⊗ dy) ⊗ e_1 x^0 ⊗ y^0",
+        **morphisms(e_left="fail", e_right="fail", f_left="fail",
+                    f_right="fail")),
+    red("bimodule-axiom", 5, "e_1 x^0 ⊗ y^0 between 1 ⊗ y and 1 ⊗ 1"),
+    red("bimodule-theorem", 2, "1 ⊗ y . (e_1 x^0 ⊗ y^0)"),
+]
+
 _WORD_MUL_MERGING_EQUAL_EXPONENTS = [
     # the first failing triple breaks both product laws
     red("twist-axioms", 68, "product-right: b=y, a=x, a'=x",
@@ -560,6 +617,10 @@ RED_RESULTS = {
     (koszul_sign_dropped, str(NON_SYMMETRIC_S)): _KOSZUL_SIGN_DROPPED,
     (lcm_merge_unscaled, str(SYMMETRIC_S)): [],
     (lcm_merge_unscaled, str(NON_SYMMETRIC_S)): [],
+    (sum_scaled_last_term_dropped, str(SYMMETRIC_S)): _SUM_SCALED_LAST_TERM_DROPPED,
+    (sum_scaled_last_term_dropped, str(NON_SYMMETRIC_S)):
+        _SUM_SCALED_LAST_TERM_DROPPED,
+    (e_matrix_image_operands_swapped, str(SYMMETRIC_S)): [],
     (word_mul_merging_equal_exponents, str(SYMMETRIC_S)):
         _WORD_MUL_MERGING_EQUAL_EXPONENTS,
     (word_mul_dropping_a_letter, str(SYMMETRIC_S)): _WORD_MUL_DROPPING_A_LETTER,
@@ -612,6 +673,24 @@ def test_lcm_merge_unscaled_turns_cross_morphisms_red(monkeypatch):
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("bad_hypothesis_q2", "bimodule_q2", "classical_q1", "grassmann_q2",
+           "potential_e_q2")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_e_matrix_image_row_on_shipped_scenarios(monkeypatch, name):
+    """Ungated at shipped caps, the swapped operands newly turn
+    curvature-formula and quantum-plane-report red on potential_e_q2, whose
+    x-side potential has nonzero curvature, and change no result on the
+    other shipped scenarios."""
+    sc = load_scenario_file(str(SCENARIO_DIR / f"{name}.cfg"))
+    clean = [r.to_dict() for r in ungated_red(sc)]
+    e_matrix_image_operands_swapped(monkeypatch)
+    new = [red("curvature-formula", 2, "curvature formula fails at e_1 x^0 ⊗ y^1"),
+           red("quantum-plane-report", 0,
+               "symbolic display did not match the computed connection")]
+    assert [r.to_dict() for r in ungated_red(sc)] == \
+        (new if name == "potential_e_q2" else []) + clean
 
 
 @pytest.mark.parametrize("caps", [Caps(2, 1), None], ids=["caps2,1", "shipped"])
