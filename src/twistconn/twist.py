@@ -289,38 +289,38 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
 
     Each word pair counts two cases, d on the y-side and d on the x-side.
     With c(wy, wx) = ±q^k the lift's coefficient for (±1, k) =
-    word_twist(wy, wx) and e(w) = (-1)^{deg w}, a pair with
-    word_twist(wb, wa) = (s, k), s = ±1, passes at once when c(w, wa) =
-    e(wa) c(wb, wa) for each word w of d(wb) and c(wb, u) = e(wb) c(wb, wa)
-    for each word u of d(wa), both with nonzero coefficients.  Each is
-    decided on integers first (word_twist(w, wa) == (e(wa) s, k) gives it,
-    as s = ±1), else on the rationals (q = ±1).  Proof: with t_w the
-    coefficients of d(wb), the y-side compares Σ t_w c(w, wa) wa ⊗ w with
-    Σ e(wa) t_w c(wb, wa) wa ⊗ w; zero t_w drop from both, the keys are
-    distinct and the values nonzero, so the tables are equal exactly when
-    c(w, wa) = e(wa) c(wb, wa) for each w; the x-side alike.  Any other
-    pair runs the element comparison, which also renders the witness.  Pairs
-    that pass at once are counted inline and reach ``tally`` as one entry,
-    sent before any pair that runs the element comparison and at the end.
+    word_twist(wy, wx) and e(w) = (-1)^{deg w}, d commutes with the
+    crossing of (wb, wa), word_twist(wb, wa) = (s, k), when s = ±1, c(w,
+    wa) = e(wa) c(wb, wa) for each word w of d(wb) and c(wb, u) = e(wb)
+    c(wb, wa) for each word u of d(wa), both with nonzero coefficients.
+    Each is decided on integers first (word_twist(w, wa) == (e(wa) s, k)
+    gives it, as s = ±1), else on the rationals (q = ±1).  Proof: with t_w
+    the coefficients of d(wb), the y-side compares Σ t_w c(w, wa) wa ⊗ w
+    with Σ e(wa) t_w c(wb, wa) wa ⊗ w; zero t_w drop from both, the keys
+    are distinct and the values nonzero, so the tables are equal exactly
+    when c(w, wa) = e(wa) c(wb, wa) for each w; the x-side alike.  When d
+    commutes with every crossing the run passes as one block; otherwise
+    every pair runs the element comparison, which also renders the witness.
     """
     # the words of d(w) with nonzero coefficients, and e(w)
     steps = cache(lambda w: ([a for a, t in word_differential(w).items() if t], parity(w)))
 
+    def commutes(wb: Word, wa: Word) -> bool:
+        s, k = word_twist(wb, wa)
+        (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
+        on_y, on_x = (ea * s, k), (eb * s, k)  # what d on each side keeps
+        return s in (1, -1) and all(
+            (got := word_twist(w, wa)) == on_y or twist.coeff_equal(got, on_y)
+            for w in dwb) and all(
+            (got := word_twist(wb, u)) == on_x or twist.coeff_equal(got, on_x)
+            for u in dwa)
+
     def cases():
-        held = 0
-        for wb, wa in iter_word_tuples(2, caps):
-            s, k = word_twist(wb, wa)
-            (dwb, eb), (dwa, ea) = steps(wb), steps(wa)
-            on_y, on_x = (ea * s, k), (eb * s, k)  # what d on each side keeps
-            if s in (1, -1) and all(
-                    (got := word_twist(w, wa)) == on_y or twist.coeff_equal(got, on_y)
-                    for w in dwb) and all(
-                    (got := word_twist(wb, u)) == on_x or twist.coeff_equal(got, on_x)
-                    for u in dwa):
-                held += 1  # d commutes with the crossing
-                continue
-            yield held  # the pairs held before this one
-            held = 0
+        pairs = list(iter_word_tuples(2, caps))
+        if all(commutes(wb, wa) for wb, wa in pairs):
+            yield len(pairs)
+            return
+        for wb, wa in pairs:
             yb, xa = Form.word("y", wb), Form.word("x", wa)
             dyb, dxa = Form("y", word_differential(wb)), Form("x", word_differential(wa))
             # d on one word of the crossed pair, signed by the other's degree
@@ -333,7 +333,6 @@ def check_lift_compat(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             yield None if lhs == rhs else (
                 f"d on {side}-side at ({render_word('y', wb)}, "
                 f"{render_word('x', wa)}): {lhs} != {rhs}")
-        yield held
 
     return run_cases("lift-compat", cases(), 2)
 
@@ -418,19 +417,20 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     (x^a ⊗ y^b)(x^c ⊗ y^d) = q^{bc} x^{a+c} ⊗ y^{b+d} exhaustively.
 
     A passing run of each loop is decided from facts about words and word
-    pairs, kept in tables local to the call, and counted as one block; a
-    loop in which a fact fails runs its cases in order, comparing full
-    tables where its per-case facts fail, so cases, order and witnesses are
-    those of deciding each case alone, for any kernels.  Let e(w) =
-    (-1)^{deg w}, and P the word pairs (a, b) of ``budget``: letters(a) +
-    letters(b) <= 8 and deg a + deg b <= max_degree.  Each pair (u, v) of
-    pair-words that the Leibniz and associativity loops visit has (ux, vx),
-    (uy, vy) and (uy, vx) in P; with n[l, d] the budget entries of l
-    letters and degree d, they visit n[l1, d1] n[l2, d2] pairs for l1 + l2
-    <= 8 and d1 + d2 <= max_degree.
+    pairs and counted as one block; a loop in which a fact fails runs every
+    case in order, each decided by comparing full tables, so cases, order
+    and witnesses are those of deciding each case alone, for any kernels.
+    Let e(w) = (-1)^{deg w}, and P the word pairs (a, b) of ``budget``:
+    letters(a) + letters(b) <= 8 and deg a + deg b <= max_degree.  Each
+    pair (u, v) of pair-words that the Leibniz and associativity loops
+    visit has (ux, vx), (uy, vy) and (uy, vx) in P; with n[l, d] the budget
+    entries of l letters and degree d, they visit n[l1, d1] n[l2, d2] pairs
+    for l1 + l2 <= 8 and d1 + d2 <= max_degree.
 
     Unit and d^2 hold at (wx, wy) when wx and wy keep the unit law on either
-    side and ``nilpotence`` gives no terms for either.
+    side and are ``nilpotent``: d(d w) = 0 and e(a) = -e(w) for each word a
+    of d w, as d^2(wx ⊗ wy) = d(d wx) ⊗ wy + Σ (e(wx) + e(a)) s t a ⊗ b +
+    wx ⊗ d(d wy) over the terms s a of d wx and t b of d wy.
 
     Leibniz at (ux ⊗ uy, vx ⊗ vy) holds if, with (c, k) = word_twist(uy,
     vx), px = ux vx and py = uy vy, (L) d(ab) = d(a) b + e(a) a d(b) as
@@ -475,33 +475,24 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         unit = cache(lambda w, wy, wx: word_mul(UNIT_WORD, w) == w ==
                      word_mul(w, UNIT_WORD) and twist.coeff_equal(word_twist(wy, wx), (1, 0)))
 
-        @cache
-        def nilpotence(w: Word) -> tuple[list, list]:
-            # d(d w), and the d-terms s a of w with e(a) = e(w), as d^2(wx ⊗ wy) =
-            # d(d wx) ⊗ wy + Σ (e(wx) + e(a)) s t a ⊗ b + wx ⊗ d(d wy)
-            dd, dw = {}, word_differential(w).items()
-            add_column(dd, 1, ((a2, s * s2) for a, s in dw
+        def nilpotent(w: Word) -> bool:
+            dd, dw = {}, word_differential(w)
+            add_column(dd, 1, ((a2, s * s2) for a, s in dw.items()
                                for a2, s2 in word_differential(a).items()))
-            return [(a2, s) for a2, s in dd.items() if s], \
-                [(a, 2 * parity(w) * s) for a, s in dw if parity(a) == parity(w)]
+            return not any(dd.values()) and all(parity(a) != parity(w) for a in dw)
 
-        if all(unit(w, UNIT_WORD, w) and unit(w, w, UNIT_WORD) and
-               nilpotence(w) == ([], []) for w in chain.from_iterable(by_deg.values())):
+        if all(unit(w, UNIT_WORD, w) and unit(w, w, UNIT_WORD) and nilpotent(w)
+               for w in chain.from_iterable(by_deg.values())):
             yield len(pair_words)
             return
         for _, _, wx, wy in pair_words:
             if not (unit(wx, UNIT_WORD, wx) and unit(wy, wy, UNIT_WORD)):
                 yield f"unit law at {pairs((wx, wy))}"
                 continue
-            (ddx, bad), (ddy, _) = nilpotence(wx), nilpotence(wy)
-            acc: dict[PairWord, int] = {}
-            if ddx or bad or ddy:
-                add_column(acc, 1, chain(
-                    (((a2, wy), s) for a2, s in ddx),
-                    (((a, b), s * t) for a, s in bad
-                     for b, t in word_differential(wy).items()),
-                    (((wx, b2), t) for b2, t in ddy)))
-            yield f"d^2 != 0 at {pairs((wx, wy))}" if any(acc.values()) else None
+            dd: dict[PairWord, int] = {}
+            add_column(dd, 1, ((p2, s * s2) for p, s in pair_differential((wx, wy)).items()
+                               for p2, s2 in pair_differential(p).items()))
+            yield f"d^2 != 0 at {pairs((wx, wy))}" if any(dd.values()) else None
 
     def leibniz():
         # graded Leibniz on pairs of bounded total degree: (L) and (C), else
@@ -509,7 +500,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
         mul = cache(lambda u, v: word_mul(u, v))  # globals read at call time
         coeff = cache(lambda wy, wx: word_twist(wy, wx))
 
-        @cache
         def word_leibniz(a: Word, b: Word) -> bool:  # (L)
             ab, sides = mul(a, b), {}
             add_column(sides, 1, chain(
@@ -518,7 +508,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             return len(ab) == len(a) + len(b) - 1 and ab not in word_differential(ab) \
                 and word_differential(ab) == {w: s for w, s in sides.items() if s}
 
-        @cache
         def commutes(wy: Word, wx: Word) -> bool:  # (C): d commutes with crossing
             c, e = coeff(wy, wx)
             return c in (1, -1) and \
@@ -536,9 +525,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                     break
                 if d1 + d2 > caps.max_degree:
                     continue
-                if word_leibniz(ux, vx) and word_leibniz(uy, vy) and commutes(uy, vx):
-                    yield None
-                    continue
                 v = (1, {(vx, vy): 1})
                 den, uv = twist.mul_scaled(u, v)
                 ((_, p), n), = uv.items()
@@ -551,28 +537,16 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
 
     def associativity():
         # bounded triples, decided on word triples.  A room keeps its third
-        # pair-words in loop order with their words' bits, and a word pair
-        # (a, b) its product and the bits of the words c with (a b) c == a (b c)
-        words = list(dict.fromkeys(w for _, _, wx, wy in budget for w in (wx, wy)))
-        bits, holds = {w: 1 << i for i, w in enumerate(words)}, {}
-
+        # pair-words in loop order and the distinct words in them
         @cache
-        def room(letters: int, degree: int) -> tuple[list, int]:
+        def room(letters: int, degree: int) -> tuple[list, set]:
             third = [(wx, wy) for l, d, wx, wy in budget
                      if l <= _LETTER_BUDGET - letters and d <= caps.max_degree - degree]
-            return third, sum(bits[w] for w in set(chain.from_iterable(third)))
+            return third, set(chain.from_iterable(third))
 
-        def associative(a: Word, b: Word, mask: int) -> bool:
-            ab, known = holds.get((a, b)) or (word_mul(a, b), 0)
-            missing = mask & ~known
-            while missing:
-                bit = missing & -missing
-                c = words[bit.bit_length() - 1]
-                if word_mul(ab, c) != word_mul(a, word_mul(b, c)):
-                    return False
-                known, missing = known | bit, missing ^ bit
-            holds[(a, b)] = ab, known
-            return True
+        def associative(a: Word, b: Word, words) -> bool:
+            ab = word_mul(a, b)
+            return all(word_mul(ab, c) == word_mul(a, word_mul(b, c)) for c in words)
 
         if all(associative(a, b, room(l, d)[1]) for l, d, a, b in budget):
             yield sum(n * len(room(l, d)[0]) for l, d, n in visits)
@@ -584,8 +558,8 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
                 if d1 + d2 > caps.max_degree:
                     continue
                 for wx, wy in room(l1 + l2, d1 + d2)[0]:
-                    yield None if associative(ux, vx, bits[wx]) and \
-                        associative(uy, vy, bits[wy]) else (
+                    yield None if associative(ux, vx, [wx]) and \
+                        associative(uy, vy, [wy]) else (
                             "word concatenation not associative at "
                             f"{pairs((ux, uy), (vx, vy), (wx, wy))}")
 
