@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistconn.forms import (Caps, Form, enumerate_words, parse_form,
+from test_mutants import _last_term_dropped, _unscaled_add
+from twistconn import forms
+from twistconn.forms import (Caps, Form, add_column, add_scaled, enumerate_words,
+                             from_scaled, parse_form, scaled_equal, sum_scaled,
                              word_degree, word_differential, word_letters,
                              word_mul)
 
@@ -193,3 +196,52 @@ def test_scaled_generator():
 def test_render_parses_back(u):
     # unit coefficients render without a number, a leading -1 as "-dx"
     assert parse_form("x", str(u)) == u
+
+
+def scaled_tables():
+    """Scaled tables (den, {key: nonzero int}) of one to four terms, with
+    denominators 2 to 6."""
+    return st.tuples(st.integers(min_value=2, max_value=6),
+                     st.dictionaries(st.integers(min_value=0, max_value=5),
+                                     st.integers(min_value=-4, max_value=4).filter(bool),
+                                     min_size=1, max_size=4))
+
+
+@given(scaled_tables(), st.lists(scaled_tables(), min_size=6, max_size=6),
+       st.integers(min_value=-3, max_value=3).filter(bool))
+@example((2, {0: 1, 1: 1}), [(3, {0: 1})] * 6, 1)
+@settings(max_examples=100, deadline=None)
+def test_scaled_kernels_agree_with_fractions(table, columns, c):
+    """add_scaled, sum_scaled and scaled_equal agree with the same sums and
+    comparisons over Fractions; the table's key t picks the column
+    columns[t].  The lossy sum and the unscaled lcm merge of
+    tests/test_mutants.py fail the same comparisons: the first wherever the
+    table has two terms or more, the second wherever the merge of one
+    column into the table must rescale it."""
+    (den, terms), (cden, cterms) = table, columns[0]
+
+    def column(t):
+        cd, col = columns[t]
+        return cd, tuple(col.items())
+
+    want_add, want_sum = {}, {}
+    add_column(want_add, 1, from_scaled(den, terms).items())
+    add_column(want_add, Fraction(c), from_scaled(cden, cterms).items())
+    for t, n in terms.items():
+        add_column(want_sum, Fraction(n, den), from_scaled(*columns[t]).items())
+
+    def agrees(add, total) -> bool:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "add_scaled", add)
+            acc = dict(terms)
+            got_add = add(acc, den, c, cden, cterms.items()), acc
+            got_sum = total(table, column)
+        return from_scaled(*got_add) == want_add and from_scaled(*got_sum) == want_sum
+
+    got = sum_scaled(table, column)
+    for other in (got, (3 * got[0], {t: 3 * n for t, n in got[1].items()}), table):
+        assert scaled_equal(got, other) == (from_scaled(*got) == from_scaled(*other))
+    assert agrees(add_scaled, sum_scaled)
+    assert agrees(add_scaled, _last_term_dropped) == (len(terms) == 1)
+    if den % cden:  # lcm(den, cden) > den, so the table is rescaled
+        assert not agrees(_unscaled_add, sum_scaled)

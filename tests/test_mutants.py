@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import curvature_formula_reference, leibniz_reference
 from test_bimodule import HALVING_S, NON_SYMMETRIC_S, SYMMETRIC_S, DroppedQ
 from test_fail_paths import (doubled_on_odd_letters, drop_letter,
                              merge_equal_exponents)
@@ -691,6 +692,28 @@ def test_e_matrix_image_row_on_shipped_scenarios(monkeypatch, name):
                "symbolic display did not match the computed connection")]
     assert [r.to_dict() for r in ungated_red(sc)] == \
         (new if name == "potential_e_q2" else []) + clean
+
+
+def test_sum_scaled_last_term_dropped_on_potential_e(monkeypatch):
+    """On potential_e_q2 at its shipped caps and seed, a column sum that
+    loses a term escapes leibniz: it decides each input from its one-term
+    inputs, whose products have one term, and a lossy sum breaks the
+    linearity that carries them to the input.  Its per-case reference
+    fails, and curvature-formula fails as its reference does."""
+    sc = load_scenario_file(str(SCENARIO_DIR / "potential_e_q2.cfg"))
+    sum_scaled_last_term_dropped(monkeypatch)
+
+    def result(check):
+        return check(runner.build_objects(sc).pc, sc.caps, sc.seed).to_dict()
+
+    assert result(product.check_connection_leibniz) == {
+        "name": "leibniz", "verdict": "pass", "cases": 1168}
+    assert result(leibniz_reference) == red(
+        "leibniz", 769, "leibniz fails at random acted by 1 ⊗ 1")
+    curvature = red("curvature-formula", 2,
+                    "curvature formula fails at e_1 x^0 ⊗ y^1")
+    assert result(product.check_curvature_formula) == curvature
+    assert result(curvature_formula_reference) == curvature
 
 
 @pytest.mark.parametrize("caps", [Caps(2, 1), None], ids=["caps2,1", "shipped"])

@@ -20,6 +20,8 @@ import twistconn.twist as twist_module
 from oracles import left_twist_oracle, lift_oracle, right_twist_oracle
 
 Q2 = AlgebraTwist(2)
+# q for the guards that a passing word-level check stays on its fact path
+TRAFFIC_Q = [Fraction(2), Fraction(3, 2), Fraction(-2, 3), Fraction(1), Fraction(-1)]
 
 
 def yw(*exps):
@@ -309,7 +311,8 @@ class TestCheckers:
         assert calls["word_twist"] <= 80000
         assert calls["word_mul"] <= 15000
 
-    def test_lift_compat_decides_pairs_at_word_level(self, monkeypatch):
+    @pytest.mark.parametrize("q", TRAFFIC_Q, ids=str)
+    def test_lift_compat_decides_pairs_at_word_level(self, monkeypatch, q):
         """lift-compat at caps 3,3 passes each word pair from word_twist
         alone: no AlgebraTwist.cross call (15,024 before), over the same
         10,016 cases."""
@@ -317,26 +320,36 @@ class TestCheckers:
         cross = AlgebraTwist.cross
         monkeypatch.setattr(AlgebraTwist, "cross",
                             lambda *args: calls.append(1) or cross(*args))
-        result = check_lift_compat(AlgebraTwist(2), Caps(3, 3))
+        result = check_lift_compat(AlgebraTwist(q), Caps(3, 3))
         assert result.to_dict() == {"name": "lift-compat", "verdict": "pass",
                                     "cases": 10016}
         assert calls == []
 
-    def test_word_checks_send_held_steps_in_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("q", TRAFFIC_Q, ids=str)
+    def test_word_checks_send_held_steps_in_blocks(self, monkeypatch, q):
         """At caps 3,3, dga-laws and twist-axioms hand reports.tally at most
         1,000 entries each (209,698 and 48,276 before held steps were sent
-        as int entries), over the same 214,706 and 96,552 cases."""
-        entries = []
+        as int entries), over the same 214,706 and 96,552 cases.  Each loop
+        of a passing run is decided from its facts, so neither check calls
+        AlgebraTwist.mul_scaled or twist.pair_differential."""
+        entries, calls = [], []
 
         def counted(cases, *args, **kwargs):
             return tally((entries.append(1) or e for e in cases), *args, **kwargs)
 
+        def traced(fn):
+            return lambda *args: calls.append(fn.__name__) or fn(*args)
+
         monkeypatch.setattr(twist_module, "tally", counted)
+        monkeypatch.setattr(AlgebraTwist, "mul_scaled", traced(AlgebraTwist.mul_scaled))
+        monkeypatch.setattr(twist_module, "pair_differential",
+                            traced(twist_module.pair_differential))
         for check, cases in [(check_dga_laws, 214706), (check_twist_axioms, 96552)]:
             entries.clear()
-            result = check(AlgebraTwist(2), Caps(3, 3))
+            result = check(AlgebraTwist(q), Caps(3, 3))
             assert (result.verdict, result.cases) == ("pass", cases)
             assert len(entries) <= 1000
+            assert calls == []
 
     def test_twist_axioms_decides_units_at_word_level(self, monkeypatch):
         """twist-axioms at caps 3,3 decides the unit law from word_twist: no
