@@ -47,7 +47,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .forms import (Caps, Form, Word, UNIT_WORD, add_scaled, enumerate_words,
                     iter_word_tuples, render_word, scaled_equal, to_scaled,
@@ -55,8 +55,6 @@ from .forms import (Caps, Form, Word, UNIT_WORD, add_scaled, enumerate_words,
 from .rationals import Matrix, MatrixPowers, identity
 from .reports import CheckResult, failed, passed, run_cases, tally
 from .tdga import PairWord, ProductForm, add_column, embed_x, embed_y
-
-ModuleTwistFn = Callable[[int, int, int], list[tuple[Fraction, int]]]
 
 
 def word_twist(wy: Word, wx: Word) -> tuple[int, int]:
@@ -213,25 +211,26 @@ _LETTER_BUDGET = 8
 def check_twist_axioms(twist: AlgebraTwist, caps: Caps) -> CheckResult:
     """Unit and multiplicativity axioms of the lifted twisting map.
 
-    Units are checked on every word within per-word caps; the two
-    multiplicativity conditions are checked on all word triples whose total
-    degree stays within caps.max_degree.  The lift maps words to words, so
-    word_twist decides both: a unit holds iff its word's coefficient is 1,
-    and a triple compares (sign, exponent) pairs as integers, else over the
-    rationals.  Triples that hold are counted inline and reach ``tally`` as
-    one entry, sent before a failing triple and at the end; a triple that
-    breaks both product laws is one case that names both.  Each of the two
-    loops stops at its first failure, and the other still runs; a failing
-    unit renders its witness through ``cross``.
+    Units are checked on every word within per-word caps, the product laws
+    on the triples (wb, wa, wa2) of ``iter_word_tuples(3, caps)``: with c =
+    word_twist, c(wb, wa wa2) against c(wb, wa) c(wb, wa2) (right) and
+    c(wb wa, wa2) against c(wb, wa2) c(wa, wa2) (left), through
+    ``coeff_equal``.  Each loop stops at its first failure; a triple that
+    breaks both laws is one case naming both.
+
+    A passing run is decided per word pair (w1, w2) and its *range*, the
+    words u with deg u <= r = max_degree - deg w1 - deg w2.  The right law
+    holds at every (u, w1, w2) and the left at every (w1, w2, u) iff the
+    column c(u, ·) and the row c(·, u) over the range, the *profiles*, of
+    w1 w2 agree elementwise with those of w1 and w2.  These are all the
+    triples, once a side, so the run counts 2 cases a triple.  Equal
+    profiles are interned, and each distinct triple of them is compared
+    once.  If one fails, the triples run in order with no table of their
+    own, so cases, order and witnesses are those of each triple alone.
+    The product's profile spans r, never a range read off its length: a
+    word_mul that changes a product's degree changes no triple, and a range
+    of its own would leave out (or add) third words.
     """
-    def right(wb: Word, wa: Word, wa2: Word) -> dict[str, str]:
-        return {"product-right": f"b={render_word('y', wb)}, "
-                f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"}
-
-    def left(wb: Word, wb2: Word, wa: Word) -> dict[str, str]:
-        return {"product-left": f"b={render_word('y', wb)}, "
-                f"b'={render_word('y', wb2)}, a={render_word('x', wa)}"}
-
     def units():
         # the lift fixes 1 ⊗ w and w ⊗ 1 iff their word coefficients are 1
         for w in enumerate_words(caps.max_degree, caps.max_exponent):
@@ -243,36 +242,51 @@ def check_twist_axioms(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             else:
                 yield None
 
+    def agrees(merged, first, second):
+        # the merged word's (sign, exponent) against the product of the two
+        # crossing steps'; the rationals decide only unequal pairs (q = ±1)
+        return twist.coeff_equal(merged, (first[0] * second[0], first[1] + second[1]))
+
     def word_products():
-        # the merged word's (sign, exponent) must be the product of the two
-        # crossing steps'; the rationals decide only unequal pairs (q = ±1).
-        # Triples as in iter_word_tuples(3, caps); word_twist(wb, ·) kept per
-        # wb, and per wa and room of wa2 their products and crossings
         upto = [enumerate_words(k, caps.max_exponent)
                 for k in range(caps.max_degree + 1)]
-        pair = cache(lambda wa, wa2: (wa2, word_mul(wa, wa2), word_twist(wa, wa2)))
-        row = cache(lambda wa, k: [pair(wa, wa2) for wa2 in upto[k]])
-        held = 0
-        for wb in upto[-1]:
-            past = cache(lambda wx, wb=wb: word_twist(wb, wx))
-            for wa in upto[len(upto) - len(wb)]:
-                (s1, e1), merged_b = past(wa), word_mul(wb, wa)
-                for wa2, merged_a, twist_a in row(wa, len(upto) - len(wb) - len(wa) + 1):
-                    s2, e2 = past(wa2)
-                    got, want = past(merged_a), (s1 * s2, e1 + e2)
-                    fails_right = got != want and not twist.coeff_equal(got, want)
-                    # mirror roles: wb, wa as the two y-words, wa2 as the x-word
-                    fails_left = (got := word_twist(merged_b, wa2)) != (
-                        want := (s2 * twist_a[0], e2 + twist_a[1])) and \
-                        not twist.coeff_equal(got, want)
-                    if not (fails_right or fails_left):
-                        held += 1
-                        continue
-                    yield held  # the steps held before this one
-                    held = 0
-                    yield (right(wb, wa, wa2) if fails_right else {}) | \
-                        (left(wb, wa, wa2) if fails_left else {})
-        yield held
+        interned, decided = {}, {}
+
+        @cache
+        def profile(side, w, r):
+            p = tuple([word_twist(u, w) if side == "x" else word_twist(w, u)
+                       for u in upto[r]])
+            return interned.setdefault(p, p)
+
+        def laws_hold(w1, w2, r):
+            w12 = word_mul(w1, w2)
+            for side in "xy":
+                p = [profile(side, w, r) for w in (w1, w2, w12)]
+                key = tuple(map(id, p))
+                if key not in decided:
+                    decided[key] = all(map(agrees, p[2], p[0], p[1]))
+                if not decided[key]:
+                    return False
+            return True
+
+        # each word pair with its range
+        pairs = [(w1, w2, len(upto) + 1 - len(w1) - len(w2))
+                 for w1 in upto[-1] for w2 in upto[len(upto) - len(w1)]]
+        if all(laws_hold(*pair) for pair in pairs):
+            yield sum(len(upto[r]) for _, _, r in pairs)
+            return
+        for wb, wa, wa2 in iter_word_tuples(3, caps):
+            # a triple that breaks both laws is one case naming both
+            failures = {}
+            if not agrees(word_twist(wb, word_mul(wa, wa2)), word_twist(wb, wa),
+                          word_twist(wb, wa2)):
+                failures["product-right"] = f"b={render_word('y', wb)}, " \
+                    f"a={render_word('x', wa)}, a'={render_word('x', wa2)}"
+            if not agrees(word_twist(word_mul(wb, wa), wa2), word_twist(wb, wa2),
+                          word_twist(wa, wa2)):
+                failures["product-left"] = f"b={render_word('y', wb)}, " \
+                    f"b'={render_word('y', wa)}, a={render_word('x', wa2)}"
+            yield failures or None
 
     tallies = [tally(units(), 2), tally(word_products(), 2)]
     failures = {axiom: w for _, found in tallies for axiom, w in found.items()}
@@ -368,13 +382,12 @@ def _vector(n: int, terms) -> list[Fraction]:
     return vec
 
 
-def _compose(terms, then) -> list[tuple[Fraction, int]]:
-    """The (coeff, slot) pairs of ``then`` applied to each slot of ``terms``."""
-    return [(c * c2, p) for c, l in terms for c2, p in then(l)]
+def _composed(vec: list[Fraction], then) -> list[Fraction]:
+    """Σ_l vec[l] · then(l), where ``then`` maps a slot to a vector."""
+    return [sum(c * then(l)[p] for l, c in enumerate(vec) if c) for p in range(len(vec))]
 
 
-def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str,
-                        cross: ModuleTwistFn) -> CheckResult:
+def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str, cross) -> CheckResult:
     """Shared body of the two module-twist checks, in (slot, own, other) terms.
 
     ``cross(k, own, other)`` carries slot k with its own-generator exponent
@@ -387,21 +400,22 @@ def _check_module_twist(mt: ModuleTwist, caps: Caps, side: str,
     name, unit_text, mult_text, action_text = _MODULE_TWIST_SIDES[side]
     n = mt.rank
     exps = range(caps.max_exponent + 1)
+    # each crossing's coordinate vector, once per argument tuple
+    vec = cache(lambda *args: _vector(n, cross(*args)))
 
     def cases():
         for k in range(n):
-            yield None if _vector(n, cross(k, 0, 0)) == \
-                _vector(n, [(Fraction(1), k)]) else unit_text.format(k=k + 1)
+            yield None if vec(k, 0, 0) == _vector(n, [(1, k)]) \
+                else unit_text.format(k=k + 1)
         for k, own, o1, o2 in product(range(n), exps, exps, exps):
             first, second = (o1, o2) if side == "right" else (o2, o1)
-            rhs = _compose(cross(k, own, first), lambda l: cross(l, own, second))
-            yield None if _vector(n, cross(k, own, o1 + o2)) == _vector(n, rhs) \
+            rhs = _composed(vec(k, own, first), lambda l: vec(l, own, second))
+            yield None if vec(k, own, o1 + o2) == rhs \
                 else mult_text.format(k=k + 1, own=own, o1=o1, o2=o2)
         for k, *loop in product(range(n), exps, exps, exps):
             a, b, o = loop if side == "right" else loop[::-1]
             scale = mt.twist.qpow(b * o)  # crossing the extra own power b
-            rhs = [scale * c for c in _vector(n, cross(k, a, o))]
-            yield None if _vector(n, cross(k, a + b, o)) == rhs \
+            yield None if vec(k, a + b, o) == [scale * c for c in vec(k, a, o)] \
                 else action_text.format(k=k + 1, a=a, b=b, o=o)
 
     return run_cases(name, cases())
@@ -555,8 +569,6 @@ def check_dga_laws(twist: AlgebraTwist, caps: Caps) -> CheckResult:
             for l2, d2, vx, vy in budget:
                 if l1 + l2 > _LETTER_BUDGET:
                     break
-                if d1 + d2 > caps.max_degree:
-                    continue
                 for wx, wy in room(l1 + l2, d1 + d2)[0]:
                     yield None if associative(ux, vx, [wx]) and \
                         associative(uy, vy, [wy]) else (
@@ -592,27 +604,26 @@ def check_derived_conditions(rmt: RightModuleTwist, caps: Caps) -> CheckResult:
     twist = rmt.twist
     n = rmt.rank
     exps = range(caps.max_exponent + 1)
-    cross, uncross = rmt.cross_word, rmt.uncross_word
+    # each crossing's coordinate vector, once per argument tuple
+    cross, uncross = [cache(lambda *args, fn=fn: _vector(n, fn(*args)))
+                      for fn in (rmt.cross_word, rmt.uncross_word)]
 
     def cases():
         for k, j, i, e in product(range(n), exps, exps, exps):
             failures = {}
             # left x-multiplication absorbed by uncross-then-cross
-            if _vector(n, cross(k, j, e)) != _vector(n, _compose(
-                    uncross(i, k, j), lambda l: cross(l, j, i + e))):
+            if cross(k, j, e) != _composed(uncross(i, k, j), lambda l: cross(l, j, i + e)):
                 failures["mul-exchange"] = f"x^{i} ⊗ f_{k + 1} y^{j} ⊗ x^{e}"
             # uncrossing after the right y-action reduces to the inverse
             # algebra-twist scale
-            if _vector(n, _compose(cross(k, j, i), lambda l: uncross(i, l, j + e))) \
+            if _composed(cross(k, j, i), lambda l: uncross(i, l, j + e)) \
                     != _vector(n, [(twist.qpow(-i * e), k)]):
                 failures["y-action-exchange"] = f"f_{k + 1} y^{j} ⊗ x^{i} ⊗ y^{e}"
             # uncross of a product of x-powers splits in two steps
-            if _vector(n, uncross(i + e, k, j)) != _vector(n, _compose(
-                    uncross(e, k, j), lambda l: uncross(i, l, j))):
+            if uncross(i + e, k, j) != _composed(uncross(e, k, j), lambda l: uncross(i, l, j)):
                 failures["uncross-product"] = f"x^{i} * x^{e} ⊗ f_{k + 1} y^{j}"
             # the crossed left y-action commutes with uncrossing
-            if [twist.qpow(i * e) * c for c in _vector(n, uncross(i, k, j + e))] \
-                    != _vector(n, uncross(i, k, j)):
+            if [twist.qpow(i * e) * c for c in uncross(i, k, j + e)] != uncross(i, k, j):
                 failures["crossed-y-action"] = f"y^{e} ⊗ x^{i} ⊗ f_{k + 1} y^{j}"
             yield failures or None
 

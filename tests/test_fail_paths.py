@@ -196,6 +196,46 @@ class TestDerivedConditions:
                                              "y-action-exchange"]}}
 
 
+def uncross_doubled(monkeypatch, rmt, when):
+    """rmt.uncross_word doubled at slot 2 wherever ``when(i, j)`` holds."""
+    uncross = rmt.uncross_word
+
+    def doubled(i, k, j):
+        terms = uncross(i, k, j)
+        return [(2 * c, l) for c, l in terms] if k == 1 and when(i, j) else terms
+
+    monkeypatch.setattr(rmt, "uncross_word", doubled)
+
+
+@pytest.mark.parametrize("q", [2, -3])
+class TestDerivedWitnessSlots:
+    """Corrupted inverse crossings whose first failure is at slot 2, so each
+    witness must name f_2."""
+
+    def test_uncross_product(self, monkeypatch, q):
+        # S = 1: slot 1 never meets slot 2, and x^2 uncrosses wrongly at
+        # slot 2, first met as x^1 * x^1
+        rmt = RightModuleTwist(AlgebraTwist(q), [[1, 0], [0, 1]])
+        uncross_doubled(monkeypatch, rmt, lambda i, j: i == 2)
+        assert check_derived_conditions(rmt, Caps(3, 2)).to_dict() == {
+            "name": "derived-compat", "verdict": "fail", "cases": 512,
+            "witness": "uncross-product at x^1 * x^1 ⊗ f_2 y^0",
+            "detail": {"failed_conditions": ["mul-exchange", "uncross-product",
+                                             "y-action-exchange"]}}
+
+    def test_crossed_y_action(self, monkeypatch, q):
+        # rank 3 with S swapping slots 2 and 3: at slot 2, y-action-exchange
+        # reads the inverse crossing of slot 3, which stays exact, while
+        # crossed-y-action compares slot 2 at y^0 and at y^1
+        rmt = RightModuleTwist(AlgebraTwist(q), [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        uncross_doubled(monkeypatch, rmt, lambda i, j: i % 2 and j)
+        assert check_derived_conditions(rmt, Caps(3, 2)).to_dict() == {
+            "name": "derived-compat", "verdict": "fail", "cases": 768,
+            "witness": "crossed-y-action at y^1 ⊗ x^1 ⊗ f_2 y^0",
+            "detail": {"failed_conditions": ["crossed-y-action", "mul-exchange",
+                                             "uncross-product", "y-action-exchange"]}}
+
+
 @pytest.mark.parametrize("q", [2, -3])
 @pytest.mark.parametrize("value", ["t dt", "dt t"])
 def test_swap_equation_fails(q, value):

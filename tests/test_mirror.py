@@ -176,3 +176,22 @@ class TestNonSymmetricS:
         result = check_twist_connection_compat(
             rmt.twist, rmt, ModuleConnection.grassmann("y", 2), CAPS)
         assert verdict(result) == ("pass", 32 * 2, None)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_unit_witness_names_the_second_slot(monkeypatch, q):
+    """A crossing that fixes slot 1 but doubles slot 2 at exponents 0, 0:
+    each side's unit witness names slot 2, after its two unit cases."""
+    rmt = RightModuleTwist(AlgebraTwist(q), S[2])
+    lmt = LeftModuleTwist(AlgebraTwist(q), T[2])
+    right, left = rmt.cross_word, lmt.cross_word
+
+    def doubled(terms, k, j, i):
+        return [(2 * c, l) for c, l in terms] if (k, j, i) == (1, 0, 0) else terms
+
+    monkeypatch.setattr(rmt, "cross_word", lambda k, j, i: doubled(right(k, j, i), k, j, i))
+    monkeypatch.setattr(lmt, "cross_word", lambda j, k, i: doubled(left(j, k, i), k, j, i))
+    assert verdict(check_right_module_twist(rmt, CAPS)) == (
+        "fail", 2, "unit: f_2 ⊗ 1 not fixed")
+    assert verdict(check_left_module_twist(lmt, CAPS)) == (
+        "fail", 2, "unit: 1 ⊗ e_2 not fixed")

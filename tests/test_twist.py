@@ -292,10 +292,11 @@ class TestCheckers:
 
     def test_twist_axioms_calls_each_kernel_once_per_distinct_input(
             self, monkeypatch):
-        """twist-axioms at caps 3,3 keeps word_twist(wb, ·) while wb runs and
-        each pair's product and crossing: counted through the module globals
-        it looks up, it makes at most 80,000 word_twist and 15,000 word_mul
-        calls (288,296 and 95,872 before), over the same 96,552 cases."""
+        """twist-axioms at caps 3,3 computes each word profile once per range
+        and each pair's product once: counted through the module globals it
+        looks up, it makes at most 30,816 word_twist and 5,008 word_mul calls
+        (288,296 and 95,872 with no table, 67,620 and 10,016 with tables
+        in the triple loop), over the same 96,552 cases."""
         calls = {"word_mul": 0, "word_twist": 0}
         for name in calls:
             kernel = getattr(twist_module, name)
@@ -308,8 +309,45 @@ class TestCheckers:
         result = check_twist_axioms(AlgebraTwist(2), Caps(3, 3))
         assert result.to_dict() == {"name": "twist-axioms", "verdict": "pass",
                                     "cases": 96552}
-        assert calls["word_twist"] <= 80000
-        assert calls["word_mul"] <= 15000
+        assert calls["word_twist"] <= 30816
+        assert calls["word_mul"] <= 5008
+
+    @pytest.mark.parametrize("q", TRAFFIC_Q, ids=str)
+    def test_axiom_checks_decide_pairs_and_crossings_once(self, monkeypatch, q):
+        """At caps 3,3 twist-axioms decides both product laws per word pair
+        and never enters its ordered triple loop, the only caller of
+        iter_word_tuples(3, ·), within 30,816 word_twist calls (67,620 in
+        that loop).  With m = n = 2 the three module-twist checks compute
+        each crossing once per argument tuple: at most 300 ModuleTwist.cross
+        calls (3,044 before)."""
+        counts, crossings = {"word_twist": 0, "triples": 0}, []
+        kernel, tuples, cross = (twist_module.word_twist, twist_module.iter_word_tuples,
+                                 ModuleTwist.cross)
+
+        def counted(*args):
+            counts["word_twist"] += 1
+            return kernel(*args)
+
+        def tuples_counted(count, caps):
+            counts["triples"] += count == 3
+            return tuples(count, caps)
+
+        monkeypatch.setattr(twist_module, "word_twist", counted)
+        monkeypatch.setattr(twist_module, "iter_word_tuples", tuples_counted)
+        monkeypatch.setattr(ModuleTwist, "cross",
+                            lambda *args: crossings.append(1) or cross(*args))
+        twist, caps = AlgebraTwist(q), Caps(3, 3)
+        assert check_twist_axioms(twist, caps).to_dict() == {
+            "name": "twist-axioms", "verdict": "pass", "cases": 96552}
+        assert counts["triples"] == 0
+        assert counts["word_twist"] <= 30816
+        rmt = RightModuleTwist(twist, [[2, 1], [3, 2]])
+        results = [check_right_module_twist(rmt, caps),
+                   check_left_module_twist(LeftModuleTwist(twist, [[1, 2], [1, 3]]), caps),
+                   check_derived_conditions(rmt, caps)]
+        assert [(r.verdict, r.cases) for r in results] == [
+            ("pass", 258), ("pass", 258), ("pass", 512)]
+        assert len(crossings) <= 300
 
     @pytest.mark.parametrize("q", TRAFFIC_Q, ids=str)
     def test_lift_compat_decides_pairs_at_word_level(self, monkeypatch, q):

@@ -337,3 +337,32 @@ def test_mutated_checks_match_reference_at_q1(monkeypatch, kernel, name):
     monkeypatch.setattr(twist_module, kernel, mutant(kernel, name, 2, 40))
     for check, reference in WORD_CHECKS:
         assert check(twist, caps).to_dict() == reference(twist, caps).to_dict()
+
+
+def degree_raising(max_degree):
+    """word_mul that raises the degree of a product of two non-unit words
+    of total degree max_degree - 1 by one and keeps its letters: a nonzero
+    last exponent n of the product becomes n - 1 followed by 0."""
+    def mutant(u, v):
+        w = PRODUCT(u, v)
+        if UNIT_WORD not in (u, v) and len(u) + len(v) == max_degree + 1 and w[-1]:
+            return w[:-1] + (w[-1] - 1, 0)
+        return w
+    return mutant
+
+
+@pytest.mark.parametrize("q", [2, -3, 1])
+@pytest.mark.parametrize("max_degree", [1, 2, 3])
+def test_twist_axioms_sizes_products_by_the_pair(monkeypatch, max_degree, q):
+    """twist-axioms compares the profile of a pair's product over the
+    pair's own range of third words, whatever the product's degree: sized
+    by the product's own length, the range of a degree-raising product is
+    too short, and the check passes (564 cases at caps 2,1) where the
+    reference fails."""
+    monkeypatch.setattr(twist_module, "word_mul", degree_raising(max_degree))
+    twist, caps = AlgebraTwist(q), Caps(2, max_degree)
+    want = twist_axioms_reference(twist, caps).to_dict()
+    assert check_twist_axioms(twist, caps).to_dict() == want
+    assert want["verdict"] == "fail"
+    if max_degree == 1:
+        assert (want["cases"], want["witness"]) == (182, "product-left: b=y, b'=y, a=dx")
